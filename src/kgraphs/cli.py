@@ -178,13 +178,14 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
     if not result.paired:
         witness = splitting.pairing_report(graph, color).describe()
         raise CommandError(f"input graph is not paired in {color_name}: {witness}", CHECK_FAILED)
+    emb = kp.SplitEmbedding(result)
     reports = [
-        kp.verify_universal_family(split_graph),
-        kp.verify_family(result, max_paths=args.max_len),
-        kp.verify_swap_identities(result),
-        kp.verify_diagonal(result, max_len=args.max_len),
-        kp.verify_corner(result, max_len=min(args.max_len, 2)),
-        kp.verify_grading(result, max_len=args.max_len),
+        kp.verify_universal_family(emb.algebra),
+        kp.verify_family(emb, max_paths=args.max_len),
+        kp.verify_swap_identities(emb),
+        kp.verify_diagonal(emb, max_len=args.max_len),
+        kp.verify_corner(emb, max_len=min(args.max_len, 2)),
+        kp.verify_grading(emb, max_len=args.max_len),
     ]
     ok = True
     for report in reports:
@@ -204,6 +205,16 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -245,7 +256,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--split-output", required=True)
     p.add_argument("--parents", required=True)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--max-len", type=_positive_int, default=3)
     p.set_defaults(func=_cmd_kp_verify)
 
     p = sub.add_parser("dot", help="Graphviz export")

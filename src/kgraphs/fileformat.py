@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Iterator
 
 from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, build_kgraph
 from .splitting import SplitResult, SplitSpec
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
 _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
+
+# vertex -> (ordered blocks, line number of its partition line)
+Partitions = dict[str, tuple[tuple[tuple[str, ...], ...], int]]
 
 
 class ParseError(ValueError):
@@ -82,6 +85,14 @@ class GraphDocument:
         )
 
 
+def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, raw line, tokens)`` for each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, raw, content.split()
+
+
 def _check_id(token: str, line: int, text: str, what: str) -> str:
     if not _ID.match(token) or token == "->":
         raise ParseError(line, text.find(token) + 1 if token in text else 1,
@@ -95,14 +106,10 @@ def parse(text: str) -> GraphDocument:
     vertices: dict[str, int] = {}
     edges: dict[str, tuple[Edge, int]] = {}
     squares: list[tuple[Side, Side, int]] = []
-    split_header: tuple[str, str, int] | None = None
-    partitions: dict[str, tuple[tuple[tuple[str, ...], ...], int]] = {}
+    split_header: tuple[str, str] | None = None
+    partitions: Partitions = {}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        tokens = content.split()
+    for lineno, raw, tokens in _declarations(text):
         keyword = tokens[0]
         if keyword == "kgraph":
             if header is not None:
@@ -153,36 +160,9 @@ def parse(text: str) -> GraphDocument:
         elif keyword == "split":
             if split_header is not None:
                 raise ParseError(lineno, 1, "duplicate split line")
-            if len(tokens) != 3 or not tokens[1].startswith("color=") or not tokens[2].startswith("base="):
-                raise ParseError(lineno, 1, "expected: split color=<color> base=<vertex>")
-            color = tokens[1][len("color="):]
-            base = tokens[2][len("base="):]
-            if header is None or color not in header[2]:
-                raise ParseError(lineno, raw.find(color) + 1, f"unknown color {color!r}")
-            if base not in vertices:
-                raise ParseError(lineno, raw.find(base) + 1, f"unknown vertex {base!r}")
-            split_header = (color, base, lineno)
+            split_header = _split_line(tokens, lineno, raw, header[2] if header else (), vertices)
         elif keyword == "partition":
-            if len(tokens) < 4 or tokens[2] != ":":
-                raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
-            v = tokens[1]
-            if v not in vertices:
-                raise ParseError(lineno, raw.find(v) + 1, f"unknown vertex {v!r}")
-            if v in partitions:
-                raise ParseError(lineno, raw.find(v) + 1, f"duplicate partition for {v!r}")
-            blocks = []
-            for tok in tokens[3:]:
-                m = _BLOCK.match(tok)
-                if not m:
-                    raise ParseError(lineno, raw.find(tok) + 1, f"malformed block {tok!r}")
-                names = tuple(n for n in m.group(1).split(",") if n)
-                if not names:
-                    raise ParseError(lineno, raw.find(tok) + 1, "empty partition block")
-                for n in names:
-                    if n not in edges:
-                        raise ParseError(lineno, raw.find(tok) + 1, f"unknown edge {n!r}")
-                blocks.append(tuple(sorted(names)))
-            partitions[v] = (tuple(blocks), lineno)
+            _partition_line(tokens, lineno, raw, vertices, edges, partitions)
         else:
             raise ParseError(lineno, 1, f"unknown declaration {keyword!r}")
 
@@ -203,12 +183,7 @@ def parse(text: str) -> GraphDocument:
 
     directive = None
     if split_header is not None:
-        color, base, _ = split_header
-        index = colors.index(color) + 1
-        _check_partition_coverage(skeleton, index, partitions)
-        directive = SplitDirective(color, base, tuple(
-            (v, blocks) for v, (blocks, _) in sorted(partitions.items())
-        ))
+        directive = _split_directive(skeleton, colors, split_header, partitions)
     elif partitions:
         lineno = min(line for _, line in partitions.values())
         raise ParseError(lineno, 1, "partition lines require a split line")
@@ -216,13 +191,64 @@ def parse(text: str) -> GraphDocument:
     return GraphDocument(version, colors, skeleton, square_set, directive)
 
 
-def _check_partition_coverage(
-    skeleton: Skeleton,
-    color: int,
-    partitions: Mapping[str, tuple[tuple[tuple[str, ...], ...], int]],
+def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
+    """Color and base named by a ``split color=<color> base=<vertex>`` line."""
+    if len(tokens) != 3 or not tokens[1].startswith("color=") or not tokens[2].startswith("base="):
+        raise ParseError(lineno, 1, "expected: split color=<color> base=<vertex>")
+    return tokens[1][len("color="):], tokens[2][len("base="):]
+
+
+def _split_line(
+    tokens: list[str], lineno: int, raw: str, colors: Container[str], vertices: Container[str]
+) -> tuple[str, str]:
+    """A ``split`` line whose color and base vertex must be known names."""
+    color, base = _split_fields(tokens, lineno)
+    if color not in colors:
+        raise ParseError(lineno, raw.find(color) + 1, f"unknown color {color!r}")
+    if base not in vertices:
+        raise ParseError(lineno, raw.find(base) + 1, f"unknown vertex {base!r}")
+    return color, base
+
+
+def _partition_line(
+    tokens: list[str],
+    lineno: int,
+    raw: str,
+    vertices: Container[str],
+    edges: Container[str],
+    partitions: Partitions,
 ) -> None:
+    """Add one ``partition <vertex> : {<e>,...} ...`` line to ``partitions``."""
+    if len(tokens) < 4 or tokens[2] != ":":
+        raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
+    v = tokens[1]
+    if v not in vertices:
+        raise ParseError(lineno, raw.find(v) + 1, f"unknown vertex {v!r}")
+    if v in partitions:
+        raise ParseError(lineno, raw.find(v) + 1, f"duplicate partition for {v!r}")
+    blocks = []
+    for tok in tokens[3:]:
+        m = _BLOCK.match(tok)
+        if not m:
+            raise ParseError(lineno, raw.find(tok) + 1, f"malformed block {tok!r}")
+        names = tuple(n for n in m.group(1).split(",") if n)
+        if not names:
+            raise ParseError(lineno, raw.find(tok) + 1, "empty partition block")
+        for n in names:
+            if n not in edges:
+                raise ParseError(lineno, raw.find(tok) + 1, f"unknown edge {n!r}")
+        blocks.append(tuple(sorted(names)))
+    partitions[v] = (tuple(blocks), lineno)
+
+
+def _split_directive(
+    skeleton: Skeleton, colors: tuple[str, ...], split_header: tuple[str, str], partitions: Partitions
+) -> SplitDirective:
+    """The directive, once each partition covers its vertex's outgoing split-color edges."""
+    color, base = split_header
+    index = colors.index(color) + 1
     for v, (blocks, lineno) in partitions.items():
-        out = {e.name for e in skeleton.edges_from(v, color)}
+        out = {e.name for e in skeleton.edges_from(v, index)}
         listed: set[str] = set()
         for block in blocks:
             for name in block:
@@ -241,61 +267,29 @@ def _check_partition_coverage(
                 lineno, 1,
                 f"partition at {v!r} does not cover its outgoing split-color edges ({'; '.join(detail)})",
             )
+    return SplitDirective(color, base, tuple(
+        (v, blocks) for v, (blocks, _) in sorted(partitions.items())
+    ))
 
 
 def parse_partition_file(text: str, doc: GraphDocument) -> SplitDirective:
     """Parse a standalone split/partition fragment against a parsed document."""
     skeleton = doc.skeleton
+    vertices = frozenset(skeleton.vertices)
     split_header: tuple[str, str] | None = None
-    partitions: dict[str, tuple[tuple[tuple[str, ...], ...], int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        tokens = content.split()
+    partitions: Partitions = {}
+    for lineno, raw, tokens in _declarations(text):
         if tokens[0] == "split":
             if split_header is not None:
                 raise ParseError(lineno, 1, "duplicate split line")
-            if len(tokens) != 3 or not tokens[1].startswith("color=") or not tokens[2].startswith("base="):
-                raise ParseError(lineno, 1, "expected: split color=<color> base=<vertex>")
-            color = tokens[1][len("color="):]
-            base = tokens[2][len("base="):]
-            if color not in doc.colors:
-                raise ParseError(lineno, raw.find(color) + 1, f"unknown color {color!r}")
-            if not skeleton.has_vertex(base):
-                raise ParseError(lineno, raw.find(base) + 1, f"unknown vertex {base!r}")
-            split_header = (color, base)
+            split_header = _split_line(tokens, lineno, raw, doc.colors, vertices)
         elif tokens[0] == "partition":
-            if len(tokens) < 4 or tokens[2] != ":":
-                raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
-            v = tokens[1]
-            if not skeleton.has_vertex(v):
-                raise ParseError(lineno, raw.find(v) + 1, f"unknown vertex {v!r}")
-            if v in partitions:
-                raise ParseError(lineno, raw.find(v) + 1, f"duplicate partition for {v!r}")
-            blocks = []
-            for tok in tokens[3:]:
-                m = _BLOCK.match(tok)
-                if not m:
-                    raise ParseError(lineno, raw.find(tok) + 1, f"malformed block {tok!r}")
-                names = tuple(n for n in m.group(1).split(",") if n)
-                if not names:
-                    raise ParseError(lineno, raw.find(tok) + 1, "empty partition block")
-                for n in names:
-                    if n not in skeleton.edge_map:
-                        raise ParseError(lineno, raw.find(tok) + 1, f"unknown edge {n!r}")
-                blocks.append(tuple(sorted(names)))
-            partitions[v] = (tuple(blocks), lineno)
+            _partition_line(tokens, lineno, raw, vertices, skeleton.edge_map, partitions)
         else:
             raise ParseError(lineno, 1, f"unknown declaration {tokens[0]!r}")
     if split_header is None:
         raise ParseError(1, 1, "missing split line")
-    color, base = split_header
-    if partitions:
-        _check_partition_coverage(skeleton, doc.color_index(color), partitions)
-    return SplitDirective(color, base, tuple(
-        (v, blocks) for v, (blocks, _) in sorted(partitions.items())
-    ))
+    return _split_directive(skeleton, doc.colors, split_header, partitions)
 
 
 def serialize(doc: GraphDocument) -> str:
@@ -348,16 +342,9 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
     """Returns (color name, base vertex, child-to-parent map)."""
     color = base = None
     parents: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        tokens = content.split()
+    for lineno, _, tokens in _declarations(text):
         if tokens[0] == "split":
-            if len(tokens) != 3 or not tokens[1].startswith("color=") or not tokens[2].startswith("base="):
-                raise ParseError(lineno, 1, "expected: split color=<color> base=<vertex>")
-            color = tokens[1][len("color="):]
-            base = tokens[2][len("base="):]
+            color, base = _split_fields(tokens, lineno)
         elif tokens[0] == "parent":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected: parent <item> = <item>")

@@ -22,7 +22,9 @@ outsplit of a paired graph: the induced family over the split graph
 over rainbow extensions), its defining relations, the swap identities that
 move between copies, preservation of the diagonal, the corner determined
 by first copies, the grading, and the saturation of the first-copy vertex
-set.
+set.  One :class:`SplitEmbedding` serves all sweeps of a verification run:
+its algebra context and image cache depend only on the immutable split, so
+sharing them changes no answer and builds each common-extension table once.
 """
 
 from __future__ import annotations
@@ -336,9 +338,7 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
         if not graph.skeleton.has_vertex(v):
             raise ValueError(f"unknown vertex {v!r}")
         seen.add(v)
-    degrees = [Degree.basis(graph.k, c) for c in range(1, graph.k + 1)]
-    if graph.k > 1:
-        degrees.append(Degree.ones(graph.k))
+    degrees = _kp4_degrees(graph.k, 0)
     changed = True
     while changed:
         changed = False
@@ -460,14 +460,14 @@ def _kp4_degrees(k: int, max_total: int) -> list[Degree]:
     return degrees
 
 
-def verify_universal_family(graph: KGraph) -> VerificationReport:
+def verify_universal_family(alg: KumjianPask) -> VerificationReport:
     """Defining relations for the universal generators of the algebra itself.
 
     Covers vertex orthogonality, composition with range/source idempotents,
     edge products against path generators, the ghost pairing on edges, and
     the fullness relation at every basis degree (and the all-ones degree).
     """
-    alg = KumjianPask(graph)
+    graph = alg.graph
     rep = VerificationReport("universal-family")
     for v in graph.vertices:
         for w in graph.vertices:
@@ -499,15 +499,14 @@ def verify_universal_family(graph: KGraph) -> VerificationReport:
     return rep
 
 
-def verify_family(result: SplitResult, max_paths: int = 3) -> VerificationReport:
+def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport:
     """The induced family satisfies the defining relations over the split.
 
     Products and pairings run over all paths with total length up to
     ``max_paths``; the fullness relation runs over basis degrees, the
     all-ones degree, and every degree within the bound.
     """
-    emb = SplitEmbedding(result)
-    lam = result.original
+    lam = emb.result.original
     rep = VerificationReport("kp-family")
     images_q = {v: emb.vertex_image(v) for v in lam.vertices}
     paths = _paths_up_to(lam, max_paths)
@@ -560,14 +559,14 @@ def verify_family(result: SplitResult, max_paths: int = 3) -> VerificationReport
     return rep
 
 
-def verify_swap_identities(result: SplitResult) -> VerificationReport:
+def verify_swap_identities(emb: SplitEmbedding) -> VerificationReport:
     """Moving between copies: rainbow sums carry first copies to j-th copies.
 
     For every edge ``x`` and copy index ``j``, the sum over rainbow paths
     ``f`` into ``r(x)`` of ``t_{f^j} t_{f¹}*`` times ``t_{x¹}`` equals
     ``t_{x^j}``, and the adjoint identity carries the ghosts.
     """
-    emb = SplitEmbedding(result)
+    result = emb.result
     alg = emb.algebra
     lam = result.original
     rep = VerificationReport("swap-identities")
@@ -589,9 +588,9 @@ def verify_swap_identities(result: SplitResult) -> VerificationReport:
     return rep
 
 
-def verify_diagonal(result: SplitResult, max_len: int = 3) -> VerificationReport:
+def verify_diagonal(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
     """Diagonal terms map to single diagonal terms of the first copy."""
-    emb = SplitEmbedding(result)
+    result = emb.result
     rep = VerificationReport("diagonal")
     for p in _paths_up_to(result.original, max_len, include_vertices=True):
         image = emb.path_image(p) * emb.ghost_image(p)
@@ -600,7 +599,7 @@ def verify_diagonal(result: SplitResult, max_len: int = 3) -> VerificationReport
     return rep
 
 
-def verify_corner(result: SplitResult, max_len: int = 2) -> VerificationReport:
+def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     """The first-copy corner absorbs the image and is exactly reached.
 
     Checks that the corner projection is a self-adjoint idempotent fixing
@@ -608,7 +607,7 @@ def verify_corner(result: SplitResult, max_len: int = 2) -> VerificationReport:
     ranges at first copies and a common source is the image of the parents'
     generator product.
     """
-    emb = SplitEmbedding(result)
+    result = emb.result
     alg = emb.algebra
     rep = VerificationReport("corner")
     box = emb.corner_projection()
@@ -643,18 +642,18 @@ def verify_corner(result: SplitResult, max_len: int = 2) -> VerificationReport:
     return rep
 
 
-def verify_grading(result: SplitResult, max_len: int = 3) -> VerificationReport:
+def verify_grading(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
     """Generator images are homogeneous of their parent's degree and nonzero."""
-    emb = SplitEmbedding(result)
+    lam = emb.result.original
     rep = VerificationReport("grading")
-    zero_diff = (0,) * result.original.k
-    for v in result.original.vertices:
+    zero_diff = (0,) * lam.k
+    for v in lam.vertices:
         q = emb.vertex_image(v)
         rep.expect(f"q[{v}] nonzero", not q.is_zero())
         rep.expect(f"q[{v}] homogeneous", set(q.graded_components()) == {zero_diff})
-    for p in _paths_up_to(result.original, max_len):
+    for p in _paths_up_to(lam, max_len):
         image = emb.path_image(p)
-        want = p.degree.signed_difference(Degree.zero(result.original.k))
+        want = p.degree.signed_difference(Degree.zero(lam.k))
         rep.expect(f"s[{p}] homogeneous of {p.degree}", set(image.graded_components()) == {want})
         ghost = emb.ghost_image(p)
         neg = tuple(-x for x in want)

@@ -568,20 +568,6 @@ class KGraph:
         self._range_cache[key] = result
         return result
 
-    def paths_with_source(self, v: str, degree: Degree) -> tuple[Path, ...]:
-        """All normal-form paths of the degree with source ``v``, sorted."""
-        if not self.skeleton.has_vertex(v):
-            raise StructureError(f"unknown vertex {v!r}")
-        if degree.total == 0:
-            return (self.vertex_path(v),)
-        color = min(c for c in range(1, self.k + 1) if degree.components[c - 1] > 0)
-        rest = degree - Degree.basis(self.k, color)
-        found = []
-        for e in self.skeleton.edges_from(v, color):
-            for tail in self.paths_with_source(e.range, rest):
-                found.append(Path((e.name,) + tail.edges, v, tail.range, degree))
-        return tuple(sorted(found, key=lambda p: p.edges))
-
     def rainbow_paths_into(self, v: str) -> tuple[Path, ...]:
         return self.paths_with_range(v, Degree.ones(self.k))
 

@@ -346,7 +346,9 @@ def reconstruct_split(
         parent = parent_edge.get(e.name)
         if parent is None:
             raise SplitError(f"edge {e.name!r} has no parent")
-        pe = original.edge(parent)
+        pe = original.skeleton.edge_map.get(parent)
+        if pe is None:
+            raise SplitError(f"edge {e.name!r} has no valid parent")
         idx = _parse_copy_index(e.name)
         copy_index[e.name] = idx
         if pe.color != e.color:

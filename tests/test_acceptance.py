@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from kgraphs import (
     Degree,
     KumjianPask,
+    SplitEmbedding,
     SquareSet,
     outsplit,
     pairing_report,
@@ -119,7 +120,7 @@ def test_criterion_4_axioms(lambda_one, lambda_two, split_one, split_two):
 
 def test_criterion_5_swap_identities(split_one):
     with budget("5 (swap identities)", 10.0):
-        report = verify_swap_identities(split_one)
+        report = verify_swap_identities(SplitEmbedding(split_one))
         assert report.ok, report.failures[:3]
         # both the forward and the ghost form, for every edge and copy
         expected = 2 * sum(
@@ -130,21 +131,22 @@ def test_criterion_5_swap_identities(split_one):
 
 def test_criterion_6_family_relations(split_one):
     with budget("6 (induced family relations)", 60.0):
-        report = verify_family(split_one, max_paths=3)
+        report = verify_family(SplitEmbedding(split_one), max_paths=3)
         assert report.ok, report.failures[:3]
 
 
 def test_criterion_7_diagonal(split_one):
     with budget("7 (diagonal preservation)", 60.0):
-        report = verify_diagonal(split_one, max_len=3)
+        report = verify_diagonal(SplitEmbedding(split_one), max_len=3)
         assert report.ok, report.failures[:3]
 
 
 def test_criterion_8_corner_and_grading(split_one):
     with budget("8 (corner and grading)", 60.0):
-        corner = verify_corner(split_one, max_len=2)
+        emb = SplitEmbedding(split_one)
+        corner = verify_corner(emb, max_len=2)
         assert corner.ok, corner.failures[:3]
-        grading = verify_grading(split_one, max_len=3)
+        grading = verify_grading(emb, max_len=3)
         assert grading.ok, grading.failures[:3]
 
 

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from kgraphs import kp
 from kgraphs.cli import main
 
 from conftest import DATA
@@ -259,6 +260,67 @@ class TestKpVerify:
         assert code == 1
         assert "not paired" in err
         assert "b : {h, i}" in err
+
+    @pytest.mark.parametrize("parent", ["nosuch", "v"])
+    def test_bad_edge_parent_is_inconsistent(self, capsys, workdir, parent):
+        # an unknown edge, or a vertex, named as the parent of an edge copy
+        sidecar = workdir / "gamma1.parents"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("parent b.1 = b\n", f"parent b.1 = {parent}\n"),
+                           encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "kp-verify",
+            str(workdir / "lambda1.kg"),
+            "--split-output",
+            str(workdir / "gamma1.kg"),
+            "--parents",
+            str(sidecar),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "inconsistent split data: edge 'b.1' has no valid parent\n"
+
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_max_len_below_one_is_usage_error(self, capsys, workdir, max_len):
+        code, out, err = run(
+            capsys,
+            "kp-verify",
+            str(workdir / "lambda1.kg"),
+            "--split-output",
+            str(workdir / "gamma1.kg"),
+            "--parents",
+            str(workdir / "gamma1.parents"),
+            "--max-len",
+            max_len,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"argument --max-len: must be at least 1, got {max_len}" in err
+
+    def test_one_algebra_context_per_run(self, capsys, workdir, monkeypatch):
+        built = []
+        init = kp.KumjianPask.__init__
+
+        def counting_init(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(kp.KumjianPask, "__init__", counting_init)
+        code, out, _ = run(
+            capsys,
+            "kp-verify",
+            str(workdir / "lambda1.kg"),
+            "--split-output",
+            str(workdir / "gamma1.kg"),
+            "--parents",
+            str(workdir / "gamma1.parents"),
+            "--max-len",
+            "2",
+        )
+        assert code == 0
+        assert out.count(": pass,") == 6
+        assert len(built) == 1
 
 
 class TestDot:

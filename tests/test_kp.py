@@ -220,13 +220,13 @@ class TestAssociativityAndOracle:
 class TestUniversalFamily:
     def test_worked_examples(self, lambda_one, lambda_two, split_one):
         for graph in (lambda_one, lambda_two, split_one.graph):
-            report = verify_universal_family(graph)
+            report = verify_universal_family(KumjianPask(graph))
             assert report.ok, report.failures[:3]
 
     def test_random_double(self):
         rng = random.Random(47)
         graph, _ = random_double(rng, k=2, max_vertices=4)
-        assert verify_universal_family(graph).ok
+        assert verify_universal_family(KumjianPask(graph)).ok
 
 
 class TestSaturation:
@@ -293,13 +293,13 @@ class TestInducedFamily:
 
 class TestVerifiers:
     def test_family_passes(self, split_one):
-        report = verify_family(split_one, max_paths=3)
+        report = verify_family(SplitEmbedding(split_one), max_paths=3)
         assert report.ok, report.failures[:3]
 
     def test_swap_identities_pass_with_specific_instances(self, split_one):
-        report = verify_swap_identities(split_one)
-        assert report.ok, report.failures[:3]
         emb = SplitEmbedding(split_one)
+        report = verify_swap_identities(emb)
+        assert report.ok, report.failures[:3]
         alg = emb.algebra
         lam = split_one.original
         # moving the loop at the base vertex to its second copy
@@ -324,13 +324,13 @@ class TestVerifiers:
             )
 
     def test_diagonal_passes(self, split_one):
-        report = verify_diagonal(split_one, max_len=3)
+        report = verify_diagonal(SplitEmbedding(split_one), max_len=3)
         assert report.ok, report.failures[:3]
 
     def test_corner_passes_with_specific_instance(self, split_one):
-        report = verify_corner(split_one, max_len=2)
-        assert report.ok, report.failures[:3]
         emb = SplitEmbedding(split_one)
+        report = verify_corner(emb, max_len=2)
+        assert report.ok, report.failures[:3]
         lam = split_one.original
         got = emb.algebra.term(
             split_one.graph.make_path(("b.1",)), split_one.graph.make_path(("h.1",))
@@ -341,7 +341,7 @@ class TestVerifiers:
         assert got == expected
 
     def test_grading_passes(self, split_one):
-        report = verify_grading(split_one, max_len=3)
+        report = verify_grading(SplitEmbedding(split_one), max_len=3)
         assert report.ok, report.failures[:3]
 
     def test_images_nonzero(self, split_one):
@@ -359,10 +359,11 @@ class TestVerifiers:
         graph = diagonal_double(vertices, arrows, 3)
         result = outsplit(graph, default_spec(graph, 1, "u0"))
         assert result.paired
-        assert verify_swap_identities(result).ok
-        assert verify_diagonal(result, max_len=2).ok
-        assert verify_family(result, max_paths=2).ok
-        assert verify_grading(result, max_len=2).ok
+        emb = SplitEmbedding(result)
+        assert verify_swap_identities(emb).ok
+        assert verify_diagonal(emb, max_len=2).ok
+        assert verify_family(emb, max_paths=2).ok
+        assert verify_grading(emb, max_len=2).ok
         seeds = [result.vertex_copy(v, 1) for v in graph.vertices]
         assert saturation(result.graph, seeds) == set(result.graph.vertices)
 
@@ -373,19 +374,43 @@ class TestVerifiers:
         rng = random.Random(97)
         graph, base = random_double(rng, k=2, max_vertices=4)
         result = outsplit(graph, shuffled_spec(graph, 1, base, rng))
-        assert verify_swap_identities(result).ok
-        assert verify_diagonal(result, max_len=2).ok
-        assert verify_family(result, max_paths=2).ok
+        assert verify_swap_identities(SplitEmbedding(result)).ok
+        assert verify_diagonal(SplitEmbedding(result), max_len=2).ok
+        assert verify_family(SplitEmbedding(result), max_paths=2).ok
 
     def test_corrupted_split_fails(self, split_one, split_two):
         # graft the second example's split graph onto the first example's
         # bookkeeping: the identities must break, with a visible witness
         corrupted = dataclasses.replace(split_one, graph=split_two.graph)
-        report = verify_family(corrupted, max_paths=2)
+        report = verify_family(SplitEmbedding(corrupted), max_paths=2)
         assert not report.ok
         assert report.failures
         assert "!=" in report.failures[0]
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_shared_embedding_changes_no_answer(self, split_one, split_two, corrupt):
+        # kp-verify runs all six sweeps on one embedding; its algebra and
+        # image caches must give the reports of a fresh embedding per sweep
+        result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
+        shared = SplitEmbedding(result)
+        with_shared = _all_sweeps(lambda: shared)
+        with_fresh = _all_sweeps(lambda: SplitEmbedding(result))
+        assert [r.summary() for r in with_shared] == [r.summary() for r in with_fresh]
+        assert [r.failures for r in with_shared] == [r.failures for r in with_fresh]
+        assert all(r.ok for r in with_shared) != corrupt
+
     def test_verifier_summaries(self, split_one):
-        report = verify_diagonal(split_one, max_len=1)
+        report = verify_diagonal(SplitEmbedding(split_one), max_len=1)
         assert "pass" in report.summary()
+
+
+def _all_sweeps(embedding) -> list:
+    """The six sweeps in ``kp-verify`` order, each on ``embedding()``."""
+    return [
+        verify_universal_family(embedding().algebra),
+        verify_family(embedding(), max_paths=3),
+        verify_swap_identities(embedding()),
+        verify_diagonal(embedding(), max_len=3),
+        verify_corner(embedding(), max_len=2),
+        verify_grading(embedding(), max_len=3),
+    ]

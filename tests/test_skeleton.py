@@ -352,13 +352,6 @@ class TestPathEnumeration:
         assert [p.edges for p in lambda_one.rainbow_paths_into("v")] == [("α", "β")]
         assert len(lambda_one.rainbow_paths_into("z")) == 5
         assert lambda_one.paths_with_range("v", Degree((0, 0))) == (lambda_one.vertex_path("v"),)
-        blue = Degree.basis(2, BLUE)
-        assert [p.edges for p in lambda_one.paths_with_source("z", blue)] == [("n",)]
-        assert [p.edges for p in lambda_one.paths_with_source("v", blue)] == [
-            ("h",),
-            ("i",),
-            ("α",),
-        ]
 
     def test_unknown_vertex(self, lambda_one):
         with pytest.raises(StructureError, match="unknown vertex"):
