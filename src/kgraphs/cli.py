@@ -1,7 +1,12 @@
 """Command surface over the graph format.
 
 Exit codes: 0 success, 1 property or validation failure, 2 usage or parse
-error.  All output is deterministic.
+error.  Every error that bad input can raise derives from ``KGraphError``
+(exit code 1: well-formed input fails a check, e.g. ``KGraphInvalid`` or
+``SplitError``); its subclass ``UsageError`` (exit code 2) covers malformed
+input and unknown names, e.g. ``StructureError`` or ``ParseError``.
+``main`` maps them in one place: it prints the message to stderr and
+returns ``exit_code``.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -9,68 +14,61 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path as FilePath
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import fileformat, kp, splitting
-from .fileformat import GraphDocument, ParseError
-from .skeleton import KGraph, KGraphInvalid, StructureError, validate
+from .fileformat import GraphDocument
+from .skeleton import KGraph, KGraphError, KGraphInvalid, UsageError, validate
 from .splitting import SplitError, SplitSpec, UnpairedError
 
-USAGE_ERROR = 2
-CHECK_FAILED = 1
+T = TypeVar("T")
 
 
-class CommandError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _load_document(path: str) -> GraphDocument:
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` applied to the file's text; a read or parse error names the file."""
     try:
-        text = FilePath(path).read_text(encoding="utf-8")
+        return parse(FilePath(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise CommandError(f"{path}: {exc.strerror or exc}", USAGE_ERROR) from exc
-    try:
-        return fileformat.parse(text)
-    except ParseError as exc:
-        raise CommandError(f"{path}: {exc}", USAGE_ERROR) from exc
-    except StructureError as exc:
-        raise CommandError(f"{path}: {exc}", USAGE_ERROR) from exc
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, UsageError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
 
 
-def _build(doc: GraphDocument, path: str) -> KGraph:
+def _write(path: FilePath | str, text: str) -> None:
     try:
-        return doc.build()
+        FilePath(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _load(path: str) -> tuple[GraphDocument, KGraph]:
+    """The document at ``path`` and its validated k-graph."""
+    doc = _read(path, fileformat.parse)
+    try:
+        return doc, doc.build()
     except KGraphInvalid as exc:
         lines = "\n".join(exc.report.lines())
-        raise CommandError(f"{path}: not a valid k-graph\n{lines}", CHECK_FAILED) from exc
+        raise KGraphError(f"{path}: not a valid k-graph\n{lines}") from exc
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
+    doc = _read(args.file, fileformat.parse)
     report = validate(doc.skeleton, doc.squares)
     for line in report.lines():
         print(line)
     print(report.summary() if report.ok else "invalid")
-    return 0 if report.ok else CHECK_FAILED
+    return 0 if report.ok else 1
 
 
 def _cmd_props(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    graph = _build(doc, args.file)
+    doc, graph = _load(args.file)
+    colors = range(1, graph.k + 1) if args.color is None else [doc.color_index(args.color)]
     free = graph.is_source_free()
     if free.ok:
         print("source-free: yes")
     else:
         misses = " ".join(f"({v},{doc.color_name(c)})" for v, c in free.witnesses)
         print(f"source-free: no {misses}")
-    colors = range(1, graph.k + 1)
-    if args.color is not None:
-        try:
-            colors = [doc.color_index(args.color)]
-        except KeyError as exc:
-            raise CommandError(str(exc), USAGE_ERROR) from exc
     for c in range(1, graph.k + 1):
         sinks = graph.degree_sinks(c)
         print(f"sinks {doc.color_name(c)}: {', '.join(sinks) if sinks else '-'}")
@@ -84,43 +82,25 @@ def _cmd_props(args: argparse.Namespace) -> int:
 def _resolve_spec(args: argparse.Namespace, doc: GraphDocument, graph: KGraph) -> SplitSpec:
     directive = doc.split
     if args.partition_file:
-        try:
-            text = FilePath(args.partition_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CommandError(f"{args.partition_file}: {exc.strerror or exc}", USAGE_ERROR) from exc
-        try:
-            directive = fileformat.parse_partition_file(text, doc)
-        except ParseError as exc:
-            raise CommandError(f"{args.partition_file}: {exc}", USAGE_ERROR) from exc
+        directive = _read(args.partition_file, lambda text: fileformat.parse_partition_file(text, doc))
     color_name = args.color or (directive.color if directive else None)
     base = args.base or (directive.base if directive else None)
     if color_name is None or base is None:
-        raise CommandError(
-            "no split requested: give a split block, --partition-file, or --color/--base",
-            USAGE_ERROR,
-        )
-    try:
-        color = doc.color_index(color_name)
-    except KeyError as exc:
-        raise CommandError(str(exc), USAGE_ERROR) from exc
+        raise UsageError("no split requested: give a split block, --partition-file, or --color/--base")
+    color = doc.color_index(color_name)
     if args.default_partition or directive is None or not directive.partitions:
         return splitting.default_spec(graph, color, base)
     return SplitSpec(color, base, {v: blocks for v, blocks in directive.partitions})
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    graph = _build(doc, args.file)
-    try:
-        spec = _resolve_spec(args, doc, graph)
-        result = splitting.outsplit(graph, spec)
-    except SplitError as exc:
-        raise CommandError(str(exc), CHECK_FAILED) from exc
+    doc, graph = _load(args.file)
+    result = splitting.outsplit(graph, _resolve_spec(args, doc, graph))
     out_doc = fileformat.document_for_graph(result.graph, doc.colors, doc.version)
     out_path = FilePath(args.output)
-    out_path.write_text(fileformat.serialize(out_doc), encoding="utf-8")
+    _write(out_path, fileformat.serialize(out_doc))
     sidecar = out_path.with_name(out_path.name + ".parents")
-    sidecar.write_text(fileformat.sidecar_text(result, doc.colors), encoding="utf-8")
+    _write(sidecar, fileformat.sidecar_text(result, doc.colors))
     print(f"wrote {out_path} ({len(result.graph.vertices)} vertices, "
           f"{len(result.graph.edges)} edges, {len(result.graph.squares.pairs)} squares)")
     print(f"wrote {sidecar}")
@@ -128,56 +108,35 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_paired(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    graph = _build(doc, args.file)
-    try:
-        color = doc.color_index(args.color)
-    except KeyError as exc:
-        raise CommandError(str(exc), USAGE_ERROR) from exc
-    report = splitting.pairing_report(graph, color)
+    doc, graph = _load(args.file)
+    report = splitting.pairing_report(graph, doc.color_index(args.color))
     print(report.describe())
-    return 0 if report.ok else CHECK_FAILED
+    return 0 if report.ok else 1
 
 
 def _cmd_saturate(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    graph = _build(doc, args.file)
+    _, graph = _load(args.file)
     seeds = [v for v in args.set.split(",") if v]
-    try:
-        closure = kp.saturation(graph, seeds)
-    except ValueError as exc:
-        raise CommandError(str(exc), USAGE_ERROR) from exc
-    for v in sorted(closure):
+    for v in sorted(kp.saturation(graph, seeds)):
         print(v)
     return 0
 
 
 def _cmd_kp_verify(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    graph = _build(doc, args.file)
-    split_doc = _load_document(args.split_output)
-    split_graph = _build(split_doc, args.split_output)
-    try:
-        text = FilePath(args.parents).read_text(encoding="utf-8")
-        color_name, _, parents = fileformat.parse_sidecar(text)
-    except OSError as exc:
-        raise CommandError(f"{args.parents}: {exc.strerror or exc}", USAGE_ERROR) from exc
-    except ParseError as exc:
-        raise CommandError(f"{args.parents}: {exc}", USAGE_ERROR) from exc
-    try:
-        color = doc.color_index(color_name)
-    except KeyError as exc:
-        raise CommandError(str(exc), USAGE_ERROR) from exc
+    doc, graph = _load(args.file)
+    _, split_graph = _load(args.split_output)
+    color_name, _, parents = _read(args.parents, fileformat.parse_sidecar)
+    color = doc.color_index(color_name)
     vertex_names = set(split_graph.vertices)
     parent_vertex = {c: p for c, p in parents.items() if c in vertex_names}
     parent_edge = {c: p for c, p in parents.items() if c not in vertex_names}
     try:
         result = splitting.reconstruct_split(graph, split_graph, color, parent_vertex, parent_edge)
     except SplitError as exc:
-        raise CommandError(f"inconsistent split data: {exc}", CHECK_FAILED) from exc
+        raise SplitError(f"inconsistent split data: {exc}") from exc
     if not result.paired:
         witness = splitting.pairing_report(graph, color).describe()
-        raise CommandError(f"input graph is not paired in {color_name}: {witness}", CHECK_FAILED)
+        raise UnpairedError(f"input graph is not paired in {color_name}: {witness}")
     emb = kp.SplitEmbedding(result)
     reports = [
         kp.verify_universal_family(emb.algebra),
@@ -193,14 +152,13 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
         for failure in report.failures:
             print(f"  {failure}")
         ok = ok and report.ok
-    return 0 if ok else CHECK_FAILED
+    return 0 if ok else 1
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    doc = _load_document(args.file)
-    text = fileformat.dot_export(doc)
+    text = fileformat.dot_export(_read(args.file, fileformat.parse))
     if args.output:
-        FilePath(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text, end="")
@@ -275,12 +233,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except UnpairedError as exc:
-        print(str(exc), file=sys.stderr)
-        return CHECK_FAILED
+    except KGraphError as exc:
+        print(exc, file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
-from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, build_kgraph
+from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph
 from .splitting import SplitResult, SplitSpec
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
@@ -33,7 +33,7 @@ _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
 Partitions = dict[str, tuple[tuple[tuple[str, ...], ...], int]]
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     def __init__(self, line: int, column: int, message: str):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
@@ -66,7 +66,7 @@ class GraphDocument:
         try:
             return self.colors.index(name) + 1
         except ValueError:
-            raise KeyError(f"unknown color {name!r}; have {', '.join(self.colors)}") from None
+            raise StructureError(f"unknown color {name!r}; have {', '.join(self.colors)}") from None
 
     def color_name(self, index: int) -> str:
         return self.colors[index - 1]
@@ -361,6 +361,11 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
 _DOT_STYLES = ("solid", "dashed", "dotted")
 
 
+def _dot_quoted(name: str) -> str:
+    """``name`` as a DOT double-quoted string (ids may contain ``"`` and ``\\``)."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_export(doc: GraphDocument) -> str:
     """Graphviz rendering; squares travel as a comment block."""
     lines = ["digraph kgraph {"]
@@ -374,9 +379,10 @@ def dot_export(doc: GraphDocument) -> str:
         for s1, s2 in doc.squares.pairs:
             lines.append(f"  //   {s1[0]} {s1[1]} = {s2[0]} {s2[1]}")
     for v in doc.skeleton.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quoted(v)};")
     for e in doc.skeleton.edges:
         style = _DOT_STYLES[(e.color - 1) % len(_DOT_STYLES)]
-        lines.append(f'  "{e.source}" -> "{e.range}" [label="{e.name}", style={style}];')
+        lines.append(f"  {_dot_quoted(e.source)} -> {_dot_quoted(e.range)} "
+                     f"[label={_dot_quoted(e.name)}, style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .skeleton import Degree, KGraph, Path, degrees_with_total
+from .skeleton import Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total
 from .splitting import SplitResult, UnpairedError, copy_path, parent_path
 
 
@@ -120,7 +120,7 @@ class KumjianPask:
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
         if not free.ok:
-            raise ValueError(
+            raise KGraphError(
                 f"the Kumjian-Pask calculus needs a source-free graph; missing {free.witnesses[0]}"
             )
         self.graph = graph
@@ -336,7 +336,7 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
     seen = set()
     for v in seeds:
         if not graph.skeleton.has_vertex(v):
-            raise ValueError(f"unknown vertex {v!r}")
+            raise StructureError(f"unknown vertex {v!r}")
         seen.add(v)
     degrees = _kp4_degrees(graph.k, 0)
     changed = True

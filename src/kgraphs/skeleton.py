@@ -38,11 +38,27 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
-class StructureError(ValueError):
+class KGraphError(ValueError):
+    """Root of the errors bad input can raise; ``exit_code`` is the CLI's status for it.
+
+    Raised directly (exit code 1), it means the input is well formed but
+    fails a check.  Every subclass is also a ``ValueError``.
+    """
+
+    exit_code = 1
+
+
+class UsageError(KGraphError):
+    """Malformed input or an unknown name (exit code 2)."""
+
+    exit_code = 2
+
+
+class StructureError(UsageError):
     """A skeleton or square set is malformed (bad ids, endpoints, colors)."""
 
 
-class KGraphInvalid(ValueError):
+class KGraphInvalid(KGraphError):
     """Square data fails the k-graph axioms; carries the full report."""
 
     def __init__(self, report: "ValidationReport"):

@@ -35,6 +35,7 @@ from typing import Mapping, NamedTuple
 from .skeleton import (
     Edge,
     KGraph,
+    KGraphError,
     KGraphInvalid,
     Path,
     Skeleton,
@@ -44,7 +45,7 @@ from .skeleton import (
 )
 
 
-class SplitError(ValueError):
+class SplitError(KGraphError):
     """A split precondition or specification is violated."""
 
 

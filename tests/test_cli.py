@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgraphs import kp
 from kgraphs.cli import main
@@ -52,6 +55,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(workdir / "absent.kg"))
         assert code == 2
 
+    def test_non_utf8_file_is_usage_error(self, capsys, workdir):
+        target = workdir / "binary.kg"
+        target.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "validate", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{target}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
 
 class TestProps:
     def test_report(self, capsys, workdir):
@@ -76,6 +88,14 @@ class TestProps:
         )
         assert code == 2
         assert "unknown color" in err
+
+    def test_unknown_color_is_resolved_before_output(self, capsys, workdir):
+        code, out, err = run(
+            capsys, "props", str(workdir / "lambda1.kg"), "--color", "green"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "unknown color 'green'; have blue, red\n"
 
     def test_source_witnesses(self, capsys, workdir):
         target = workdir / "lonely.kg"
@@ -154,6 +174,21 @@ class TestSplit:
         )
         assert code == 2
         assert "no split requested" in err
+
+    def test_missing_output_directory(self, capsys, workdir):
+        target = workdir / "nodir" / "out.kg"
+        code, out, err = run(
+            capsys,
+            "split",
+            str(workdir / "lambda1.kg"),
+            "--partition-file",
+            str(workdir / "paper.part"),
+            "-o",
+            str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"{target}: No such file or directory\n"
 
     def test_precondition_failure(self, capsys, workdir):
         # base vertex with a single outgoing blue edge
@@ -298,6 +333,33 @@ class TestKpVerify:
         assert out == ""
         assert f"argument --max-len: must be at least 1, got {max_len}" in err
 
+    def test_source_in_input_is_check_failure(self, capsys, tmp_path):
+        # z is a source; the hand-written split copies every item once
+        edges = [("a", "v", "v"), ("b", "v", "x"), ("c", "z", "v")]
+        for suffix, name in (("", "src.kg"), (".1", "src1.kg")):
+            lines = ["kgraph 1 k=1 colors=blue"]
+            lines += [f"vertex {v}{suffix}" for v in "vxz"]
+            lines += [f"edge {e}{suffix} : blue {s}{suffix} -> {r}{suffix}" for e, s, r in edges]
+            (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (tmp_path / "src1.parents").write_text(
+            "split color=blue base=v\n" + "".join(f"parent {n}.1 = {n}\n" for n in "abcvxz"),
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys,
+            "kp-verify",
+            str(tmp_path / "src.kg"),
+            "--split-output",
+            str(tmp_path / "src1.kg"),
+            "--parents",
+            str(tmp_path / "src1.parents"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "the Kumjian-Pask calculus needs a source-free graph; missing ('z.1', 1)\n"
+        )
+
     def test_one_algebra_context_per_run(self, capsys, workdir, monkeypatch):
         built = []
         init = kp.KumjianPask.__init__
@@ -335,6 +397,13 @@ class TestDot:
         assert code == 0
         assert target.read_text(encoding="utf-8").startswith("digraph")
 
+    def test_missing_output_directory(self, capsys, workdir):
+        target = workdir / "nodir" / "x.dot"
+        code, out, err = run(capsys, "dot", str(workdir / "lambda1.kg"), "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err == f"{target}: No such file or directory\n"
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):
@@ -345,3 +414,67 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+
+FUZZ_FILES = ("lambda1.kg", "lambda2.kg", "gamma1.kg", "gamma2.kg",
+              "gamma1.parents", "gamma2.parents", "paper.part")
+FUZZ_COMMANDS = (
+    ("validate", "lambda1.kg"),
+    ("props", "lambda2.kg"),
+    ("split", "lambda1.kg", "--partition-file", "paper.part", "-o", "out.kg"),
+    ("paired", "lambda1.kg", "--color", "blue"),
+    ("saturate", "gamma1.kg", "--set", "v.1,x.1"),
+    ("kp-verify", "lambda1.kg", "--split-output", "gamma1.kg", "--parents", "gamma1.parents",
+     "--max-len", "1"),
+    ("kp-verify", "lambda2.kg", "--split-output", "gamma2.kg", "--parents", "gamma2.parents",
+     "--max-len", "1"),
+    ("dot", "gamma2.kg"),
+)
+# (operation, line, other line or position in the line, token of the file to copy in)
+MUTATION = st.tuples(
+    st.sampled_from(("delete", "duplicate", "swap", "token", "byte")),
+    st.integers(0, 99), st.integers(0, 99), st.integers(0, 999),
+)
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    """Delete, duplicate or swap lines, replace a word by a token, or insert a non-UTF-8 byte."""
+    lines = data.split(b"\n")
+    for op, i, j, t in mutations:
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = data.split()
+            words = lines[i].split(b" ")
+            words[j % len(words)] = tokens[t % len(tokens)]
+            lines[i] = b" ".join(words)
+        else:
+            j %= len(lines[i]) + 1
+            lines[i] = lines[i][:j] + b"\xff" + lines[i][j:]
+        if not lines:
+            lines = [b""]
+    return b"\n".join(lines)
+
+
+class TestFuzz:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(command=st.sampled_from(FUZZ_COMMANDS), pick=st.integers(0, 3),
+           mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    def test_mutated_inputs_exit_with_a_code(self, tmp_path_factory, command, pick, mutations):
+        workdir = tmp_path_factory.getbasetemp() / "fuzz"
+        workdir.mkdir(exist_ok=True)
+        inputs = [arg for arg in command if arg in FUZZ_FILES]
+        victim = inputs[pick % len(inputs)]
+        for name in inputs:
+            data = (DATA / name).read_bytes()
+            (workdir / name).write_bytes(mutate(data, mutations) if name == victim else data)
+        argv = [str(workdir / arg) if arg in FUZZ_FILES or arg == "out.kg" else arg
+                for arg in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

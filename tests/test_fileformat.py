@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from kgraphs import product_graph, outsplit
+from kgraphs import StructureError, product_graph, outsplit
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
@@ -49,7 +49,7 @@ class TestParse:
     def test_color_indexing(self, lambda_one_doc):
         assert lambda_one_doc.color_index("blue") == 1
         assert lambda_one_doc.color_name(2) == "red"
-        with pytest.raises(KeyError, match="unknown color"):
+        with pytest.raises(StructureError, match="unknown color"):
             lambda_one_doc.color_index("green")
 
     @pytest.mark.parametrize(
@@ -210,3 +210,15 @@ class TestDot:
         out = dot_export(doc)
         assert 'label="a4", style=solid' in out
         assert 'label="a3", style=dotted' in out
+
+    def test_quotes_and_backslashes_are_escaped(self):
+        doc = parse("\n".join([
+            "kgraph 1 k=1 colors=c",
+            'vertex a"b',
+            "vertex a\\",
+            'edge e"\\ : c a"b -> a\\',
+        ]))
+        lines = dot_export(doc).splitlines()
+        assert r'  "a\"b";' in lines
+        assert r'  "a\\";' in lines
+        assert r'  "a\"b" -> "a\\" [label="e\"\\", style=solid];' in lines
