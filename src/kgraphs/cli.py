@@ -12,6 +12,7 @@ returns ``exit_code``.  All output is deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path as FilePath
 from typing import Callable, Sequence, TypeVar
@@ -80,17 +81,16 @@ def _cmd_props(args: argparse.Namespace) -> int:
 
 
 def _resolve_spec(args: argparse.Namespace, doc: GraphDocument, graph: KGraph) -> SplitSpec:
-    directive = doc.split
+    spec = doc.split
     if args.partition_file:
-        directive = _read(args.partition_file, lambda text: fileformat.parse_partition_file(text, doc))
-    color_name = args.color or (directive.color if directive else None)
-    base = args.base or (directive.base if directive else None)
-    if color_name is None or base is None:
+        spec = _read(args.partition_file, lambda text: fileformat.parse_partition_file(text, doc))
+    if spec is None and not (args.color and args.base):
         raise UsageError("no split requested: give a split block, --partition-file, or --color/--base")
-    color = doc.color_index(color_name)
-    if args.default_partition or directive is None or not directive.partitions:
+    color = doc.color_index(args.color) if args.color else spec.color
+    base = args.base or spec.base
+    if args.default_partition or spec is None or not spec.partitions:
         return splitting.default_spec(graph, color, base)
-    return SplitSpec(color, base, {v: blocks for v, blocks in directive.partitions})
+    return dataclasses.replace(spec, color=color, base=base)
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
@@ -100,7 +100,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
     out_path = FilePath(args.output)
     _write(out_path, fileformat.serialize(out_doc))
     sidecar = out_path.with_name(out_path.name + ".parents")
-    _write(sidecar, fileformat.sidecar_text(result, doc.colors))
+    try:
+        _write(sidecar, fileformat.sidecar_text(result, doc.colors))
+    except UsageError:
+        out_path.unlink()  # no split document without its sidecar
+        raise
     print(f"wrote {out_path} ({len(result.graph.vertices)} vertices, "
           f"{len(result.graph.edges)} edges, {len(result.graph.squares.pairs)} squares)")
     print(f"wrote {sidecar}")

@@ -12,19 +12,21 @@ One declaration per line, ``#`` starts a comment::
 A square line ``square a b = c d`` declares the identification of the
 2-paths "b then a" and "d then c" (juxtaposition composes right to left).
 Partition blocks list edge ids inside braces without spaces; block order
-is meaningful.  Serialization is canonical: declarations are sorted, so
-``parse(serialize(x)) == x`` and equal documents serialize byte-for-byte
-equally.
+is meaningful.  A split block, like a standalone partition file (see
+:func:`parse_partition_file`), parses into a ``splitting.SplitSpec`` with
+the color index resolved against the header.  Serialization is canonical:
+declarations are sorted, so ``parse(serialize(x)) == x`` and equal
+documents serialize byte-for-byte equally.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
 from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph
-from .splitting import SplitResult, SplitSpec
+from .splitting import SplitResult, SplitSpec, block_problem
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
 _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
@@ -42,21 +44,12 @@ class ParseError(UsageError):
 
 
 @dataclass(frozen=True)
-class SplitDirective:
-    """Requested split: color name, base vertex, ordered partition blocks."""
-
-    color: str
-    base: str
-    partitions: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
-
-
-@dataclass(frozen=True)
 class GraphDocument:
     version: str
     colors: tuple[str, ...]
     skeleton: Skeleton
     squares: SquareSet
-    split: SplitDirective | None = None
+    split: SplitSpec | None = None
 
     @property
     def k(self) -> int:
@@ -74,15 +67,6 @@ class GraphDocument:
     def build(self) -> KGraph:
         """Validate the axioms; raises ``KGraphInvalid`` with the report."""
         return build_kgraph(self.skeleton, self.squares)
-
-    def split_spec(self) -> SplitSpec:
-        if self.split is None:
-            raise ValueError("document has no split block")
-        return SplitSpec(
-            self.color_index(self.split.color),
-            self.split.base,
-            {v: blocks for v, blocks in self.split.partitions},
-        )
 
 
 def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -106,7 +90,7 @@ def parse(text: str) -> GraphDocument:
     vertices: dict[str, int] = {}
     edges: dict[str, tuple[Edge, int]] = {}
     squares: list[tuple[Side, Side, int]] = []
-    split_header: tuple[str, str] | None = None
+    split_header: tuple[int, str] | None = None
     partitions: Partitions = {}
 
     for lineno, raw, tokens in _declarations(text):
@@ -181,14 +165,14 @@ def parse(text: str) -> GraphDocument:
                 raise ParseError(lineno, 1, str(inner)) from None
         raise ParseError(1, 1, str(exc)) from None
 
-    directive = None
+    spec = None
     if split_header is not None:
-        directive = _split_directive(skeleton, colors, split_header, partitions)
+        spec = _split_spec(skeleton, split_header, partitions)
     elif partitions:
         lineno = min(line for _, line in partitions.values())
         raise ParseError(lineno, 1, "partition lines require a split line")
 
-    return GraphDocument(version, colors, skeleton, square_set, directive)
+    return GraphDocument(version, colors, skeleton, square_set, spec)
 
 
 def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
@@ -199,15 +183,15 @@ def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
 
 
 def _split_line(
-    tokens: list[str], lineno: int, raw: str, colors: Container[str], vertices: Container[str]
-) -> tuple[str, str]:
-    """A ``split`` line whose color and base vertex must be known names."""
+    tokens: list[str], lineno: int, raw: str, colors: Sequence[str], vertices: Container[str]
+) -> tuple[int, str]:
+    """Color index and base vertex of a ``split`` line; both must be known names."""
     color, base = _split_fields(tokens, lineno)
     if color not in colors:
         raise ParseError(lineno, raw.find(color) + 1, f"unknown color {color!r}")
     if base not in vertices:
         raise ParseError(lineno, raw.find(base) + 1, f"unknown vertex {base!r}")
-    return color, base
+    return colors.index(color) + 1, base
 
 
 def _partition_line(
@@ -241,42 +225,21 @@ def _partition_line(
     partitions[v] = (tuple(blocks), lineno)
 
 
-def _split_directive(
-    skeleton: Skeleton, colors: tuple[str, ...], split_header: tuple[str, str], partitions: Partitions
-) -> SplitDirective:
-    """The directive, once each partition covers its vertex's outgoing split-color edges."""
+def _split_spec(skeleton: Skeleton, split_header: tuple[int, str], partitions: Partitions) -> SplitSpec:
+    """The spec, once each partition covers its vertex's outgoing split-color edges."""
     color, base = split_header
-    index = colors.index(color) + 1
     for v, (blocks, lineno) in partitions.items():
-        out = {e.name for e in skeleton.edges_from(v, index)}
-        listed: set[str] = set()
-        for block in blocks:
-            for name in block:
-                if name in listed:
-                    raise ParseError(lineno, 1, f"edge {name!r} appears in two blocks at {v!r}")
-                listed.add(name)
-        if listed != out:
-            missing = sorted(out - listed)
-            extra = sorted(listed - out)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"not outgoing in the split color: {extra}")
-            raise ParseError(
-                lineno, 1,
-                f"partition at {v!r} does not cover its outgoing split-color edges ({'; '.join(detail)})",
-            )
-    return SplitDirective(color, base, tuple(
-        (v, blocks) for v, (blocks, _) in sorted(partitions.items())
-    ))
+        out = {e.name for e in skeleton.edges_from(v, color)}
+        if problem := block_problem(v, blocks, out):
+            raise ParseError(lineno, 1, problem)
+    return SplitSpec(color, base, {v: blocks for v, (blocks, _) in sorted(partitions.items())})
 
 
-def parse_partition_file(text: str, doc: GraphDocument) -> SplitDirective:
+def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
     """Parse a standalone split/partition fragment against a parsed document."""
     skeleton = doc.skeleton
     vertices = frozenset(skeleton.vertices)
-    split_header: tuple[str, str] | None = None
+    split_header: tuple[int, str] | None = None
     partitions: Partitions = {}
     for lineno, raw, tokens in _declarations(text):
         if tokens[0] == "split":
@@ -289,7 +252,7 @@ def parse_partition_file(text: str, doc: GraphDocument) -> SplitDirective:
             raise ParseError(lineno, 1, f"unknown declaration {tokens[0]!r}")
     if split_header is None:
         raise ParseError(1, 1, "missing split line")
-    return _split_directive(skeleton, doc.colors, split_header, partitions)
+    return _split_spec(skeleton, split_header, partitions)
 
 
 def serialize(doc: GraphDocument) -> str:
@@ -303,29 +266,20 @@ def serialize(doc: GraphDocument) -> str:
         f"square {s1[0]} {s1[1]} = {s2[0]} {s2[1]}" for s1, s2 in doc.squares.pairs
     )
     if doc.split is not None:
-        lines.append(f"split color={doc.split.color} base={doc.split.base}")
-        for v, blocks in doc.split.partitions:
-            rendered = " ".join("{" + ",".join(block) + "}" for block in blocks)
+        lines.append(f"split color={doc.color_name(doc.split.color)} base={doc.split.base}")
+        for v, blocks in sorted(doc.split.partitions.items()):
+            rendered = " ".join("{" + ",".join(sorted(block)) + "}" for block in blocks)
             lines.append(f"partition {v} : {rendered}")
     return "\n".join(lines) + "\n"
 
 
 def document_for_graph(
-    graph: KGraph, colors: Iterable[str], version: str = "1", split: SplitDirective | None = None
+    graph: KGraph, colors: Iterable[str], version: str = "1", split: SplitSpec | None = None
 ) -> GraphDocument:
     colors = tuple(colors)
     if len(colors) != graph.k:
         raise ValueError(f"need {graph.k} color names, got {len(colors)}")
     return GraphDocument(version, colors, graph.skeleton, graph.squares, split)
-
-
-def directive_for_spec(doc: GraphDocument, spec: SplitSpec) -> SplitDirective:
-    return SplitDirective(
-        doc.color_name(spec.color),
-        spec.base,
-        tuple((v, tuple(tuple(sorted(b)) for b in blocks))
-              for v, blocks in sorted(spec.partitions.items())),
-    )
 
 
 def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:
@@ -344,6 +298,8 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
     parents: dict[str, str] = {}
     for lineno, _, tokens in _declarations(text):
         if tokens[0] == "split":
+            if color is not None:
+                raise ParseError(lineno, 1, "duplicate split line")
             color, base = _split_fields(tokens, lineno)
         elif tokens[0] == "parent":
             if len(tokens) != 4 or tokens[2] != "=":

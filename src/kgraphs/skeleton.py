@@ -504,14 +504,6 @@ class KGraph:
         self._nf_cache[path.edges] = edges
         return Path(edges, path.source, path.range, path.degree)
 
-    def rearrange(self, path: Path, colors: Sequence[int]) -> Path:
-        """The equivalent path realizing the given traversal color word."""
-        have = sorted(self.skeleton.edge(n).color for n in path.edges)
-        if sorted(colors) != have:
-            raise ValueError(f"color word {tuple(colors)} does not match degree {path.degree}")
-        edges = self._rearrange_edges(path.edges, tuple(colors))
-        return Path(edges, path.source, path.range, path.degree)
-
     def _rearrange_edges(self, edges: tuple[str, ...], word: tuple[int, ...]) -> tuple[str, ...]:
         out = list(edges)
         color = self.skeleton.edge_map

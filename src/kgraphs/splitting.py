@@ -63,7 +63,7 @@ def split_region(graph: KGraph, color: int, base: str) -> frozenset[str]:
     if not 1 <= color <= graph.k:
         raise SplitError(f"color {color} out of range 1..{graph.k}")
     if not graph.skeleton.has_vertex(base):
-        raise SplitError(f"unknown base vertex {base!r}")
+        raise StructureError(f"unknown base vertex {base!r}")
     if len(graph.skeleton.edges_from(base, color)) < 2:
         raise SplitError(
             f"vertex {base!r} has fewer than two outgoing edges of color {color}"
@@ -128,6 +128,27 @@ def default_spec(graph: KGraph, color: int, base: str) -> SplitSpec:
     return SplitSpec(color, base, partitions)
 
 
+def block_problem(vertex: str, blocks: tuple[tuple[str, ...], ...], out: set[str]) -> str | None:
+    """Why ``blocks`` do not partition ``out``, the split-color edges leaving ``vertex``."""
+    listed: set[str] = set()
+    for block in blocks:
+        if not block:
+            return f"empty block at vertex {vertex!r}"
+        for name in block:
+            if name in listed:
+                return f"edge {name!r} appears in two blocks at {vertex!r}"
+            listed.add(name)
+    if listed == out:
+        return None
+    detail = []
+    if out - listed:
+        detail.append(f"missing {sorted(out - listed)}")
+    if listed - out:
+        detail.append(f"not outgoing in the split color: {sorted(listed - out)}")
+    return (f"partition at {vertex!r} does not cover its outgoing split-color edges "
+            f"({'; '.join(detail)})")
+
+
 def validate_spec(graph: KGraph, spec: SplitSpec) -> None:
     region = split_region(graph, spec.color, spec.base)
     counts = copy_counts(graph, region, spec.color)
@@ -144,25 +165,13 @@ def validate_spec(graph: KGraph, spec: SplitSpec) -> None:
             parts.append(f"partitions missing for: {missing}")
         raise SplitError("; ".join(parts))
     for v, blocks in spec.partitions.items():
-        out = {e.name for e in graph.skeleton.edges_from(v, spec.color)}
         if len(blocks) != counts[v]:
             raise SplitError(
                 f"vertex {v!r} needs {counts[v]} block(s), got {len(blocks)}"
             )
-        seen: set[str] = set()
-        for block in blocks:
-            if not block:
-                raise SplitError(f"empty block at vertex {v!r}")
-            for name in block:
-                if name not in out:
-                    raise SplitError(f"edge {name!r} does not leave {v!r} in the split color")
-                if name in seen:
-                    raise SplitError(f"edge {name!r} appears in two blocks at {v!r}")
-                seen.add(name)
-        if seen != out:
-            raise SplitError(
-                f"blocks at {v!r} do not cover the outgoing edges: missing {sorted(out - seen)}"
-            )
+        out = {e.name for e in graph.skeleton.edges_from(v, spec.color)}
+        if problem := block_problem(v, blocks, out):
+            raise SplitError(problem)
 
 
 def _copy_name(item: str, index: int) -> str:
@@ -174,7 +183,7 @@ class SplitResult:
     """A split graph together with its bookkeeping back to the original.
 
     ``copy_index`` and the parent maps cover both vertices and edges; the
-    naming convention is ``item.i`` for the i-th copy.  ``spec`` is absent
+    naming convention is ``item.i`` for the i-th copy.  ``base`` is absent
     when the result was reconstructed from serialized files.
     """
 
@@ -187,7 +196,6 @@ class SplitResult:
     copy_index: Mapping[str, int] = field(repr=False)
     counts: Mapping[str, int] = field(repr=False)
     paired: bool
-    spec: SplitSpec | None = field(default=None, repr=False)
 
     @cached_property
     def _vertex_copies(self) -> Mapping[tuple[str, int], str]:
@@ -313,7 +321,6 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         copy_index=copy_index,
         counts=dict(counts),
         paired=pairing_report(graph, color).ok,
-        spec=spec,
     )
 
 
@@ -372,7 +379,6 @@ def reconstruct_split(
         copy_index=copy_index,
         counts=counts,
         paired=pairing_report(original, color).ok,
-        spec=None,
     )
 
 

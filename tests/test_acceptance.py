@@ -64,11 +64,8 @@ def load(name: str):
 def split_from_files(name: str):
     doc = load(name)
     graph = doc.build()
-    directive = parse_partition_file(
-        (DATA / "paper.part").read_text(encoding="utf-8"), doc
-    )
-    spec = paper_spec()
-    assert doc.color_index(directive.color) == spec.color
+    spec = parse_partition_file((DATA / "paper.part").read_text(encoding="utf-8"), doc)
+    assert spec == paper_spec()
     return graph, outsplit(graph, spec)
 
 

@@ -190,6 +190,41 @@ class TestSplit:
         assert out == ""
         assert err == f"{target}: No such file or directory\n"
 
+    def test_unwritable_sidecar_leaves_no_output(self, capsys, workdir):
+        target = workdir / "o.kg"
+        (workdir / "o.kg.parents").mkdir()
+        code, out, err = run(
+            capsys,
+            "split",
+            str(workdir / "lambda1.kg"),
+            "--partition-file",
+            str(workdir / "paper.part"),
+            "-o",
+            str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"{target}.parents: ")
+        assert not target.exists()
+
+    def test_unknown_base_is_usage_error(self, capsys, workdir):
+        code, out, err = run(
+            capsys,
+            "split",
+            str(workdir / "lambda1.kg"),
+            "--default-partition",
+            "--color",
+            "blue",
+            "--base",
+            "nosuch",
+            "-o",
+            str(workdir / "x.kg"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "unknown base vertex 'nosuch'\n"
+        assert not (workdir / "x.kg").exists()
+
     def test_precondition_failure(self, capsys, workdir):
         # base vertex with a single outgoing blue edge
         code, _, err = run(

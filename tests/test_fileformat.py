@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from kgraphs import StructureError, product_graph, outsplit
+from kgraphs import SplitSpec, StructureError, product_graph, outsplit
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
-    SplitDirective,
     document_for_graph,
-    directive_for_spec,
     dot_export,
     parse,
     parse_partition_file,
@@ -102,10 +100,7 @@ class TestParse:
             "split color=blue base=p\npartition p : {a2} {a}\n"
         )
         doc = parse(text)
-        assert doc.split == SplitDirective("blue", "p", ((("p"), (("a2",), ("a",))),))
-        spec = doc.split_spec()
-        assert spec.color == 1 and spec.base == "p"
-        assert spec.partitions["p"] == (("a2",), ("a",))
+        assert doc.split == SplitSpec(1, "p", {"p": (("a2",), ("a",))})
 
     def test_partition_coverage_checked(self):
         text = MINIMAL + "split color=blue base=p\npartition p : {a} {a}\n"
@@ -126,13 +121,12 @@ class TestRoundTrip:
         assert parse(serialize(lambda_one_doc)) == lambda_one_doc
 
     def test_with_split_block(self, lambda_one_doc, lambda_one):
-        directive = directive_for_spec(lambda_one_doc, paper_spec())
         doc = GraphDocument(
             lambda_one_doc.version,
             lambda_one_doc.colors,
             lambda_one_doc.skeleton,
             lambda_one_doc.squares,
-            directive,
+            paper_spec(),
         )
         assert parse(serialize(doc)) == doc
 
@@ -159,9 +153,7 @@ class TestRoundTrip:
 class TestPartitionFile:
     def test_partition_file(self, lambda_one_doc):
         text = (DATA / "paper.part").read_text(encoding="utf-8")
-        directive = parse_partition_file(text, lambda_one_doc)
-        assert directive.color == "blue" and directive.base == "v"
-        assert dict(directive.partitions)["v"] == (("α",), ("h",), ("i",))
+        assert parse_partition_file(text, lambda_one_doc) == paper_spec()
 
     def test_missing_split_line(self, lambda_one_doc):
         with pytest.raises(ParseError, match="missing split"):
@@ -190,6 +182,8 @@ class TestSidecar:
             parse_sidecar(
                 "split color=blue base=v\nparent a.1 = a\nparent a.1 = b\n"
             )
+        with pytest.raises(ParseError, match="duplicate split line"):
+            parse_sidecar("split color=red base=v\nsplit color=blue base=v\nparent a.1 = a\n")
 
 
 class TestDot:

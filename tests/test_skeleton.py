@@ -242,14 +242,6 @@ class TestNormalForm:
             )
             assert direct == via_nf
 
-    def test_rearrange_to_arbitrary_word(self, lambda_one):
-        path = lambda_one.make_path(("α", "h", "e"))  # blue blue red
-        arranged = lambda_one.rearrange(path, (1, 2, 1))
-        assert [lambda_one.edge(e).color for e in arranged.edges] == [1, 2, 1]
-        assert lambda_one.normal_form(arranged).edges == ("α", "h", "e")
-        with pytest.raises(ValueError, match="color word"):
-            lambda_one.rearrange(path, (2, 2, 1))
-
     def test_factor_recovers_prefixes(self, lambda_one):
         rng = random.Random(13)
         for _ in range(100):
