@@ -273,13 +273,11 @@ def serialize(doc: GraphDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def document_for_graph(
-    graph: KGraph, colors: Iterable[str], version: str = "1", split: SplitSpec | None = None
-) -> GraphDocument:
+def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1") -> GraphDocument:
     colors = tuple(colors)
     if len(colors) != graph.k:
         raise ValueError(f"need {graph.k} color names, got {len(colors)}")
-    return GraphDocument(version, colors, graph.skeleton, graph.squares, split)
+    return GraphDocument(version, colors, graph.skeleton, graph.squares)
 
 
 def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:

@@ -177,24 +177,6 @@ class KumjianPask:
         self._mce_cache[key] = result
         return result
 
-    def mce_bruteforce(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
-        """Independent oracle: factor every common extension both ways."""
-        mu = self.graph.normal_form(mu)
-        nu = self.graph.normal_form(nu)
-        if mu.range != nu.range:
-            return ()
-        join = mu.degree.join(nu.degree)
-        found = []
-        for tau in self.graph.paths_with_range(mu.range, join):
-            head_mu, tail_mu = self.graph.factor(tau, join - mu.degree)
-            if head_mu != mu:
-                continue
-            head_nu, tail_nu = self.graph.factor(tau, join - nu.degree)
-            if head_nu != nu:
-                continue
-            found.append((tail_mu, tail_nu))
-        return tuple(sorted(found, key=lambda ab: (ab[0].edges, ab[1].edges)))
-
 
 class KPElement:
     """Immutable finite linear combination of spanning terms.
@@ -329,9 +311,10 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
     """Smallest vertex set containing the seeds that is hereditary and saturated.
 
     Heredity walks to sources of edges whose range is in the set; the
-    saturation rule adds a vertex once the sources of all its incoming
-    paths of some degree lie in the set.  Basis degrees drive the closure
-    to its fixed point; the all-ones degree is re-checked as a guard.
+    saturation rule adds a vertex once, for some degree, it receives at
+    least one path of that degree and all of them start in the set.  Basis
+    degrees drive the closure to its fixed point; the all-ones degree is
+    re-checked as a guard.
     """
     seen = set()
     for v in seeds:
@@ -350,7 +333,8 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
             if v in seen:
                 continue
             for n in degrees:
-                if all(p.source in seen for p in graph.paths_with_range(v, n)):
+                paths = graph.paths_with_range(v, n)
+                if paths and all(p.source in seen for p in paths):
                     seen.add(v)
                     changed = True
                     break

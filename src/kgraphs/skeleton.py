@@ -108,9 +108,6 @@ class Degree:
         """Componentwise maximum (least upper bound in N^k)."""
         return Degree(tuple(max(a, b) for a, b in zip(self.components, other.components, strict=True)))
 
-    def dominates(self, other: "Degree") -> bool:
-        return all(a >= b for a, b in zip(self.components, other.components, strict=True))
-
     def signed_difference(self, other: "Degree") -> tuple[int, ...]:
         """self - other as a Z^k vector (components may be negative)."""
         return tuple(a - b for a, b in zip(self.components, other.components, strict=True))
@@ -295,6 +292,11 @@ class SquareSet:
             table.setdefault(side2, []).append(side1)
         return {s: tuple(sorted(set(ps))) for s, ps in table.items()}
 
+    @cached_property
+    def swap_map(self) -> Mapping[Side, Side]:
+        """Every side with exactly one partner mapped to that partner."""
+        return {s: ps[0] for s, ps in self.partner_table.items() if len(ps) == 1}
+
 
 class HexagonFailure(NamedTuple):
     triple: tuple[str, str, str]  # (a, b, c): c traversed first
@@ -346,7 +348,11 @@ def _bicolored_two_paths(skeleton: Skeleton) -> Iterator[Side]:
 
 
 def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
-    """Check completeness/uniqueness of swaps and the hexagon condition."""
+    """Check completeness/uniqueness of swaps and the hexagon condition.
+
+    A 3-path that needs a missing or ambiguous swap gets no hexagon check;
+    the completeness report already names that swap.
+    """
     report = ValidationReport()
     table = squares.partner_table
     for side in _bicolored_two_paths(skeleton):
@@ -356,57 +362,36 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
         elif len(partners) > 1:
             report.ambiguous.append((side, partners))
     if skeleton.k >= 3:
-        _check_hexagons(skeleton, table, report)
+        _check_hexagons(skeleton, squares.swap_map, report)
     return report
 
 
-class _SwapUnavailable(Exception):
-    """A needed swap is missing or ambiguous; the completeness report covers it."""
-
-
-def _check_hexagons(
-    skeleton: Skeleton, table: Mapping[Side, tuple[Side, ...]], report: ValidationReport
-) -> None:
-    def swap1(outer: str, inner: str) -> Side:
-        partners = table.get((outer, inner), ())
-        if len(partners) != 1:
-            raise _SwapUnavailable
-        return partners[0]
-
-    for c in skeleton.edges:
-        for b in skeleton.edges_from(c.range):
-            if b.color == c.color:
+def _check_hexagons(skeleton: Skeleton, swap: Mapping[Side, Side], report: ValidationReport) -> None:
+    for inner in skeleton.edges:
+        c = inner.name
+        for mid in skeleton.edges_from(inner.range):
+            if mid.color == inner.color:
                 continue
-            for a in skeleton.edges_from(b.range):
-                if a.color in (b.color, c.color):
+            b = mid.name
+            for outer in skeleton.edges_from(mid.range):
+                if outer.color in (mid.color, inner.color):
                     continue
+                a = outer.name
                 try:
-                    steps1: list[str] = []
-                    d_, e_ = swap1(a.name, b.name)
-                    steps1.append(f"{a.name} {b.name} ~ {d_} {e_}")
-                    f_, g_ = swap1(e_, c.name)
-                    steps1.append(f"{e_} {c.name} ~ {f_} {g_}")
-                    h_, j_ = swap1(d_, f_)
-                    steps1.append(f"{d_} {f_} ~ {h_} {j_}")
-                    steps2: list[str] = []
-                    k_, m_ = swap1(b.name, c.name)
-                    steps2.append(f"{b.name} {c.name} ~ {k_} {m_}")
-                    n_, p_ = swap1(a.name, k_)
-                    steps2.append(f"{a.name} {k_} ~ {n_} {p_}")
-                    r_, q_ = swap1(p_, m_)
-                    steps2.append(f"{p_} {m_} ~ {r_} {q_}")
-                except _SwapUnavailable:
+                    d, e = swap[a, b]
+                    f, g = swap[e, c]
+                    h, j = swap[d, f]
+                    k, m = swap[b, c]
+                    n, p = swap[a, k]
+                    r, q = swap[p, m]
+                except KeyError:  # missing or ambiguous swap: the completeness report has it
                     continue
-                if (h_, j_, g_) != (n_, r_, q_):
-                    report.hexagon_failures.append(
-                        HexagonFailure(
-                            (a.name, b.name, c.name),
-                            (h_, j_, g_),
-                            (n_, r_, q_),
-                            tuple(steps1),
-                            tuple(steps2),
-                        )
-                    )
+                if (h, j, g) != (n, r, q):
+                    report.hexagon_failures.append(HexagonFailure(
+                        (a, b, c), (h, j, g), (n, r, q),
+                        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
+                        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
+                    ))
 
 
 class SourceFreeness(NamedTuple):
@@ -437,10 +422,6 @@ class KGraph:
 
     def edge(self, name: str) -> Edge:
         return self.skeleton.edge(name)
-
-    @cached_property
-    def _swap_map(self) -> Mapping[Side, Side]:
-        return {side: partners[0] for side, partners in self.squares.partner_table.items()}
 
     # -- paths ---------------------------------------------------------------
 
@@ -486,7 +467,7 @@ class KGraph:
             raise StructureError(f"swap needs a bicolored 2-path, both edges have color {eo.color}")
         if eo.source != ei.range:
             raise StructureError(f"{outer} after {inner} is not a path")
-        return self._swap_map[(outer, inner)]
+        return self.squares.swap_map[(outer, inner)]
 
     @cached_property
     def _nf_cache(self) -> dict[tuple[str, ...], tuple[str, ...]]:
@@ -507,6 +488,7 @@ class KGraph:
     def _rearrange_edges(self, edges: tuple[str, ...], word: tuple[int, ...]) -> tuple[str, ...]:
         out = list(edges)
         color = self.skeleton.edge_map
+        swap = self.squares.swap_map
         for pos, target in enumerate(word):
             at = pos
             while color[out[at]].color != target:
@@ -514,32 +496,10 @@ class KGraph:
             # bubble the edge left; every neighbor passed has a different color
             while at > pos:
                 first, second = out[at - 1], out[at]
-                swapped_outer, swapped_inner = self._swap_map[(second, first)]
+                swapped_outer, swapped_inner = swap[(second, first)]
                 out[at - 1], out[at] = swapped_inner, swapped_outer
                 at -= 1
         return tuple(out)
-
-    def factor(self, path: Path, source_degree: Degree) -> tuple[Path, Path]:
-        """Split as ``head∘tail`` with ``tail`` traversed first at the given degree.
-
-        Both parts come back in normal form; uniqueness is the factorization
-        property of a validated graph.
-        """
-        if not path.degree.dominates(source_degree):
-            raise ValueError(f"cannot factor degree {path.degree} with first part {source_degree}")
-        head_degree = path.degree - source_degree
-        word = tuple(sorted(
-            c for c in range(1, self.k + 1) for _ in range(source_degree.components[c - 1])
-        )) + tuple(sorted(
-            c for c in range(1, self.k + 1) for _ in range(head_degree.components[c - 1])
-        ))
-        arranged = self._rearrange_edges(path.edges, word)
-        cut = source_degree.total
-        tail_edges, head_edges = arranged[:cut], arranged[cut:]
-        mid = path.source if not tail_edges else self.skeleton.edge(tail_edges[-1]).range
-        tail = self.normal_form(Path(tail_edges, path.source, mid, source_degree))
-        head = self.normal_form(Path(head_edges, mid, path.range, head_degree))
-        return head, tail
 
     # -- enumeration -----------------------------------------------------------
 

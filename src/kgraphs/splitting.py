@@ -149,7 +149,8 @@ def block_problem(vertex: str, blocks: tuple[tuple[str, ...], ...], out: set[str
             f"({'; '.join(detail)})")
 
 
-def validate_spec(graph: KGraph, spec: SplitSpec) -> None:
+def validate_spec(graph: KGraph, spec: SplitSpec) -> dict[str, int]:
+    """Check the spec against the graph; return the copy counts it was checked against."""
     region = split_region(graph, spec.color, spec.base)
     counts = copy_counts(graph, region, spec.color)
     expected_keys = {
@@ -172,6 +173,7 @@ def validate_spec(graph: KGraph, spec: SplitSpec) -> None:
         out = {e.name for e in graph.skeleton.edges_from(v, spec.color)}
         if problem := block_problem(v, blocks, out):
             raise SplitError(problem)
+    return counts
 
 
 def _copy_name(item: str, index: int) -> str:
@@ -238,10 +240,8 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
             raise SplitError(
                 f"rank {graph.k} split needs no sinks in color {spec.color}; found {list(sinks)}"
             )
-    validate_spec(graph, spec)
+    counts = validate_spec(graph, spec)
     color = spec.color
-    region = split_region(graph, color, spec.base)
-    counts = copy_counts(graph, region, color)
 
     vertices = []
     parent_vertex: dict[str, str] = {}
@@ -319,7 +319,7 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         parent_vertex=parent_vertex,
         parent_edge=parent_edge,
         copy_index=copy_index,
-        counts=dict(counts),
+        counts=counts,
         paired=pairing_report(graph, color).ok,
     )
 

@@ -27,6 +27,7 @@ from kgraphs import (
     verify_swap_identities,
 )
 from kgraphs.fileformat import parse, parse_partition_file
+from kgraphs.oracle import mce_bruteforce
 
 from conftest import (
     BLUE,
@@ -223,6 +224,4 @@ def test_criterion_10c_algebra_oracles(split_one):
                 pool.extend(lam.paths_with_range(v, degree))
         for _ in range(200):
             mu, nu = rng.choice(pool), rng.choice(pool)
-            assert lam_alg.minimal_common_extensions(mu, nu) == lam_alg.mce_bruteforce(
-                mu, nu
-            )
+            assert lam_alg.minimal_common_extensions(mu, nu) == mce_bruteforce(lam, mu, nu)

@@ -277,6 +277,23 @@ class TestSaturate:
         )
         assert code == 2
 
+    def test_vertex_without_incoming_paths_is_not_added(self, capsys, tmp_path):
+        # v receives no blue path, so the saturation rule has nothing to say
+        # about it; the empty set is already hereditary and saturated
+        target = tmp_path / "source.kg"
+        target.write_text("kgraph 1 k=1 colors=blue\nvertex v\nvertex x\nedge a : blue v -> x\n")
+        code, out, _ = run(capsys, "saturate", str(target), "--set", "")
+        assert (code, out) == (0, "")
+
+    def test_loop_seed_does_not_pull_in_a_source(self, capsys, tmp_path):
+        target = tmp_path / "source.kg"
+        target.write_text(
+            "kgraph 1 k=1 colors=blue\nvertex v\nvertex w\nvertex x\n"
+            "edge a : blue v -> x\nedge l : blue w -> w\n"
+        )
+        code, out, _ = run(capsys, "saturate", str(target), "--set", "w")
+        assert (code, out.splitlines()) == (0, ["w"])
+
 
 class TestKpVerify:
     def test_all_identities_pass(self, capsys, workdir):

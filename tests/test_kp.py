@@ -28,6 +28,7 @@ from kgraphs import (
     verify_universal_family,
 )
 from kgraphs.kp import I, ONE, ZERO
+from kgraphs.oracle import mce_bruteforce
 
 from conftest import random_double
 
@@ -214,7 +215,7 @@ class TestAssociativityAndOracle:
                 pool.extend(lambda_one.paths_with_range(v, degree))
         for _ in range(150):
             mu, nu = rng.choice(pool), rng.choice(pool)
-            assert alg.minimal_common_extensions(mu, nu) == alg.mce_bruteforce(mu, nu)
+            assert alg.minimal_common_extensions(mu, nu) == mce_bruteforce(lambda_one, mu, nu)
 
 
 class TestUniversalFamily:

@@ -20,6 +20,7 @@ from kgraphs import (
     product_graph,
     validate,
 )
+from kgraphs.oracle import factor
 
 from conftest import BLUE, RED, SQUARES_ONE, lambda_skeleton
 
@@ -132,9 +133,33 @@ class TestValidation:
         assert not report.ok
         assert any(side == ("f", "h") for side, _ in report.ambiguous)
 
-    def test_kg3_failure_is_reported(self):
+    @pytest.mark.parametrize(
+        "dropped, unmatched, failures, first",
+        [
+            (
+                None,
+                0,
+                36,
+                "hexagon: 3-path a3 a2 a1 disagrees: "
+                "route 1 [a3 a2 ~ a2 a3; a3 a1 ~ a1 a3; a2 a1 ~ b1 a2] gives b1 a2 a3, "
+                "route 2 [a2 a1 ~ b1 a2; a3 b1 ~ a1 b3; b3 a2 ~ b2 a3] gives a1 b2 a3",
+            ),
+            (
+                (("a1", "a3"), ("a3", "a1")),
+                2,
+                15,
+                "hexagon: 3-path b3 b2 a1 disagrees: "
+                "route 1 [b3 b2 ~ b2 b3; b3 a1 ~ b1 a3; b2 b1 ~ b1 b2] gives b1 b2 a3, "
+                "route 2 [b2 a1 ~ a1 a2; b3 a1 ~ b1 a3; a3 a2 ~ a2 a3] gives b1 a2 a3",
+            ),
+        ],
+        ids=["twisted", "twisted-without-a1a3"],
+    )
+    def test_kg3_failure_is_reported(self, dropped, unmatched, failures, first):
         # three loops at one vertex, with one hexagon deliberately broken by
-        # pairing the 1-2 swap of (a1, a2) against the wrong partner
+        # pairing the 1-2 swap of (a1, a2) against the wrong partner; with a
+        # square dropped too, the 3-paths needing its swaps are left to the
+        # completeness report and the others are still checked
         vertices = ["p"]
         edges = [Edge(f"a{c}", c, "p", "p") for c in (1, 2, 3)]
         edges.append(Edge("b1", 1, "p", "p"))
@@ -156,14 +181,15 @@ class TestValidation:
                 continue
             if {s1, s2} == {("b1", "a2"), ("b2", "a1")}:
                 continue
+            if (s1, s2) == dropped:
+                continue
             twisted.append((s1, s2))
         twisted.append((("a1", "a2"), ("b2", "a1")))
         twisted.append((("b1", "a2"), ("a2", "a1")))
         report = validate(sk, SquareSet.create(sk, twisted))
-        assert not report.unmatched and not report.ambiguous
-        assert report.hexagon_failures
-        failure = report.hexagon_failures[0]
-        assert len(failure.route1_steps) == 3 and len(failure.route2_steps) == 3
+        assert len(report.unmatched) == unmatched and not report.ambiguous
+        assert len(report.hexagon_failures) == failures
+        assert [line for line in report.lines() if line.startswith("hexagon:")][0] == first
 
 
 class TestSwap:
@@ -247,7 +273,7 @@ class TestNormalForm:
         for _ in range(100):
             path = lambda_one.normal_form(_random_path(lambda_one, rng, max_len=4))
             split = Degree(tuple(rng.randint(0, c) for c in path.degree.components))
-            head, tail = lambda_one.factor(path, split)
+            head, tail = factor(lambda_one, path, split)
             assert tail.degree == split
             assert (tail.source, head.range) == (path.source, path.range)
             recombined = lambda_one.normal_form(lambda_one.compose(head, tail))
