@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .kp import ONE, ZERO, KPElement
 from .skeleton import Degree, KGraph, Path
 
 
@@ -47,3 +48,30 @@ def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path]
             continue
         found.append((tail_mu, tail_nu))
     return tuple(sorted(found, key=lambda ab: (ab[0].edges, ab[1].edges)))
+
+
+def act(element: KPElement, vector: dict[Path, object]) -> dict[Path, object]:
+    """``element`` applied to a combination of paths: ``t_λ t_μ* e_x = e_{λx'}`` if ``x = μx'``.
+
+    Every path in ``vector`` must dominate the degree of every right path in
+    ``element``, so that the finite-path action respects the fullness
+    relation; it then matches the refinement of ``element`` to that degree.
+    """
+    graph = element.algebra.graph
+    out: dict[Path, object] = {}
+    for x, a in vector.items():
+        for term, c in element.terms():
+            if not dominates(x.degree, term.right.degree):
+                raise ValueError(f"path {x} is shorter than the right path {term.right}")
+            head, tail = factor(graph, x, x.degree - term.right.degree)
+            if head == term.right:
+                y = graph.normal_form(graph.compose(term.left, tail))
+                out[y] = out.get(y, ZERO) + c * a
+    return {y: c for y, c in out.items() if c}
+
+
+def action(element: KPElement, degree: Degree) -> dict[Path, dict[Path, object]]:
+    """The image of ``e_x`` under ``element`` for every path ``x`` of the degree."""
+    graph = element.algebra.graph
+    return {x: act(element, {x: ONE})
+            for v in graph.vertices for x in graph.paths_with_range(v, degree)}

@@ -19,6 +19,7 @@ from kgraphs import (
     UnpairedError,
     build_kgraph,
     copy_path,
+    degrees_with_total,
     saturation,
     verify_corner,
     verify_diagonal,
@@ -28,9 +29,10 @@ from kgraphs import (
     verify_universal_family,
 )
 from kgraphs.kp import I, ONE, ZERO
-from kgraphs.oracle import mce_bruteforce
+from kgraphs.fileformat import parse
+from kgraphs.oracle import act, action, mce_bruteforce
 
-from conftest import random_double
+from conftest import DATA, random_double
 
 
 class TestScalars:
@@ -216,6 +218,47 @@ class TestAssociativityAndOracle:
         for _ in range(150):
             mu, nu = rng.choice(pool), rng.choice(pool)
             assert alg.minimal_common_extensions(mu, nu) == mce_bruteforce(lambda_one, mu, nu)
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_equality_and_products_match_the_path_action(self, source):
+        # the action on paths of one degree shares no extension table and no
+        # refinement with the engine, so it decides == and * independently
+        if source == "random_double":
+            # two vertices, ten edges: many pairs of edges have two or three
+            # minimal common extensions
+            graph, _ = random_double(random.Random(2), k=2, max_vertices=4)
+        else:
+            graph = parse((DATA / source).read_text(encoding="utf-8")).build()
+        alg = KumjianPask(graph)
+        rng = random.Random(59)
+        terms = _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2))
+        # the unit refined to one degree, whole and without its last summand
+        units = []
+        for n in [d for total in (1, 2) for d in degrees_with_total(graph.k, total)]:
+            parts = [alg.path(lam) * alg.ghost(lam)
+                     for v in graph.vertices for lam in graph.paths_with_range(v, n)]
+            units.append((sum(parts, alg.zero()), sum(parts[:-1], alg.zero())))
+        outcomes = []
+        for _ in range(40):
+            a, b, c = (rng.choice(terms) + rng.choice(terms) for _ in range(3))
+            ab = a * b
+            n = _right_join(a) + _right_join(b)
+            assert action(ab, n) == {x: act(a, y) for x, y in action(b, n).items()}
+            unit, partial = rng.choice(units)
+            for lhs, rhs in ((ab * c, a * (b * c)), (ab, b * a), (c * unit, c), (c * partial, c)):
+                n = _right_join(lhs, rhs)
+                outcomes.append(action(lhs, n) == action(rhs, n))
+                assert (lhs == rhs) == outcomes[-1]
+        assert True in outcomes and False in outcomes
+
+
+def _right_join(*elements):
+    """The join of the right paths' degrees over all terms of the elements."""
+    join = Degree.zero(elements[0].algebra.graph.k)
+    for el in elements:
+        for term, _ in el.terms():
+            join = join.join(term.right.degree)
+    return join
 
 
 class TestUniversalFamily:
