@@ -17,6 +17,7 @@ from kgraphs import (
     SplitEmbedding,
     SquareSet,
     UnpairedError,
+    VerificationReport,
     build_kgraph,
     copy_path,
     degrees_with_total,
@@ -126,6 +127,34 @@ class TestAdjoint:
         for _ in range(100):
             a, b = rng.choice(terms), rng.choice(terms)
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+
+
+class TestRendering:
+    def test_coefficients_other_than_one(self, lambda_one, alg):
+        el = (
+            alg.term(path(lambda_one, "b"), path(lambda_one, "h"), 2)
+            + alg.term(path(lambda_one, "α"), path(lambda_one, "β"), -1)
+            + alg.vertex("v")
+        )
+        assert str(el) == "p[v] + (2)·t[b]t*[h] + (-1)·t[α]t*[β]"
+
+    def test_degree_labels(self, split_one, monkeypatch):
+        # these labels reach the output only when a check fails
+        labels = []
+        monkeypatch.setattr(VerificationReport, "expect", lambda _, label, *__: labels.append(label))
+        monkeypatch.setattr(VerificationReport, "expect_equal",
+                            lambda _, label, *__: labels.append(label))
+        emb = SplitEmbedding(split_one)
+        verify_universal_family(emb.algebra)
+        verify_family(emb, max_paths=1)
+        verify_grading(emb, max_len=1)
+        assert {
+            "sum tt* over v.1@(1,0)",
+            "fullness v@(1,0)",
+            "fullness z@(1,1)",
+            "s[α] homogeneous of (1,0)",
+            "s*[β] homogeneous of -(0,1)",
+        } <= set(labels)
 
 
 class TestGrading:
