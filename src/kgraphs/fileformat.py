@@ -116,6 +116,8 @@ def parse(text: str) -> GraphDocument:
             name = _check_id(tokens[1], lineno, raw, "vertex")
             if name in vertices:
                 raise ParseError(lineno, raw.find(name) + 1, f"duplicate vertex id {name!r}")
+            if name in edges:
+                raise ParseError(lineno, raw.find(name) + 1, f"duplicate id {name!r}")
             vertices[name] = lineno
         elif keyword == "edge":
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":

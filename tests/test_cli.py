@@ -51,6 +51,13 @@ class TestValidate:
         assert code == 2
         assert "line 3" in err
 
+    def test_vertex_reusing_an_edge_id_is_a_parse_error(self, capsys, workdir):
+        target = workdir / "t.kg"
+        target.write_text("kgraph 1 k=1 colors=blue\nvertex v\nedge a : blue v -> v\nvertex a\n")
+        code, out, err = run(capsys, "validate", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"{target}: line 4, column 8: duplicate id 'a'\n"
+
     def test_missing_file(self, capsys, workdir):
         code, _, err = run(capsys, "validate", str(workdir / "absent.kg"))
         assert code == 2
