@@ -1,7 +1,10 @@
 """Exact symbolic Kumjian-Pask algebra over a finite source-free k-graph.
 
 Elements are finite linear combinations of spanning terms ``t_λ t_μ*`` with
-``s(λ) = s(μ)``, over the Gaussian rationals.  Multiplication expands the
+``s(λ) = s(μ)`` and integer coefficients.  The algebra is defined over any
+commutative ring, and every identity checked here has integer coefficients,
+so the integers serve.  Terms and paths are named tuples and degrees plain
+tuples, so they hash and compare as tuples.  Multiplication expands the
 middle product ``t_μ* t_ν`` over the minimal common extensions of ``μ`` and
 ``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree ``d(μ) ∨ d(ν)``),
 which is the defining relation calculus for row-finite source-free graphs.
@@ -30,76 +33,18 @@ sharing them changes no answer and builds each common-extension table once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .skeleton import Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total
+from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
+                       difference, format_degree, join)
 from .splitting import SplitResult, UnpairedError, copy_path, parent_path
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(value: "GaussianRational | Fraction | int") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, float):
-            raise TypeError("coefficients are exact; pass Fraction or int, not float")
-        return GaussianRational(Fraction(value), Fraction(0))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
-I = GaussianRational(Fraction(0), Fraction(1))
-
-
-@dataclass(frozen=True)
-class BasisTerm:
+class BasisTerm(NamedTuple):
     """Spanning term ``t_left · t_right*``; both paths share their source."""
 
     left: Path
     right: Path
-
-    @property
-    def degree_difference(self) -> tuple[int, ...]:
-        return self.left.degree.signed_difference(self.right.degree)
-
-    def sort_key(self):
-        return (self.left.edges, self.left.source, self.right.edges, self.right.source)
 
     def __str__(self) -> str:
         if self.left.is_vertex and self.right.is_vertex:
@@ -111,7 +56,10 @@ class BasisTerm:
         return f"t[{self.left}]t*[{self.right}]"
 
 
-ScalarLike = "GaussianRational | Fraction | int"
+def _exact(coeff: int) -> int:
+    if not isinstance(coeff, int):
+        raise TypeError(f"coefficients are exact integers, not {type(coeff).__name__}")
+    return coeff
 
 
 class KumjianPask:
@@ -129,7 +77,7 @@ class KumjianPask:
     def zero(self) -> "KPElement":
         return KPElement(self, {})
 
-    def term(self, left: Path, right: Path, coeff: ScalarLike = 1) -> "KPElement":
+    def term(self, left: Path, right: Path, coeff: int = 1) -> "KPElement":
         left = self.graph.normal_form(left)
         right = self.graph.normal_form(right)
         if left.source != right.source:
@@ -137,10 +85,9 @@ class KumjianPask:
                 f"term has mismatched sources: {left} ends at {left.source}, "
                 f"{right} at {right.source}"
             )
-        c = GaussianRational.of(coeff)
-        if not c:
+        if not _exact(coeff):
             return self.zero()
-        return KPElement(self, {BasisTerm(left, right): c})
+        return KPElement(self, {BasisTerm(left, right): coeff})
 
     def vertex(self, v: str) -> "KPElement":
         p = self.graph.vertex_path(v)
@@ -162,18 +109,18 @@ class KumjianPask:
         if mu.range != nu.range:
             result = ()
         else:
-            join = mu.degree.join(nu.degree)
+            top = join(mu.degree, nu.degree)
             extended: dict[tuple[tuple[str, ...], str], Path] = {}
-            for alpha in self.graph.paths_with_range(mu.source, join - mu.degree):
+            for alpha in self.graph.paths_with_range(mu.source, difference(top, mu.degree)):
                 ext = self.graph.normal_form(self.graph.compose(mu, alpha))
                 extended[(ext.edges, ext.source)] = alpha
             found = []
-            for beta in self.graph.paths_with_range(nu.source, join - nu.degree):
+            for beta in self.graph.paths_with_range(nu.source, difference(top, nu.degree)):
                 ext = self.graph.normal_form(self.graph.compose(nu, beta))
                 alpha = extended.get((ext.edges, ext.source))
                 if alpha is not None:
                     found.append((alpha, beta))
-            result = tuple(sorted(found, key=lambda ab: (ab[0].edges, ab[1].edges)))
+            result = tuple(sorted(found))
         self._mce_cache[key] = result
         return result
 
@@ -187,12 +134,12 @@ class KPElement:
 
     __slots__ = ("algebra", "_terms")
 
-    def __init__(self, algebra: KumjianPask, terms: dict[BasisTerm, GaussianRational]):
+    def __init__(self, algebra: KumjianPask, terms: dict[BasisTerm, int]):
         self.algebra = algebra
         self._terms = {t: c for t, c in terms.items() if c}
 
-    def terms(self) -> tuple[tuple[BasisTerm, GaussianRational], ...]:
-        return tuple(sorted(self._terms.items(), key=lambda tc: tc[0].sort_key()))
+    def terms(self) -> tuple[tuple[BasisTerm, int], ...]:
+        return tuple(sorted(self._terms.items()))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -205,7 +152,7 @@ class KPElement:
         self._check_compatible(other)
         out = dict(self._terms)
         for t, c in other._terms.items():
-            acc = out.get(t, ZERO) + c
+            acc = out.get(t, 0) + c
             if acc:
                 out[t] = acc
             else:
@@ -218,24 +165,23 @@ class KPElement:
     def __sub__(self, other: "KPElement") -> "KPElement":
         return self + (-other)
 
-    def scale(self, factor: ScalarLike) -> "KPElement":
-        c = GaussianRational.of(factor)
-        if not c:
+    def scale(self, factor: int) -> "KPElement":
+        if not _exact(factor):
             return self.algebra.zero()
-        return KPElement(self.algebra, {t: x * c for t, x in self._terms.items()})
+        return KPElement(self.algebra, {t: x * factor for t, x in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, KPElement):
             self._check_compatible(other)
             graph = self.algebra.graph
-            out: dict[BasisTerm, GaussianRational] = {}
+            out: dict[BasisTerm, int] = {}
             for t1, c1 in self._terms.items():
                 for t2, c2 in other._terms.items():
                     for alpha, beta in self.algebra.minimal_common_extensions(t1.right, t2.left):
                         left = graph.normal_form(graph.compose(t1.left, alpha))
                         right = graph.normal_form(graph.compose(t2.right, beta))
                         key = BasisTerm(left, right)
-                        acc = out.get(key, ZERO) + c1 * c2
+                        acc = out.get(key, 0) + c1 * c2
                         if acc:
                             out[key] = acc
                         else:
@@ -243,20 +189,20 @@ class KPElement:
             return KPElement(self.algebra, out)
         return self.scale(other)
 
-    def __rmul__(self, factor: ScalarLike) -> "KPElement":
+    def __rmul__(self, factor: int) -> "KPElement":
         return self.scale(factor)
 
     def adjoint(self) -> "KPElement":
         return KPElement(
             self.algebra,
-            {BasisTerm(t.right, t.left): c.conjugate() for t, c in self._terms.items()},
+            {BasisTerm(t.right, t.left): c for t, c in self._terms.items()},
         )
 
     def graded_components(self) -> dict[tuple[int, ...], "KPElement"]:
         """Split by ``d(left) - d(right)``; the parts sum back to the element."""
-        parts: dict[tuple[int, ...], dict[BasisTerm, GaussianRational]] = {}
+        parts: dict[tuple[int, ...], dict[BasisTerm, int]] = {}
         for t, c in self._terms.items():
-            parts.setdefault(t.degree_difference, {})[t] = c
+            parts.setdefault(difference(t.left.degree, t.right.degree), {})[t] = c
         return {n: KPElement(self.algebra, terms) for n, terms in sorted(parts.items())}
 
     def is_zero(self) -> bool:
@@ -266,17 +212,17 @@ class KPElement:
         graph = self.algebra.graph
         for component in self.graded_components().values():
             terms = component._terms
-            target = Degree.zero(graph.k)
+            target = (0,) * graph.k
             for t in terms:
-                target = target.join(t.left.degree)
-            refined: dict[tuple, GaussianRational] = {}
+                target = join(target, t.left.degree)
+            refined: dict[tuple, int] = {}
             for t, c in terms.items():
-                gap = target - t.left.degree
+                gap = difference(target, t.left.degree)
                 for alpha in graph.paths_with_range(t.left.source, gap):
                     left = graph.normal_form(graph.compose(t.left, alpha))
                     right = graph.normal_form(graph.compose(t.right, alpha))
                     key = (left.edges, left.source, right.edges, right.source)
-                    acc = refined.get(key, ZERO) + c
+                    acc = refined.get(key, 0) + c
                     if acc:
                         refined[key] = acc
                     else:
@@ -300,7 +246,7 @@ class KPElement:
             return "0"
         pieces = []
         for t, c in self.terms():
-            if c == ONE:
+            if c == 1:
                 pieces.append(str(t))
             else:
                 pieces.append(f"({c})·{t}")
@@ -434,9 +380,9 @@ def _paths_up_to(graph: KGraph, max_total: int, include_vertices: bool = False) 
 
 
 def _kp4_degrees(k: int, max_total: int) -> list[Degree]:
-    degrees = [Degree.basis(k, c) for c in range(1, k + 1)]
+    degrees = [tuple(int(i == c) for i in range(1, k + 1)) for c in range(1, k + 1)]
     if k > 1:
-        degrees.append(Degree.ones(k))
+        degrees.append((1,) * k)
     for total in range(1, max_total + 1):
         for d in degrees_with_total(k, total):
             if d not in degrees:
@@ -479,7 +425,7 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
             total = alg.zero()
             for lam in graph.paths_with_range(v, n):
                 total = total + alg.path(lam) * alg.ghost(lam)
-            rep.expect_equal(f"sum tt* over {v}@{n}", total, alg.vertex(v))
+            rep.expect_equal(f"sum tt* over {v}@{format_degree(n)}", total, alg.vertex(v))
     return rep
 
 
@@ -511,7 +457,7 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
 
     for lam_path in paths:
         for mu in paths:
-            if lam_path.source != mu.range or len(lam_path) + len(mu) > max_paths:
+            if lam_path.source != mu.range or len(lam_path.edges) + len(mu.edges) > max_paths:
                 continue
             composite = lam.normal_form(lam.compose(lam_path, mu))
             rep.expect_equal(
@@ -539,7 +485,7 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
             total = zero
             for p in lam.paths_with_range(v, n):
                 total = total + emb.path_image(p) * emb.ghost_image(p)
-            rep.expect_equal(f"fullness {v}@{n}", total, images_q[v])
+            rep.expect_equal(f"fullness {v}@{format_degree(n)}", total, images_q[v])
     return rep
 
 
@@ -637,9 +583,9 @@ def verify_grading(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
         rep.expect(f"q[{v}] homogeneous", set(q.graded_components()) == {zero_diff})
     for p in _paths_up_to(lam, max_len):
         image = emb.path_image(p)
-        want = p.degree.signed_difference(Degree.zero(lam.k))
-        rep.expect(f"s[{p}] homogeneous of {p.degree}", set(image.graded_components()) == {want})
+        label = format_degree(p.degree)
+        rep.expect(f"s[{p}] homogeneous of {label}", set(image.graded_components()) == {p.degree})
         ghost = emb.ghost_image(p)
-        neg = tuple(-x for x in want)
-        rep.expect(f"s*[{p}] homogeneous of -{p.degree}", set(ghost.graded_components()) == {neg})
+        neg = tuple(-x for x in p.degree)
+        rep.expect(f"s*[{p}] homogeneous of -{label}", set(ghost.graded_components()) == {neg})
     return rep

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from .kp import ONE, ZERO, KPElement
-from .skeleton import Degree, KGraph, Path
+from .kp import KPElement
+from .skeleton import Degree, KGraph, Path, difference, format_degree, join
 
 
 def dominates(big: Degree, small: Degree) -> bool:
     """Whether ``big >= small`` componentwise in N^k."""
-    return all(a >= b for a, b in zip(big.components, small.components, strict=True))
+    return all(a >= b for a, b in zip(big, small, strict=True))
 
 
 def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path]:
@@ -18,12 +18,13 @@ def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path
     property of a validated graph.
     """
     if not dominates(path.degree, source_degree):
-        raise ValueError(f"cannot factor degree {path.degree} with first part {source_degree}")
-    head_degree = path.degree - source_degree
+        raise ValueError(f"cannot factor degree {format_degree(path.degree)} "
+                         f"with first part {format_degree(source_degree)}")
+    head_degree = difference(path.degree, source_degree)
     word = tuple(c for d in (source_degree, head_degree)
-                 for c, n in enumerate(d.components, start=1) for _ in range(n))
+                 for c, n in enumerate(d, start=1) for _ in range(n))
     arranged = graph._rearrange_edges(path.edges, word)
-    cut = source_degree.total
+    cut = sum(source_degree)
     tail_edges, head_edges = arranged[:cut], arranged[cut:]
     mid = path.source if not tail_edges else graph.edge(tail_edges[-1]).range
     tail = graph.normal_form(Path(tail_edges, path.source, mid, source_degree))
@@ -37,20 +38,20 @@ def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path]
     nu = graph.normal_form(nu)
     if mu.range != nu.range:
         return ()
-    join = mu.degree.join(nu.degree)
+    top = join(mu.degree, nu.degree)
     found = []
-    for tau in graph.paths_with_range(mu.range, join):
-        head_mu, tail_mu = factor(graph, tau, join - mu.degree)
+    for tau in graph.paths_with_range(mu.range, top):
+        head_mu, tail_mu = factor(graph, tau, difference(top, mu.degree))
         if head_mu != mu:
             continue
-        head_nu, tail_nu = factor(graph, tau, join - nu.degree)
+        head_nu, tail_nu = factor(graph, tau, difference(top, nu.degree))
         if head_nu != nu:
             continue
         found.append((tail_mu, tail_nu))
-    return tuple(sorted(found, key=lambda ab: (ab[0].edges, ab[1].edges)))
+    return tuple(sorted(found))
 
 
-def act(element: KPElement, vector: dict[Path, object]) -> dict[Path, object]:
+def act(element: KPElement, vector: dict[Path, int]) -> dict[Path, int]:
     """``element`` applied to a combination of paths: ``t_λ t_μ* e_x = e_{λx'}`` if ``x = μx'``.
 
     Every path in ``vector`` must dominate the degree of every right path in
@@ -58,20 +59,20 @@ def act(element: KPElement, vector: dict[Path, object]) -> dict[Path, object]:
     relation; it then matches the refinement of ``element`` to that degree.
     """
     graph = element.algebra.graph
-    out: dict[Path, object] = {}
+    out: dict[Path, int] = {}
     for x, a in vector.items():
         for term, c in element.terms():
             if not dominates(x.degree, term.right.degree):
                 raise ValueError(f"path {x} is shorter than the right path {term.right}")
-            head, tail = factor(graph, x, x.degree - term.right.degree)
+            head, tail = factor(graph, x, difference(x.degree, term.right.degree))
             if head == term.right:
                 y = graph.normal_form(graph.compose(term.left, tail))
-                out[y] = out.get(y, ZERO) + c * a
+                out[y] = out.get(y, 0) + c * a
     return {y: c for y, c in out.items() if c}
 
 
-def action(element: KPElement, degree: Degree) -> dict[Path, dict[Path, object]]:
+def action(element: KPElement, degree: Degree) -> dict[Path, dict[Path, int]]:
     """The image of ``e_x`` under ``element`` for every path ``x`` of the degree."""
     graph = element.algebra.graph
-    return {x: act(element, {x: ONE})
+    return {x: act(element, {x: 1})
             for v in graph.vertices for x in graph.paths_with_range(v, degree)}

@@ -26,6 +26,10 @@ Conventions used throughout the package:
   color indices non-decreasing in traversal order, so the first-traversed
   edge carries the smallest color.  Two paths are equivalent iff their
   normal forms coincide as edge lists.
+* A degree is a plain tuple of k non-negative counts, indexed by color
+  minus one; :class:`Path` is a named tuple.  Both hash and compare as
+  tuples, and degrees are checked only where they enter from outside
+  (:meth:`KGraph.paths_with_range`).
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
 """
@@ -66,64 +70,33 @@ class KGraphInvalid(KGraphError):
         self.report = report
 
 
-@dataclass(frozen=True, order=True)
-class Degree:
-    """Element of the monoid N^k: one non-negative count per color."""
+# An element of the monoid N^k: one non-negative count per color.
+Degree = tuple[int, ...]
 
-    components: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.components):
-            raise ValueError(f"negative degree component in {self.components}")
+def join(a: Degree, b: Degree) -> Degree:
+    """Componentwise maximum (least upper bound in N^k)."""
+    return tuple(map(max, a, b))
 
-    @staticmethod
-    def zero(k: int) -> "Degree":
-        return Degree((0,) * k)
 
-    @staticmethod
-    def basis(k: int, color: int) -> "Degree":
-        if not 1 <= color <= k:
-            raise ValueError(f"color {color} out of range 1..{k}")
-        return Degree(tuple(1 if i == color else 0 for i in range(1, k + 1)))
+def difference(a: Degree, b: Degree) -> tuple[int, ...]:
+    """``a - b`` as a Z^k vector; in N^k when ``a`` dominates ``b``."""
+    return tuple(x - y for x, y in zip(a, b))
 
-    @staticmethod
-    def ones(k: int) -> "Degree":
-        return Degree((1,) * k)
 
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    @property
-    def total(self) -> int:
-        return sum(self.components)
-
-    def __add__(self, other: "Degree") -> "Degree":
-        return Degree(tuple(a + b for a, b in zip(self.components, other.components, strict=True)))
-
-    def __sub__(self, other: "Degree") -> "Degree":
-        return Degree(tuple(a - b for a, b in zip(self.components, other.components, strict=True)))
-
-    def join(self, other: "Degree") -> "Degree":
-        """Componentwise maximum (least upper bound in N^k)."""
-        return Degree(tuple(max(a, b) for a, b in zip(self.components, other.components, strict=True)))
-
-    def signed_difference(self, other: "Degree") -> tuple[int, ...]:
-        """self - other as a Z^k vector (components may be negative)."""
-        return tuple(a - b for a, b in zip(self.components, other.components, strict=True))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.components) + ")"
+def format_degree(d: Degree) -> str:
+    """``(1,0)`` style: the components without spaces."""
+    return "(" + ",".join(map(str, d)) + ")"
 
 
 def degrees_with_total(k: int, total: int) -> Iterator[Degree]:
     """All degrees in N^k with the given total, in lexicographic order."""
     if k == 1:
-        yield Degree((total,))
+        yield (total,)
         return
     for first in range(total + 1):
         for rest in degrees_with_total(k - 1, total - first):
-            yield Degree((first,) + rest.components)
+            yield (first,) + rest
 
 
 @dataclass(frozen=True, order=True)
@@ -212,12 +185,12 @@ class Skeleton:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite path: edge ids in traversal order, with cached endpoints.
 
     An empty edge tuple denotes a vertex (degree zero); then
-    ``source == range`` names that vertex.
+    ``source == range`` names that vertex.  The edges and the source
+    determine the rest, so tuple order is edge-id order.
     """
 
     edges: tuple[str, ...]
@@ -228,9 +201,6 @@ class Path:
     @property
     def is_vertex(self) -> bool:
         return not self.edges
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
     def __str__(self) -> str:
         if self.is_vertex:
@@ -428,7 +398,7 @@ class KGraph:
     def vertex_path(self, v: str) -> Path:
         if not self.skeleton.has_vertex(v):
             raise StructureError(f"unknown vertex {v!r}")
-        return Path((), v, v, Degree.zero(self.k))
+        return Path((), v, v, (0,) * self.k)
 
     def make_path(self, edge_names: Sequence[str]) -> Path:
         """Path from edge ids in traversal order (first-traversed first)."""
@@ -441,10 +411,10 @@ class KGraph:
                     f"edges {earlier.name} and {later.name} do not compose: "
                     f"range {earlier.range} != source {later.source}"
                 )
-        degree = Degree.zero(self.k)
+        degree = [0] * self.k
         for e in edges:
-            degree = degree + Degree.basis(self.k, e.color)
-        return Path(tuple(edge_names), edges[0].source, edges[-1].range, degree)
+            degree[e.color - 1] += 1
+        return Path(tuple(edge_names), edges[0].source, edges[-1].range, tuple(degree))
 
     def compose(self, left: Path, right: Path) -> Path:
         """The composite left∘right; ``right`` is traversed first."""
@@ -456,7 +426,8 @@ class KGraph:
             return left
         if left.is_vertex:
             return right
-        return Path(right.edges + left.edges, right.source, left.range, right.degree + left.degree)
+        degree = tuple(a + b for a, b in zip(right.degree, left.degree))
+        return Path(right.edges + left.edges, right.source, left.range, degree)
 
     # -- squares and normal forms ---------------------------------------------
 
@@ -511,8 +482,10 @@ class KGraph:
         """All normal-form paths of the degree with range ``v``, sorted."""
         if not self.skeleton.has_vertex(v):
             raise StructureError(f"unknown vertex {v!r}")
-        if degree.k != self.k:
-            raise ValueError(f"degree {degree} has wrong rank for a {self.k}-graph")
+        if len(degree) != self.k:
+            raise ValueError(f"degree {format_degree(degree)} has wrong rank for a {self.k}-graph")
+        if min(degree) < 0:
+            raise ValueError(f"negative degree component in {format_degree(degree)}")
         return self._paths_with_range(v, degree)
 
     def _paths_with_range(self, v: str, degree: Degree) -> tuple[Path, ...]:
@@ -520,24 +493,24 @@ class KGraph:
         hit = self._range_cache.get(key)
         if hit is not None:
             return hit
-        if degree.total == 0:
+        if not any(degree):
             result: tuple[Path, ...] = (self.vertex_path(v),)
         else:
             # normal forms place the largest color last, i.e. at the range end
-            color = max(c for c in range(1, self.k + 1) if degree.components[c - 1] > 0)
-            rest = degree - Degree.basis(self.k, color)
+            color = max(c for c in range(1, self.k + 1) if degree[c - 1] > 0)
+            rest = degree[:color - 1] + (degree[color - 1] - 1,) + degree[color:]
             found = []
             for e in self.skeleton.edges_into(v, color):
                 for stem in self._paths_with_range(e.source, rest):
                     found.append(
                         Path(stem.edges + (e.name,), stem.source, v, degree)
                     )
-            result = tuple(sorted(found, key=lambda p: p.edges))
+            result = tuple(sorted(found))
         self._range_cache[key] = result
         return result
 
     def rainbow_paths_into(self, v: str) -> tuple[Path, ...]:
-        return self.paths_with_range(v, Degree.ones(self.k))
+        return self.paths_with_range(v, (1,) * self.k)
 
     # -- vertex properties -------------------------------------------------------
 

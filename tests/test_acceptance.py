@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 from kgraphs import (
-    Degree,
     KumjianPask,
     SplitEmbedding,
     SquareSet,
@@ -215,11 +214,11 @@ def test_criterion_10c_algebra_oracles(split_one):
         pool = []
         for v in lam.vertices:
             for degree in [
-                Degree((1, 0)),
-                Degree((0, 1)),
-                Degree((1, 1)),
-                Degree((2, 1)),
-                Degree((0, 2)),
+                (1, 0),
+                (0, 1),
+                (1, 1),
+                (2, 1),
+                (0, 2),
             ]:
                 pool.extend(lam.paths_with_range(v, degree))
         for _ in range(200):
