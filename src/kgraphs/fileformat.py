@@ -29,6 +29,7 @@ from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, U
 from .splitting import SplitResult, SplitSpec, block_problem
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
+_TOKEN = re.compile(r"\S+")
 _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
 
 # vertex -> (ordered blocks, line number of its partition line)
@@ -77,10 +78,15 @@ def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
             yield lineno, raw, content.split()
 
 
-def _check_id(token: str, line: int, text: str, what: str) -> str:
+def _column(raw: str, index: int) -> int:
+    """1-based start column of token ``index`` of a declaration line (found only for errors)."""
+    return list(_TOKEN.finditer(raw))[index].start() + 1
+
+
+def _check_id(token: str, what: str, line: int, raw: str, index: int, skip: int = 0) -> str:
+    """``token`` if it is a valid id; it starts ``skip`` characters into token ``index``."""
     if not _ID.match(token) or token == "->":
-        raise ParseError(line, text.find(token) + 1 if token in text else 1,
-                         f"invalid {what} identifier {token!r}")
+        raise ParseError(line, _column(raw, index) + skip, f"invalid {what} identifier {token!r}")
     return token
 
 
@@ -103,45 +109,46 @@ def parse(text: str) -> GraphDocument:
             try:
                 k = int(tokens[2][2:])
             except ValueError:
-                raise ParseError(lineno, raw.find("k=") + 1, f"bad rank {tokens[2][2:]!r}") from None
+                raise ParseError(lineno, _column(raw, 2), f"bad rank {tokens[2][2:]!r}") from None
             colors = tuple(tokens[3][len("colors="):].split(","))
             if k < 1 or len(colors) != k or len(set(colors)) != k or any(not c for c in colors):
                 raise ParseError(lineno, 1, f"need {k} distinct color names, got {colors}")
+            skip = len("colors=")
             for c in colors:
-                _check_id(c, lineno, raw, "color")
+                _check_id(c, "color", lineno, raw, 3, skip)
+                skip += len(c) + 1
             header = (tokens[1], k, colors)
         elif keyword == "vertex":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "expected: vertex <id>")
-            name = _check_id(tokens[1], lineno, raw, "vertex")
+            name = _check_id(tokens[1], "vertex", lineno, raw, 1)
             if name in vertices:
-                raise ParseError(lineno, raw.find(name) + 1, f"duplicate vertex id {name!r}")
+                raise ParseError(lineno, _column(raw, 1), f"duplicate vertex id {name!r}")
             if name in edges:
-                raise ParseError(lineno, raw.find(name) + 1, f"duplicate id {name!r}")
+                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
             vertices[name] = lineno
         elif keyword == "edge":
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
                 raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
-            name = _check_id(tokens[1], lineno, raw, "edge")
+            name = _check_id(tokens[1], "edge", lineno, raw, 1)
             if name in edges or name in vertices:
-                raise ParseError(lineno, raw.find(name) + 1, f"duplicate id {name!r}")
+                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
             if header is None:
                 raise ParseError(lineno, 1, "edge before header line")
             try:
                 color = header[2].index(tokens[3]) + 1
             except ValueError:
-                raise ParseError(lineno, raw.find(tokens[3]) + 1,
-                                 f"unknown color {tokens[3]!r}") from None
-            for v in (tokens[4], tokens[6]):
-                if v not in vertices:
-                    raise ParseError(lineno, raw.find(v) + 1, f"unknown vertex {v!r}")
+                raise ParseError(lineno, _column(raw, 3), f"unknown color {tokens[3]!r}") from None
+            for i in (4, 6):
+                if tokens[i] not in vertices:
+                    raise ParseError(lineno, _column(raw, i), f"unknown vertex {tokens[i]!r}")
             edges[name] = (Edge(name, color, tokens[4], tokens[6]), lineno)
         elif keyword == "square":
             if len(tokens) != 6 or tokens[3] != "=":
                 raise ParseError(lineno, 1, "expected: square <a> <b> = <c> <d>")
-            for e in (tokens[1], tokens[2], tokens[4], tokens[5]):
-                if e not in edges:
-                    raise ParseError(lineno, raw.find(e) + 1, f"unknown edge {e!r}")
+            for i in (1, 2, 4, 5):
+                if tokens[i] not in edges:
+                    raise ParseError(lineno, _column(raw, i), f"unknown edge {tokens[i]!r}")
             squares.append(((tokens[1], tokens[2]), (tokens[4], tokens[5]), lineno))
         elif keyword == "split":
             if split_header is not None:
@@ -150,7 +157,7 @@ def parse(text: str) -> GraphDocument:
         elif keyword == "partition":
             _partition_line(tokens, lineno, raw, vertices, edges, partitions)
         else:
-            raise ParseError(lineno, 1, f"unknown declaration {keyword!r}")
+            raise ParseError(lineno, _column(raw, 0), f"unknown declaration {keyword!r}")
 
     if header is None:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
@@ -190,9 +197,9 @@ def _split_line(
     """Color index and base vertex of a ``split`` line; both must be known names."""
     color, base = _split_fields(tokens, lineno)
     if color not in colors:
-        raise ParseError(lineno, raw.find(color) + 1, f"unknown color {color!r}")
+        raise ParseError(lineno, _column(raw, 1) + len("color="), f"unknown color {color!r}")
     if base not in vertices:
-        raise ParseError(lineno, raw.find(base) + 1, f"unknown vertex {base!r}")
+        raise ParseError(lineno, _column(raw, 2) + len("base="), f"unknown vertex {base!r}")
     return colors.index(color) + 1, base
 
 
@@ -209,20 +216,22 @@ def _partition_line(
         raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
     v = tokens[1]
     if v not in vertices:
-        raise ParseError(lineno, raw.find(v) + 1, f"unknown vertex {v!r}")
+        raise ParseError(lineno, _column(raw, 1), f"unknown vertex {v!r}")
     if v in partitions:
-        raise ParseError(lineno, raw.find(v) + 1, f"duplicate partition for {v!r}")
+        raise ParseError(lineno, _column(raw, 1), f"duplicate partition for {v!r}")
     blocks = []
-    for tok in tokens[3:]:
+    for i, tok in enumerate(tokens[3:], start=3):
         m = _BLOCK.match(tok)
         if not m:
-            raise ParseError(lineno, raw.find(tok) + 1, f"malformed block {tok!r}")
+            raise ParseError(lineno, _column(raw, i), f"malformed block {tok!r}")
         names = tuple(n for n in m.group(1).split(",") if n)
         if not names:
-            raise ParseError(lineno, raw.find(tok) + 1, "empty partition block")
-        for n in names:
-            if n not in edges:
-                raise ParseError(lineno, raw.find(tok) + 1, f"unknown edge {n!r}")
+            raise ParseError(lineno, _column(raw, i), "empty partition block")
+        skip = 1
+        for n in m.group(1).split(","):
+            if n and n not in edges:
+                raise ParseError(lineno, _column(raw, i) + skip, f"unknown edge {n!r}")
+            skip += len(n) + 1
         blocks.append(tuple(sorted(names)))
     partitions[v] = (tuple(blocks), lineno)
 
@@ -251,7 +260,7 @@ def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
         elif tokens[0] == "partition":
             _partition_line(tokens, lineno, raw, vertices, skeleton.edge_map, partitions)
         else:
-            raise ParseError(lineno, 1, f"unknown declaration {tokens[0]!r}")
+            raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
     if split_header is None:
         raise ParseError(1, 1, "missing split line")
     return _split_spec(skeleton, split_header, partitions)
@@ -296,7 +305,7 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
     """Returns (color name, base vertex, child-to-parent map)."""
     color = base = None
     parents: dict[str, str] = {}
-    for lineno, _, tokens in _declarations(text):
+    for lineno, raw, tokens in _declarations(text):
         if tokens[0] == "split":
             if color is not None:
                 raise ParseError(lineno, 1, "duplicate split line")
@@ -305,10 +314,11 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError(lineno, 1, "expected: parent <item> = <item>")
             if tokens[1] in parents:
-                raise ParseError(lineno, 1, f"duplicate parent line for {tokens[1]!r}")
+                raise ParseError(lineno, _column(raw, 1),
+                                 f"duplicate parent line for {tokens[1]!r}")
             parents[tokens[1]] = tokens[3]
         else:
-            raise ParseError(lineno, 1, f"unknown declaration {tokens[0]!r}")
+            raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
     if color is None or base is None:
         raise ParseError(1, 1, "missing split line in parent sidecar")
     return color, base, parents

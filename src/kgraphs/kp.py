@@ -8,6 +8,12 @@ tuples, so they hash and compare as tuples.  Multiplication expands the
 middle product ``t_μ* t_ν`` over the minimal common extensions of ``μ`` and
 ``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree ``d(μ) ∨ d(ν)``),
 which is the defining relation calculus for row-finite source-free graphs.
+When ``d(ν) ≤ d(μ)`` there is at most one such pair, and it exists exactly
+when ``ν`` is the head of ``μ`` at degree ``d(ν)`` (``skeleton.factor``),
+so a product is a hash join: the right operand's terms are indexed by their
+left paths, and each left term looks up its right path's heads (or, for
+longer left paths on the right, the right operand's heads at its degree).
+Only pairs of incomparable degrees enumerate extensions.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -27,7 +33,8 @@ move between copies, preservation of the diagonal, the corner determined
 by first copies, the grading, and the saturation of the first-copy vertex
 set.  One :class:`SplitEmbedding` serves all sweeps of a verification run:
 its algebra context and image cache depend only on the immutable split, so
-sharing them changes no answer and builds each common-extension table once.
+sharing them changes no answer and factors each path at each degree once
+per run.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
-                       difference, format_degree, join)
+                       difference, dominates, factor, format_degree, join)
 from .splitting import SplitResult, UnpairedError, copy_path, parent_path
 
 
@@ -63,7 +70,7 @@ def _exact(coeff: int) -> int:
 
 
 class KumjianPask:
-    """Algebra context: term constructors and common-extension tables."""
+    """Algebra context: term constructors and a factorization cache."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -72,7 +79,7 @@ class KumjianPask:
                 f"the Kumjian-Pask calculus needs a source-free graph; missing {free.witnesses[0]}"
             )
         self.graph = graph
-        self._mce_cache: dict[tuple[Path, Path], tuple[tuple[Path, Path], ...]] = {}
+        self._factor_cache: dict[tuple[Path, Degree], tuple[Path, Path]] = {}
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
@@ -99,37 +106,52 @@ class KumjianPask:
     def ghost(self, p: Path) -> "KPElement":
         return self.term(self.graph.vertex_path(p.source), p)
 
+    def factor(self, path: Path, source_degree: Degree) -> tuple[Path, Path]:
+        """``skeleton.factor`` of the path, cached: ``(head, tail)``."""
+        key = (path, source_degree)
+        hit = self._factor_cache.get(key)
+        if hit is None:
+            hit = self._factor_cache[key] = factor(self.graph, path, source_degree)
+        return hit
+
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
-        """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``."""
-        key = (mu, nu)
-        hit = self._mce_cache.get(key)
-        if hit is not None:
-            return hit
-        result: tuple[tuple[Path, Path], ...]
+        """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``.
+
+        For comparable degrees there is at most one: when ``d(ν) ≤ d(μ)`` it
+        is ``(s(μ), β)``, provided the head of ``μ`` at degree ``d(ν)`` is
+        ``ν``.  Only incomparable degrees enumerate extensions.
+        """
+        graph = self.graph
         if mu.range != nu.range:
-            result = ()
-        else:
-            top = join(mu.degree, nu.degree)
-            extended: dict[tuple[tuple[str, ...], str], Path] = {}
-            for alpha in self.graph.paths_with_range(mu.source, difference(top, mu.degree)):
-                ext = self.graph.normal_form(self.graph.compose(mu, alpha))
-                extended[(ext.edges, ext.source)] = alpha
-            found = []
-            for beta in self.graph.paths_with_range(nu.source, difference(top, nu.degree)):
-                ext = self.graph.normal_form(self.graph.compose(nu, beta))
-                alpha = extended.get((ext.edges, ext.source))
-                if alpha is not None:
-                    found.append((alpha, beta))
-            result = tuple(sorted(found))
-        self._mce_cache[key] = result
-        return result
+            return ()
+        if dominates(mu.degree, nu.degree):
+            head, tail = self.factor(mu, difference(mu.degree, nu.degree))
+            return ((graph.vertex_path(mu.source), tail),) if head == graph.normal_form(nu) else ()
+        if dominates(nu.degree, mu.degree):
+            head, tail = self.factor(nu, difference(nu.degree, mu.degree))
+            return ((tail, graph.vertex_path(nu.source)),) if head == graph.normal_form(mu) else ()
+        top = join(mu.degree, nu.degree)
+        extended: dict[tuple[tuple[str, ...], str], Path] = {}
+        for alpha in graph.paths_with_range(mu.source, difference(top, mu.degree)):
+            ext = graph.normal_form(graph.compose(mu, alpha))
+            extended[(ext.edges, ext.source)] = alpha
+        found = []
+        for beta in graph.paths_with_range(nu.source, difference(top, nu.degree)):
+            ext = graph.normal_form(graph.compose(nu, beta))
+            alpha = extended.get((ext.edges, ext.source))
+            if alpha is not None:
+                found.append((alpha, beta))
+        return tuple(sorted(found))
 
 
 class KPElement:
     """Immutable finite linear combination of spanning terms.
 
-    ``==`` is equality in the algebra: a fast term-map comparison first,
-    then a refinement of the difference to a common degree.
+    Both paths of every term are normal forms: ``KumjianPask.term``
+    normalizes, and ``*`` and ``adjoint`` only build terms from normal
+    forms.  The product's hash join relies on it.  ``==`` is equality in
+    the algebra: a fast term-map comparison first, then a refinement of the
+    difference to a common degree.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -171,23 +193,55 @@ class KPElement:
         return KPElement(self.algebra, {t: x * factor for t, x in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, KPElement):
-            self._check_compatible(other)
-            graph = self.algebra.graph
-            out: dict[BasisTerm, int] = {}
-            for t1, c1 in self._terms.items():
-                for t2, c2 in other._terms.items():
-                    for alpha, beta in self.algebra.minimal_common_extensions(t1.right, t2.left):
-                        left = graph.normal_form(graph.compose(t1.left, alpha))
-                        right = graph.normal_form(graph.compose(t2.right, beta))
-                        key = BasisTerm(left, right)
-                        acc = out.get(key, 0) + c1 * c2
-                        if acc:
-                            out[key] = acc
-                        else:
-                            out.pop(key, None)
-            return KPElement(self.algebra, out)
-        return self.scale(other)
+        if not isinstance(other, KPElement):
+            return self.scale(other)
+        self._check_compatible(other)
+        alg = self.algebra
+        graph = alg.graph
+        # the right operand's terms by degree and path on the left
+        groups: dict[Degree, dict[Path, list[tuple[Path, int]]]] = {}
+        for t, c in other._terms.items():
+            groups.setdefault(t.left.degree, {}).setdefault(t.left, []).append((t.right, c))
+        # (group degree, head degree) -> {head: [(tail, right paths)]}, built on first use
+        heads: dict[tuple[Degree, Degree], dict[Path, list]] = {}
+        out: dict[BasisTerm, int] = {}
+
+        def add(left: Path, right: Path, c: int) -> None:
+            key = BasisTerm(left, right)
+            acc = out.get(key, 0) + c
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+
+        for t1, c1 in self._terms.items():
+            mu = t1.right
+            for d, by_path in groups.items():
+                gap = difference(mu.degree, d)
+                if min(gap) >= 0:
+                    # ν = head of μ at d(ν): t_μ* t_ν = t_β* for the tail β
+                    head, tail = alg.factor(mu, gap)
+                    for right, c2 in by_path.get(head, ()):
+                        add(t1.left, graph.normal_form(graph.compose(right, tail)), c1 * c2)
+                elif max(gap) <= 0:
+                    # μ = head of ν at d(μ): t_μ* t_ν = t_α for the tail α
+                    index = heads.get((d, mu.degree))
+                    if index is None:
+                        index = heads[(d, mu.degree)] = {}
+                        for nu, rights in by_path.items():
+                            head, tail = alg.factor(nu, difference(d, mu.degree))
+                            index.setdefault(head, []).append((tail, rights))
+                    for tail, rights in index.get(mu, ()):
+                        left = graph.normal_form(graph.compose(t1.left, tail))
+                        for right, c2 in rights:
+                            add(left, right, c1 * c2)
+                else:
+                    for nu, rights in by_path.items():
+                        for alpha, beta in alg.minimal_common_extensions(mu, nu):
+                            left = graph.normal_form(graph.compose(t1.left, alpha))
+                            for right, c2 in rights:
+                                add(left, graph.normal_form(graph.compose(right, beta)), c1 * c2)
+        return KPElement(alg, out)
 
     def __rmul__(self, factor: int) -> "KPElement":
         return self.scale(factor)

@@ -3,33 +3,7 @@
 from __future__ import annotations
 
 from .kp import KPElement
-from .skeleton import Degree, KGraph, Path, difference, format_degree, join
-
-
-def dominates(big: Degree, small: Degree) -> bool:
-    """Whether ``big >= small`` componentwise in N^k."""
-    return all(a >= b for a, b in zip(big, small, strict=True))
-
-
-def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path]:
-    """Split as ``head∘tail`` with ``tail`` traversed first at the given degree.
-
-    Both parts come back in normal form; uniqueness is the factorization
-    property of a validated graph.
-    """
-    if not dominates(path.degree, source_degree):
-        raise ValueError(f"cannot factor degree {format_degree(path.degree)} "
-                         f"with first part {format_degree(source_degree)}")
-    head_degree = difference(path.degree, source_degree)
-    word = tuple(c for d in (source_degree, head_degree)
-                 for c, n in enumerate(d, start=1) for _ in range(n))
-    arranged = graph._rearrange_edges(path.edges, word)
-    cut = sum(source_degree)
-    tail_edges, head_edges = arranged[:cut], arranged[cut:]
-    mid = path.source if not tail_edges else graph.edge(tail_edges[-1]).range
-    tail = graph.normal_form(Path(tail_edges, path.source, mid, source_degree))
-    head = graph.normal_form(Path(head_edges, mid, path.range, head_degree))
-    return head, tail
+from .skeleton import Degree, KGraph, Path, difference, dominates, factor, join
 
 
 def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:

@@ -13,7 +13,9 @@ quotient is a k-graph exactly when two conditions hold:
   two ways of fully reversing its color order by successive swaps agree.
 
 ``build_kgraph`` checks both and returns a validated :class:`KGraph`;
-``validate`` returns the full diagnostic report instead of raising.
+``validate`` returns the full diagnostic report instead of raising.  In a
+validated graph every path splits uniquely at any degree it dominates
+(:func:`factor`), which is what the algebra's product is built on.
 
 Conventions used throughout the package:
 
@@ -82,6 +84,11 @@ def join(a: Degree, b: Degree) -> Degree:
 def difference(a: Degree, b: Degree) -> tuple[int, ...]:
     """``a - b`` as a Z^k vector; in N^k when ``a`` dominates ``b``."""
     return tuple(x - y for x, y in zip(a, b))
+
+
+def dominates(big: Degree, small: Degree) -> bool:
+    """Whether ``big >= small`` componentwise in N^k."""
+    return all(a >= b for a, b in zip(big, small, strict=True))
 
 
 def format_degree(d: Degree) -> str:
@@ -529,6 +536,27 @@ class KGraph:
         if not 1 <= color <= self.k:
             raise ValueError(f"color {color} out of range 1..{self.k}")
         return tuple(v for v in self.vertices if not self.skeleton.edges_from(v, color))
+
+
+def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path]:
+    """Split as ``head∘tail`` with ``tail`` traversed first at the given degree.
+
+    Both parts come back in normal form; uniqueness is the factorization
+    property of a validated graph.
+    """
+    if not dominates(path.degree, source_degree):
+        raise ValueError(f"cannot factor degree {format_degree(path.degree)} "
+                         f"with first part {format_degree(source_degree)}")
+    head_degree = difference(path.degree, source_degree)
+    word = tuple(c for d in (source_degree, head_degree)
+                 for c, n in enumerate(d, start=1) for _ in range(n))
+    arranged = graph._rearrange_edges(path.edges, word)
+    cut = sum(source_degree)
+    tail_edges, head_edges = arranged[:cut], arranged[cut:]
+    mid = path.source if not tail_edges else graph.edge(tail_edges[-1]).range
+    tail = graph.normal_form(Path(tail_edges, path.source, mid, source_degree))
+    head = graph.normal_form(Path(head_edges, mid, path.range, head_degree))
+    return head, tail
 
 
 def build_kgraph(skeleton: Skeleton, squares: SquareSet) -> KGraph:

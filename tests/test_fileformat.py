@@ -90,6 +90,31 @@ class TestParse:
             parse(bad)
         assert err.value.line == 6
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("kgraph 1 k=1 colors=c1\nvertex v\nvertex e\nvertex e\n",
+             4, 8, "duplicate vertex id 'e'"),
+            ("kgraph 1 k=1 colors=c1\nvertex v\nedge e : c1 v -> e\n", 3, 18, "unknown vertex 'e'"),
+            ("kgraph 1 k=1 colors=d\nvertex v\nedge ed : e v -> v\n", 3, 11, "unknown color 'e'"),
+            ("kgraph 1 k=2 colors=a,k=\n", 1, 23, "invalid color identifier 'k='"),
+            ("kgraph 1 k=x colors=a\n", 1, 10, "bad rank 'x'"),
+            (MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
+            (MINIMAL + "split color=blue base=s\n", 6, 23, "unknown vertex 's'"),
+            (MINIMAL + "split color=red,x base=p\n", 6, 13, "unknown color 'red,x'"),
+            (MINIMAL + "split color=blue base=p\npartition p : {a} {a,t}\n", 7, 22, "unknown edge 't'"),
+            (MINIMAL + "split color=blue base=p\npartition p : {a} a\n", 7, 19, "malformed block 'a'"),
+            (MINIMAL + "  widget w\n", 6, 3, "unknown declaration 'widget'"),
+        ],
+        ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color", "bad-rank",
+             "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
+             "malformed-block", "indented-keyword"],
+    )
+    def test_error_columns_point_at_the_token(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
     def test_split_block(self):
         text = MINIMAL.replace(
             "edge a : blue p -> p",
@@ -165,6 +190,15 @@ class TestPartitionFile:
                 "split color=blue base=v\npartition v : {zz}\n", lambda_one_doc
             )
 
+    def test_error_columns_point_at_the_token(self, lambda_one_doc):
+        with pytest.raises(ParseError) as err:
+            parse_partition_file("split color=blue base=v\npartition v : {α} {h} {i,t}\n",
+                                 lambda_one_doc)
+        assert (err.value.line, err.value.column) == (2, 26)
+        with pytest.raises(ParseError) as err:
+            parse_partition_file("split color=blue base=s\n", lambda_one_doc)
+        assert (err.value.line, err.value.column) == (1, 23)
+
 
 class TestSidecar:
     def test_round_trip(self, lambda_one, lambda_one_doc):
@@ -184,6 +218,11 @@ class TestSidecar:
             )
         with pytest.raises(ParseError, match="duplicate split line"):
             parse_sidecar("split color=red base=v\nsplit color=blue base=v\nparent a.1 = a\n")
+
+    def test_duplicate_parent_column(self):
+        with pytest.raises(ParseError) as err:
+            parse_sidecar("split color=blue base=v\nparent a.1 = a\nparent a.1 = b\n")
+        assert (err.value.line, err.value.column) == (3, 8)
 
 
 class TestDot:

@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgraphs import (
+    BasisTerm,
     Edge,
     KumjianPask,
     Skeleton,
@@ -29,7 +31,7 @@ from kgraphs import (
 )
 from kgraphs.fileformat import parse
 from kgraphs.oracle import act, action, mce_bruteforce
-from kgraphs.skeleton import join
+from kgraphs.skeleton import dominates, join
 
 from conftest import DATA, random_double
 
@@ -236,36 +238,113 @@ class TestAssociativityAndOracle:
             assert alg.minimal_common_extensions(mu, nu) == mce_bruteforce(lambda_one, mu, nu)
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_product_terms_match_the_pairwise_expansion(self, source):
+        # the hash join must give exactly the term map of the loop over all
+        # term pairs, each expanded over the brute-force extensions
+        graph = _oracle_graph(source)
+        alg = KumjianPask(graph)
+        rng = random.Random(61)
+        # pick the degrees first, so that short paths meet long ones often
+        by_degrees: dict[tuple, list] = {}
+        for t in _basis_terms(graph, alg, max_total=2, coeffs=(1, -1, 2)):
+            (term, _), = t.terms()
+            by_degrees.setdefault((term.left.degree, term.right.degree), []).append(t)
+        classes = sorted(by_degrees)
+
+        def operand():
+            return sum((rng.choice(by_degrees[rng.choice(classes)]) for _ in range(4)), alg.zero())
+
+        cases = set()
+        for _ in range(60):
+            a, b = operand(), operand()
+            assert (a * b)._terms == _pairwise_product(a, b)
+            for t1, _ in a.terms():
+                for t2, _ in b.terms():
+                    if mce_bruteforce(graph, t1.right, t2.left):
+                        cases.add(_degree_case(t1.right.degree, t2.left.degree))
+        assert cases == {"equal", "left longer", "right longer", "incomparable"}
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_equality_and_products_match_the_path_action(self, source):
         # the action on paths of one degree shares no extension table and no
         # refinement with the engine, so it decides == and * independently
-        if source == "random_double":
-            # two vertices, ten edges: many pairs of edges have two or three
-            # minimal common extensions
-            graph, _ = random_double(random.Random(2), k=2, max_vertices=4)
-        else:
-            graph = parse((DATA / source).read_text(encoding="utf-8")).build()
+        graph = _oracle_graph(source)
         alg = KumjianPask(graph)
         rng = random.Random(59)
-        terms = _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2))
-        # the unit refined to one degree, whole and without its last summand
-        units = []
-        for n in [d for total in (1, 2) for d in degrees_with_total(graph.k, total)]:
-            parts = [alg.path(lam) * alg.ghost(lam)
-                     for v in graph.vertices for lam in graph.paths_with_range(v, n)]
-            units.append((sum(parts, alg.zero()), sum(parts[:-1], alg.zero())))
-        outcomes = []
-        for _ in range(40):
-            a, b, c = (rng.choice(terms) + rng.choice(terms) for _ in range(3))
-            ab = a * b
-            n = tuple(x + y for x, y in zip(_right_join(a), _right_join(b)))
-            assert action(ab, n) == {x: act(a, y) for x, y in action(b, n).items()}
-            unit, partial = rng.choice(units)
-            for lhs, rhs in ((ab * c, a * (b * c)), (ab, b * a), (c * unit, c), (c * partial, c)):
-                n = _right_join(lhs, rhs)
-                outcomes.append(action(lhs, n) == action(rhs, n))
-                assert (lhs == rhs) == outcomes[-1]
+        context = (alg, _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2)), _units(alg))
+        outcomes = [same for _ in range(40) for same in _check_against_action(rng, *context)]
         assert True in outcomes and False in outcomes
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(k=st.sampled_from((2, 3)), seed=st.integers(0, 10**6),
+           rng=st.randoms(use_true_random=False))
+    def test_random_doubles_match_the_path_action(self, k, seed, rng):
+        graph, _ = random_double(random.Random(seed), k=k, max_vertices=3)
+        alg = KumjianPask(graph)
+        context = (alg, _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2)), _units(alg))
+        for _ in range(4):
+            _check_against_action(rng, *context)
+
+
+def _units(alg):
+    """The unit refined to each degree of total 1 or 2, whole and without its last summand."""
+    graph = alg.graph
+    units = []
+    for n in [d for total in (1, 2) for d in degrees_with_total(graph.k, total)]:
+        parts = [alg.path(lam) * alg.ghost(lam)
+                 for v in graph.vertices for lam in graph.paths_with_range(v, n)]
+        units.append((sum(parts, alg.zero()), sum(parts[:-1], alg.zero())))
+    return units
+
+
+def _check_against_action(rng, alg, terms, units):
+    """Check ``act(a*b) == act(a)∘act(b)`` and ``==`` against the action on four pairs.
+
+    Returns, per pair, whether the action says its two sides are equal.
+    """
+    a, b, c = (rng.choice(terms) + rng.choice(terms) for _ in range(3))
+    ab = a * b
+    n = tuple(x + y for x, y in zip(_right_join(a), _right_join(b)))
+    assert action(ab, n) == {x: act(a, y) for x, y in action(b, n).items()}
+    unit, partial = rng.choice(units)
+    outcomes = []
+    for lhs, rhs in ((ab * c, a * (b * c)), (ab, b * a), (c * unit, c), (c * partial, c)):
+        n = _right_join(lhs, rhs)
+        outcomes.append(action(lhs, n) == action(rhs, n))
+        assert (lhs == rhs) == outcomes[-1]
+    return outcomes
+
+
+def _oracle_graph(source):
+    if source == "random_double":
+        # two vertices, ten edges: many pairs of edges have two or three
+        # minimal common extensions
+        graph, _ = random_double(random.Random(2), k=2, max_vertices=4)
+        return graph
+    return parse((DATA / source).read_text(encoding="utf-8")).build()
+
+
+def _pairwise_product(a, b):
+    """The term map of ``a * b`` from every term pair over ``mce_bruteforce``."""
+    graph = a.algebra.graph
+    out = {}
+    for t1, c1 in a.terms():
+        for t2, c2 in b.terms():
+            for alpha, beta in mce_bruteforce(graph, t1.right, t2.left):
+                key = BasisTerm(graph.normal_form(graph.compose(t1.left, alpha)),
+                                graph.normal_form(graph.compose(t2.right, beta)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return {t: c for t, c in out.items() if c}
+
+
+def _degree_case(mu, nu):
+    if mu == nu:
+        return "equal"
+    if dominates(mu, nu):
+        return "left longer"
+    if dominates(nu, mu):
+        return "right longer"
+    return "incomparable"
 
 
 def _right_join(*elements):

@@ -19,8 +19,7 @@ from kgraphs import (
     product_graph,
     validate,
 )
-from kgraphs.oracle import factor
-from kgraphs.skeleton import difference, format_degree, join
+from kgraphs.skeleton import difference, factor, format_degree, join
 
 from conftest import BLUE, RED, SQUARES_ONE, lambda_skeleton
 
