@@ -11,6 +11,10 @@ quotient is a k-graph exactly when two conditions hold:
   one square (the color swap is a well-defined involution), and
 * the hexagon condition: for every 3-path in three distinct colors, the
   two ways of fully reversing its color order by successive swaps agree.
+  Once the swap is an involution, the routes agree at a 3-path iff they
+  agree at its swap neighbours, and swaps reach every color order; so
+  ``validate`` checks the 3-paths whose colors ascend in traversal order,
+  and all of them only when completeness or one of those fails.
 
 ``build_kgraph`` checks both and returns a validated :class:`KGraph`;
 ``validate`` returns the full diagnostic report instead of raising.  In a
@@ -247,6 +251,8 @@ class SquareSet:
         (f, e), (g, h) = side1, side2
         ef, ee = skeleton.edge(f), skeleton.edge(e)
         eg, eh = skeleton.edge(g), skeleton.edge(h)
+        if side1 == side2:
+            raise StructureError(f"{label}: a side cannot pair with itself")
         if ee.color == ef.color or eh.color == eg.color:
             raise StructureError(f"{label}: sides must be bicolored")
         if ef.color != eh.color or ee.color != eg.color:
@@ -257,8 +263,6 @@ class SquareSet:
             raise StructureError(f"{label}: {g} after {h} is not composable")
         if ee.source != eh.source or ef.range != eg.range:
             raise StructureError(f"{label}: the two sides have different endpoints")
-        if side1 == side2:
-            raise StructureError(f"{label}: a side cannot pair with itself")
 
     @cached_property
     def partner_table(self) -> Mapping[Side, tuple[Side, ...]]:
@@ -318,10 +322,32 @@ class ValidationReport:
 
 
 def _bicolored_two_paths(skeleton: Skeleton) -> Iterator[Side]:
+    out, k = skeleton._out, skeleton.k
     for inner in skeleton.edges:
-        for outer in skeleton.edges_from(inner.range):
-            if outer.color != inner.color:
-                yield (outer.name, inner.name)
+        for color in range(1, k + 1):
+            if color != inner.color:
+                for outer in out.get((inner.range, color), ()):
+                    yield (outer.name, inner.name)
+
+
+def _three_paths(skeleton: Skeleton, ascending: bool) -> Iterator[tuple[str, str, str]]:
+    """3-paths ``(a, b, c)`` in three distinct colors, ``c`` traversed first.
+
+    Inner edges come by id, the later edges by color and then id.  With
+    ``ascending`` only the 3-paths whose colors rise in traversal order come.
+    """
+    out, k = skeleton._out, skeleton.k
+    for inner in skeleton.edges:
+        c1 = inner.color
+        for c2 in range(c1 + 1 if ascending else 1, k + 1):
+            if c2 == c1:
+                continue
+            for mid in out.get((inner.range, c2), ()):
+                for c3 in range(c2 + 1 if ascending else 1, k + 1):
+                    if c3 == c1 or c3 == c2:
+                        continue
+                    for outer in out.get((mid.range, c3), ()):
+                        yield outer.name, mid.name, inner.name
 
 
 def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
@@ -329,6 +355,19 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
 
     A 3-path that needs a missing or ambiguous swap gets no hexagon check;
     the completeness report already names that swap.
+
+    When completeness finds nothing, only the 3-paths whose colors ascend
+    in traversal order are checked at first; the full sweep, with its
+    witnesses in order, runs only if one of them fails.  This is exact.
+    Every bicolored 2-path then has one partner, so the swap is a total
+    involution, and so are its moves on 3-paths: ``A`` swaps the outer
+    pair of edges and ``B`` the inner pair.  Route 1 is ``ABA`` and
+    route 2 is ``BAB``; they agree at ``x`` iff ``(AB)^3 x = x``.  At ``Ax``
+    the condition reads ``A(BA)^3 x = Ax`` and at ``Bx`` it reads
+    ``B(BA)^3 x = Bx``; both hold iff ``(BA)^3 x = x``, the inverse of the
+    condition at ``x``.  So a hexagon holds at a 3-path iff it holds at its
+    swap neighbours, and ``A`` and ``B`` reach all six color orders of the
+    3-path's class, one of which ascends.
     """
     report = ValidationReport()
     table = squares.partner_table
@@ -339,36 +378,32 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
         elif len(partners) > 1:
             report.ambiguous.append((side, partners))
     if skeleton.k >= 3:
-        _check_hexagons(skeleton, squares.swap_map, report)
+        swap = squares.swap_map
+        incomplete = report.unmatched or report.ambiguous
+        if incomplete or any(_hexagon_failures(swap, _three_paths(skeleton, ascending=True))):
+            report.hexagon_failures.extend(
+                _hexagon_failures(swap, _three_paths(skeleton, ascending=False)))
     return report
 
 
-def _check_hexagons(skeleton: Skeleton, swap: Mapping[Side, Side], report: ValidationReport) -> None:
-    for inner in skeleton.edges:
-        c = inner.name
-        for mid in skeleton.edges_from(inner.range):
-            if mid.color == inner.color:
-                continue
-            b = mid.name
-            for outer in skeleton.edges_from(mid.range):
-                if outer.color in (mid.color, inner.color):
-                    continue
-                a = outer.name
-                try:
-                    d, e = swap[a, b]
-                    f, g = swap[e, c]
-                    h, j = swap[d, f]
-                    k, m = swap[b, c]
-                    n, p = swap[a, k]
-                    r, q = swap[p, m]
-                except KeyError:  # missing or ambiguous swap: the completeness report has it
-                    continue
-                if (h, j, g) != (n, r, q):
-                    report.hexagon_failures.append(HexagonFailure(
-                        (a, b, c), (h, j, g), (n, r, q),
-                        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
-                        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
-                    ))
+def _hexagon_failures(swap: Mapping[Side, Side],
+                      three_paths: Iterable[tuple[str, str, str]]) -> Iterator[HexagonFailure]:
+    for a, b, c in three_paths:
+        try:
+            d, e = swap[a, b]
+            f, g = swap[e, c]
+            h, j = swap[d, f]
+            k, m = swap[b, c]
+            n, p = swap[a, k]
+            r, q = swap[p, m]
+        except KeyError:  # missing or ambiguous swap: the completeness report has it
+            continue
+        if (h, j, g) != (n, r, q):
+            yield HexagonFailure(
+                (a, b, c), (h, j, g), (n, r, q),
+                (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
+                (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
+            )
 
 
 class SourceFreeness(NamedTuple):

@@ -84,6 +84,17 @@ class TestParse:
         with pytest.raises(ParseError, match="not composable"):
             parse(text)
 
+    def test_self_paired_square(self):
+        # colors that do not swap are what a self-pair would otherwise report
+        text = (
+            "kgraph 1 k=2 colors=blue,red\nvertex v\n"
+            "edge a : blue v -> v\nedge b : red v -> v\n"
+            "square a b = a b\n"
+        )
+        with pytest.raises(ParseError, match="a side cannot pair with itself") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (5, 1)
+
     def test_line_numbers_reported(self):
         bad = MINIMAL + "edge z : green p -> p\n"
         with pytest.raises(ParseError) as err:

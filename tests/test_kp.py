@@ -542,14 +542,37 @@ class TestVerifiers:
         report = verify_diagonal(SplitEmbedding(split_one), max_len=1)
         assert "pass" in report.summary()
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_every_equality_checked_matches_the_path_action(self, split_one, split_two,
+                                                            corrupt, monkeypatch):
+        # each pair a sweep compares must be equal exactly when the two sides
+        # act alike on the paths of the join of their right-path degrees
+        result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
+        compared = []
+        expect_equal = VerificationReport.expect_equal
 
-def _all_sweeps(embedding) -> list:
-    """The six sweeps in ``kp-verify`` order, each on ``embedding()``."""
+        def checked(report, label, lhs, rhs):
+            n = _right_join(lhs, rhs)
+            compared.append((label, lhs == rhs, action(lhs, n) == action(rhs, n)))
+            expect_equal(report, label, lhs, rhs)
+
+        monkeypatch.setattr(VerificationReport, "expect_equal", checked)
+        shared = SplitEmbedding(result)
+        reports = _all_sweeps(lambda: shared, max_len=2)
+        assert [label for label, equal, acts_alike in compared if equal != acts_alike] == []
+        unequal = sum(not equal for _, equal, _ in compared)
+        assert unequal == sum(len(r.failures) for r in reports)
+        assert (unequal > 0) == corrupt
+        assert len(compared) > 1000
+
+
+def _all_sweeps(embedding, max_len: int = 3) -> list:
+    """The six sweeps in ``kp-verify`` order and bounds, each on ``embedding()``."""
     return [
         verify_universal_family(embedding().algebra),
-        verify_family(embedding(), max_paths=3),
+        verify_family(embedding(), max_paths=max_len),
         verify_swap_identities(embedding()),
-        verify_diagonal(embedding(), max_len=3),
-        verify_corner(embedding(), max_len=2),
-        verify_grading(embedding(), max_len=3),
+        verify_diagonal(embedding(), max_len=max_len),
+        verify_corner(embedding(), max_len=min(max_len, 2)),
+        verify_grading(embedding(), max_len=max_len),
     ]

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgraphs import (
     Edge,
+    KGraph,
     KGraphInvalid,
     Skeleton,
     SquareSet,
@@ -19,9 +21,16 @@ from kgraphs import (
     product_graph,
     validate,
 )
-from kgraphs.skeleton import difference, factor, format_degree, join
+from kgraphs.skeleton import (
+    HexagonFailure,
+    ValidationReport,
+    difference,
+    factor,
+    format_degree,
+    join,
+)
 
-from conftest import BLUE, RED, SQUARES_ONE, lambda_skeleton
+from conftest import BLUE, RED, SQUARES_ONE, lambda_skeleton, random_double
 
 
 class TestDegree:
@@ -186,6 +195,119 @@ class TestValidation:
         assert len(report.unmatched) == unmatched and not report.ambiguous
         assert len(report.hexagon_failures) == failures
         assert [line for line in report.lines() if line.startswith("hexagon:")][0] == first
+
+    @pytest.mark.parametrize("k, cases", [(3, 150), (4, 200)])
+    def test_report_matches_a_sweep_of_every_three_path(self, k, cases):
+        # validate checks only the ascending 3-paths of a complete square set
+        # unless one fails; the reference checks all of them every time
+        complete_with_failures = failures_without_color_one = 0
+        for seed in range(cases):
+            rng = random.Random(seed)
+            graph, _ = random_double(rng, k=k, max_vertices=3)
+            # in a double, a twist in colors i and j breaks every triple with
+            # both; without one color, some failures avoid that color
+            gone = rng.choice((None, 1, 2, 3, 4)) if k == 4 else None
+            if gone:
+                graph = _without_color(graph, gone)
+            squares = _mutated_squares(rng, graph)
+            reference = _reference_report(graph.skeleton, squares)
+            assert validate(graph.skeleton, squares).lines() == reference.lines(), seed
+            if reference.hexagon_failures and not (reference.unmatched or reference.ambiguous):
+                complete_with_failures += 1
+                failures_without_color_one += all(
+                    graph.edge(name).color != 1
+                    for failure in reference.hexagon_failures for name in failure.triple
+                )
+        assert complete_with_failures >= 10
+        if k == 4:  # only colors 2-4 fail: an ascending sweep must not skip that triple
+            assert failures_without_color_one
+
+
+def _reference_report(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
+    """``validate``'s report from ``partner_table``, with a hexagon check on every 3-path."""
+    table = squares.partner_table
+    report = ValidationReport()
+    for inner in skeleton.edges:
+        for outer in skeleton.edges_from(inner.range):
+            side = (outer.name, inner.name)
+            partners = table.get(side, ())
+            if outer.color == inner.color or len(partners) == 1:
+                continue
+            if partners:
+                report.ambiguous.append((side, partners))
+            else:
+                report.unmatched.append(side)
+    if skeleton.k < 3:
+        return report
+    swap = {side: partners[0] for side, partners in table.items() if len(partners) == 1}
+    for inner in skeleton.edges:
+        for mid in skeleton.edges_from(inner.range):
+            for outer in skeleton.edges_from(mid.range):
+                if len({inner.color, mid.color, outer.color}) < 3:
+                    continue
+                a, b, c = outer.name, mid.name, inner.name
+                try:
+                    d, e = swap[a, b]
+                    f, g = swap[e, c]
+                    h, j = swap[d, f]
+                    k, m = swap[b, c]
+                    n, p = swap[a, k]
+                    r, q = swap[p, m]
+                except KeyError:
+                    continue
+                if (h, j, g) != (n, r, q):
+                    report.hexagon_failures.append(HexagonFailure(
+                        (a, b, c), (h, j, g), (n, r, q),
+                        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
+                        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
+                    ))
+    return report
+
+
+def _without_color(graph: KGraph, color: int) -> KGraph:
+    """The same graph with every edge of one color, and every square using one, removed."""
+    edges = [e for e in graph.edges if e.color != color]
+    kept = {e.name for e in edges}
+    skeleton = Skeleton.create(graph.k, graph.vertices, edges)
+    pairs = [pair for pair in graph.squares.pairs if kept.issuperset(pair[0] + pair[1])]
+    return KGraph(skeleton, SquareSet.create(skeleton, pairs))
+
+
+def _mutated_squares(rng: random.Random, graph: KGraph) -> SquareSet:
+    """The graph's squares after 1-4 twists, drops or conflicting additions."""
+    skeleton = graph.skeleton
+
+    def kind(side):
+        outer, inner = skeleton.edge(side[0]), skeleton.edge(side[1])
+        return outer.color, inner.color, inner.source, outer.range
+
+    sides = defaultdict(list)
+    for inner in skeleton.edges:
+        for outer in skeleton.edges_from(inner.range):
+            if outer.color != inner.color:
+                sides[kind((outer.name, inner.name))].append((outer.name, inner.name))
+    pairs = list(graph.squares.pairs)
+    for _ in range(rng.randint(1, 4)):
+        how = rng.choice(("twist", "drop", "conflict"))
+        i = rng.randrange(len(pairs))
+        s, t = pairs[i]
+        if how == "drop":
+            del pairs[i]
+        elif how == "conflict":
+            others = [u for u in sides[kind(t)] if u != t]
+            if others:
+                pairs.append((s, rng.choice(others)))
+        else:  # swap the partners of two squares of one (colors, endpoints) class
+            mates = [(s2, t2) if kind(s2) == kind(s) else (t2, s2)
+                     for j, (s2, t2) in enumerate(pairs)
+                     if j != i and kind(s) in (kind(s2), kind(t2))]
+            mates = [(s2, t2) for s2, t2 in mates if s2 != s and t2 != t]
+            if mates:
+                s2, t2 = rng.choice(mates)
+                pairs.remove((s2, t2) if (s2, t2) in pairs else (t2, s2))
+                pairs[pairs.index((s, t))] = (s, t2)
+                pairs.append((s2, t))
+    return SquareSet.create(skeleton, pairs)
 
 
 class TestSwap:
