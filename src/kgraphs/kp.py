@@ -5,15 +5,17 @@ Elements are finite linear combinations of spanning terms ``t_λ t_μ*`` with
 commutative ring, and every identity checked here has integer coefficients,
 so the integers serve.  Terms and paths are named tuples and degrees plain
 tuples, so they hash and compare as tuples.  Multiplication expands the
-middle product ``t_μ* t_ν`` over the minimal common extensions of ``μ`` and
+middle product by one rule for every pair of degrees:
+``t_μ* t_ν = Σ t_α t_β*`` over the minimal common extensions of ``μ`` and
 ``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree ``d(μ) ∨ d(ν)``),
 which is the defining relation calculus for row-finite source-free graphs.
-When ``d(ν) ≤ d(μ)`` there is at most one such pair, and it exists exactly
-when ``ν`` is the head of ``μ`` at degree ``d(ν)`` (``skeleton.factor``),
-so a product is a hash join: the right operand's terms are indexed by their
-left paths, and each left term looks up its right path's heads (or, for
-longer left paths on the right, the right operand's heads at its degree).
-Only pairs of incomparable degrees enumerate extensions.
+By unique factorization each such ``(α, β)`` is found by extending ``μ``
+by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα`` at
+``d(ν)`` into ``head·β``: it is an extension exactly when ``head = ν``.
+The algebra context caches those rows per ``(μ, d(ν))``, so a product is a
+hash join of the rows' heads against the right operand's left paths.  When
+``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
+``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -33,8 +35,8 @@ move between copies, preservation of the diagonal, the corner determined
 by first copies, the grading, and the saturation of the first-copy vertex
 set.  One :class:`SplitEmbedding` serves all sweeps of a verification run:
 its algebra context and image cache depend only on the immutable split, so
-sharing them changes no answer and factors each path at each degree once
-per run.
+sharing them changes no answer and builds each extension table once per
+run.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
-                       difference, dominates, factor, format_degree, join)
+                       difference, factor, format_degree, join)
 from .splitting import SplitResult, UnpairedError, copy_path, parent_path
 
 
@@ -70,7 +72,7 @@ def _exact(coeff: int) -> int:
 
 
 class KumjianPask:
-    """Algebra context: term constructors and a factorization cache."""
+    """Algebra context: term constructors and one extension cache, ``extensions``."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -79,7 +81,7 @@ class KumjianPask:
                 f"the Kumjian-Pask calculus needs a source-free graph; missing {free.witnesses[0]}"
             )
         self.graph = graph
-        self._factor_cache: dict[tuple[Path, Degree], tuple[Path, Path]] = {}
+        self._extensions: dict[tuple[Path, Degree], tuple[tuple[Path, Path, Path], ...]] = {}
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
@@ -106,42 +108,37 @@ class KumjianPask:
     def ghost(self, p: Path) -> "KPElement":
         return self.term(self.graph.vertex_path(p.source), p)
 
-    def factor(self, path: Path, source_degree: Degree) -> tuple[Path, Path]:
-        """``skeleton.factor`` of the path, cached: ``(head, tail)``."""
-        key = (path, source_degree)
-        hit = self._factor_cache.get(key)
-        if hit is None:
-            hit = self._factor_cache[key] = factor(self.graph, path, source_degree)
-        return hit
+    def extensions(self, mu: Path, d: Degree) -> tuple[tuple[Path, Path, Path], ...]:
+        """The rows ``(α, head, β)`` with ``μα = head·β`` and ``d(head) = d``, cached.
+
+        ``α`` runs over the paths of degree ``(d(μ) ∨ d) − d(μ)`` into
+        ``s(μ)``, in sorted order, and ``head`` and ``β`` are normal forms.
+        By unique factorization ``t_μ* t_ν`` is the sum of ``t_α t_β*`` over
+        the rows whose head is ``ν``.
+        """
+        key = (mu, d)
+        rows = self._extensions.get(key)
+        if rows is None:
+            graph = self.graph
+            top = join(mu.degree, d)
+            tail_degree = difference(top, d)
+            rows = self._extensions[key] = tuple(
+                (alpha, *factor(graph, graph.compose(mu, alpha), tail_degree))
+                for alpha in graph.paths_with_range(mu.source, difference(top, mu.degree))
+            )
+        return rows
 
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
-        """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``.
+        """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``, sorted.
 
-        For comparable degrees there is at most one: when ``d(ν) ≤ d(μ)`` it
-        is ``(s(μ), β)``, provided the head of ``μ`` at degree ``d(ν)`` is
-        ``ν``.  Only incomparable degrees enumerate extensions.
+        These are the rows of ``extensions(μ, d(ν))`` headed by ``ν``; each
+        ``α`` gives at most one row, so the rows' order sorts the pairs.
         """
-        graph = self.graph
         if mu.range != nu.range:
             return ()
-        if dominates(mu.degree, nu.degree):
-            head, tail = self.factor(mu, difference(mu.degree, nu.degree))
-            return ((graph.vertex_path(mu.source), tail),) if head == graph.normal_form(nu) else ()
-        if dominates(nu.degree, mu.degree):
-            head, tail = self.factor(nu, difference(nu.degree, mu.degree))
-            return ((tail, graph.vertex_path(nu.source)),) if head == graph.normal_form(mu) else ()
-        top = join(mu.degree, nu.degree)
-        extended: dict[tuple[tuple[str, ...], str], Path] = {}
-        for alpha in graph.paths_with_range(mu.source, difference(top, mu.degree)):
-            ext = graph.normal_form(graph.compose(mu, alpha))
-            extended[(ext.edges, ext.source)] = alpha
-        found = []
-        for beta in graph.paths_with_range(nu.source, difference(top, nu.degree)):
-            ext = graph.normal_form(graph.compose(nu, beta))
-            alpha = extended.get((ext.edges, ext.source))
-            if alpha is not None:
-                found.append((alpha, beta))
-        return tuple(sorted(found))
+        nu = self.graph.normal_form(nu)
+        return tuple((alpha, beta) for alpha, head, beta in self.extensions(mu, nu.degree)
+                     if head == nu)
 
 
 class KPElement:
@@ -202,45 +199,22 @@ class KPElement:
         groups: dict[Degree, dict[Path, list[tuple[Path, int]]]] = {}
         for t, c in other._terms.items():
             groups.setdefault(t.left.degree, {}).setdefault(t.left, []).append((t.right, c))
-        # (group degree, head degree) -> {head: [(tail, right paths)]}, built on first use
-        heads: dict[tuple[Degree, Degree], dict[Path, list]] = {}
         out: dict[BasisTerm, int] = {}
-
-        def add(left: Path, right: Path, c: int) -> None:
-            key = BasisTerm(left, right)
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-
         for t1, c1 in self._terms.items():
-            mu = t1.right
             for d, by_path in groups.items():
-                gap = difference(mu.degree, d)
-                if min(gap) >= 0:
-                    # ν = head of μ at d(ν): t_μ* t_ν = t_β* for the tail β
-                    head, tail = alg.factor(mu, gap)
-                    for right, c2 in by_path.get(head, ()):
-                        add(t1.left, graph.normal_form(graph.compose(right, tail)), c1 * c2)
-                elif max(gap) <= 0:
-                    # μ = head of ν at d(μ): t_μ* t_ν = t_α for the tail α
-                    index = heads.get((d, mu.degree))
-                    if index is None:
-                        index = heads[(d, mu.degree)] = {}
-                        for nu, rights in by_path.items():
-                            head, tail = alg.factor(nu, difference(d, mu.degree))
-                            index.setdefault(head, []).append((tail, rights))
-                    for tail, rights in index.get(mu, ()):
-                        left = graph.normal_form(graph.compose(t1.left, tail))
-                        for right, c2 in rights:
-                            add(left, right, c1 * c2)
-                else:
-                    for nu, rights in by_path.items():
-                        for alpha, beta in alg.minimal_common_extensions(mu, nu):
-                            left = graph.normal_form(graph.compose(t1.left, alpha))
-                            for right, c2 in rights:
-                                add(left, graph.normal_form(graph.compose(right, beta)), c1 * c2)
+                # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
+                for alpha, head, beta in alg.extensions(t1.right, d):
+                    rights = by_path.get(head)
+                    if rights is None:
+                        continue
+                    left = graph.normal_form(graph.compose(t1.left, alpha))
+                    for right, c2 in rights:
+                        key = BasisTerm(left, graph.normal_form(graph.compose(right, beta)))
+                        acc = out.get(key, 0) + c1 * c2
+                        if acc:
+                            out[key] = acc
+                        else:
+                            out.pop(key, None)
         return KPElement(alg, out)
 
     def __rmul__(self, factor: int) -> "KPElement":

@@ -334,7 +334,9 @@ def reconstruct_split(
     """Rebuild the bookkeeping for a split loaded from serialized files.
 
     Copy indices come from the ``item.i`` names; consistency of the parent
-    maps with ranges, degrees, and the original graph is re-checked.
+    maps with ranges, degrees, and the original graph is re-checked, and so
+    is the split color: a vertex with several copies has one per outgoing
+    edge of that color.
     """
     copy_index: dict[str, int] = {}
     counts: dict[str, int] = {v: 0 for v in original.vertices}
@@ -350,6 +352,10 @@ def reconstruct_split(
         for i in range(1, n + 1):
             if parent_vertex.get(_copy_name(v, i)) != v:
                 raise SplitError(f"copies of {v!r} are not named {v}.1 .. {v}.{n}")
+        out = len(original.skeleton.edges_from(v, color))
+        if n > 1 and n != out:
+            raise SplitError(f"vertex {v!r} has {n} copies but {out} outgoing edge(s) "
+                             f"in the split color")
     for e in graph.edges:
         parent = parent_edge.get(e.name)
         if parent is None:

@@ -375,6 +375,32 @@ class TestKpVerify:
         assert out == ""
         assert err == "inconsistent split data: edge 'b.1' has no valid parent\n"
 
+    def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
+        # blue loops x, y and a red loop z commuting with both: the blue split
+        # makes two copies of v, which a red split (one red edge) cannot
+        (tmp_path / "loops.kg").write_text(
+            "kgraph 1 k=2 colors=blue,red\nvertex v\n"
+            "edge x : blue v -> v\nedge y : blue v -> v\nedge z : red v -> v\n"
+            "square z x = x z\nsquare z y = y z\n",
+            encoding="utf-8",
+        )
+        split = tmp_path / "split.kg"
+        code, _, _ = run(capsys, "split", str(tmp_path / "loops.kg"), "--color", "blue",
+                         "--base", "v", "-o", str(split))
+        assert code == 0
+        sidecar = tmp_path / "split.kg.parents"
+        argv = ("kp-verify", str(tmp_path / "loops.kg"), "--split-output", str(split),
+                "--parents", str(sidecar))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "not paired in blue" in err
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("color=blue", "color=red"), encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: vertex 'v' has 2 copies but 1 outgoing "
+                       "edge(s) in the split color\n")
+
     @pytest.mark.parametrize("max_len", ["0", "-1"])
     def test_max_len_below_one_is_usage_error(self, capsys, workdir, max_len):
         code, out, err = run(

@@ -227,15 +227,21 @@ class TestAssociativityAndOracle:
             a, b, c = (rng.choice(terms) for _ in range(3))
             assert (a * b) * c == a * (b * c)
 
-    def test_mce_matches_bruteforce(self, lambda_one, alg):
-        rng = random.Random(43)
-        pool = []
-        for v in lambda_one.vertices:
-            for degree in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-                pool.extend(lambda_one.paths_with_range(v, degree))
-        for _ in range(150):
-            mu, nu = rng.choice(pool), rng.choice(pool)
-            assert alg.minimal_common_extensions(mu, nu) == mce_bruteforce(lambda_one, mu, nu)
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_mce_matches_bruteforce(self, source):
+        # every pair of short paths; the filter of the extension table must
+        # keep all rows when several match
+        graph = _oracle_graph(source)
+        alg = KumjianPask(graph)
+        pool = [p for v in graph.vertices for degree in [(1, 0), (0, 1), (1, 1), (2, 1)]
+                for p in graph.paths_with_range(v, degree)]
+        several = 0
+        for mu in pool:
+            for nu in pool:
+                found = alg.minimal_common_extensions(mu, nu)
+                assert found == mce_bruteforce(graph, mu, nu)
+                several += len(found) >= 2
+        assert several
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_product_terms_match_the_pairwise_expansion(self, source):
@@ -268,22 +274,33 @@ class TestAssociativityAndOracle:
     def test_equality_and_products_match_the_path_action(self, source):
         # the action on paths of one degree shares no extension table and no
         # refinement with the engine, so it decides == and * independently
-        graph = _oracle_graph(source)
-        alg = KumjianPask(graph)
+        context = _action_context(_oracle_graph(source))
         rng = random.Random(59)
-        context = (alg, _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2)), _units(alg))
         outcomes = [same for _ in range(40) for same in _check_against_action(rng, *context)]
         assert True in outcomes and False in outcomes
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(source=st.sampled_from(("lambda1.kg", "gamma1.kg")),
+           rng=st.randoms(use_true_random=False))
+    def test_data_graphs_match_the_path_action(self, source, rng):
+        context = _action_context(_oracle_graph(source))
+        for _ in range(4):
+            _check_against_action(rng, *context)
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
     @given(k=st.sampled_from((2, 3)), seed=st.integers(0, 10**6),
            rng=st.randoms(use_true_random=False))
     def test_random_doubles_match_the_path_action(self, k, seed, rng):
         graph, _ = random_double(random.Random(seed), k=k, max_vertices=3)
-        alg = KumjianPask(graph)
-        context = (alg, _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2)), _units(alg))
+        context = _action_context(graph)
         for _ in range(4):
             _check_against_action(rng, *context)
+
+
+def _action_context(graph):
+    """A fresh algebra, its terms of total length up to 1, and refined units."""
+    alg = KumjianPask(graph)
+    return alg, _basis_terms(graph, alg, max_total=1, coeffs=(1, -1, 2)), _units(alg)
 
 
 def _units(alg):
