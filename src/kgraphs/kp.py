@@ -15,7 +15,9 @@ by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα``
 The algebra context caches those rows per ``(μ, d(ν))``, so a product is a
 hash join of the rows' heads against the right operand's left paths.  When
 ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
-``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.
+``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  Those trivial
+extensions cost nothing: the terms hold normal forms, and a normal form
+extended by a vertex is itself, so ``KGraph.extend`` returns it unchanged.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -24,6 +26,8 @@ component before comparing coefficients: ``t_λ t_μ*`` equals the sum of
 ``t_λα t_(μα)*`` over all ``α`` of any fixed degree out of ``s(λ)``, and at
 a uniform degree distinct refined terms really are independent (they are
 indicator functions of disjoint nonempty cylinders of the path groupoid).
+A term already at the common degree is its own refinement and enumerates
+nothing.
 Source-freeness keeps those cylinders nonempty, so the algebra context
 refuses graphs with sources.
 
@@ -207,9 +211,9 @@ class KPElement:
                     rights = by_path.get(head)
                     if rights is None:
                         continue
-                    left = graph.normal_form(graph.compose(t1.left, alpha))
+                    left = graph.extend(t1.left, alpha)
                     for right, c2 in rights:
-                        key = BasisTerm(left, graph.normal_form(graph.compose(right, beta)))
+                        key = BasisTerm(left, graph.extend(right, beta))
                         acc = out.get(key, 0) + c1 * c2
                         if acc:
                             out[key] = acc
@@ -246,9 +250,13 @@ class KPElement:
             refined: dict[tuple, int] = {}
             for t, c in terms.items():
                 gap = difference(target, t.left.degree)
-                for alpha in graph.paths_with_range(t.left.source, gap):
-                    left = graph.normal_form(graph.compose(t.left, alpha))
-                    right = graph.normal_form(graph.compose(t.right, alpha))
+                if any(gap):
+                    refinement: Iterable[tuple[Path, Path]] = [
+                        (graph.extend(t.left, alpha), graph.extend(t.right, alpha))
+                        for alpha in graph.paths_with_range(t.left.source, gap)]
+                else:  # a term already at the target degree is its own refinement
+                    refinement = (t,)
+                for left, right in refinement:
                     key = (left.edges, left.source, right.edges, right.source)
                     acc = refined.get(key, 0) + c
                     if acc:

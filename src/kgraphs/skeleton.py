@@ -36,6 +36,11 @@ Conventions used throughout the package:
   minus one; :class:`Path` is a named tuple.  Both hash and compare as
   tuples, and degrees are checked only where they enter from outside
   (:meth:`KGraph.paths_with_range`).
+* :meth:`KGraph.normal_form` caches the normal form of each edge tuple as
+  a :class:`Path`: a repeated call allocates nothing, and a path that is
+  already normal comes back as the same object.  :meth:`KGraph.extend`
+  normalizes the composite of a normal form with a path; extending by a
+  vertex returns the normal form itself without touching the cache.
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
 """
@@ -43,6 +48,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -87,7 +93,7 @@ def join(a: Degree, b: Degree) -> Degree:
 
 def difference(a: Degree, b: Degree) -> tuple[int, ...]:
     """``a - b`` as a Z^k vector; in N^k when ``a`` dominates ``b``."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def dominates(big: Degree, small: Degree) -> bool:
@@ -468,8 +474,18 @@ class KGraph:
             return left
         if left.is_vertex:
             return right
-        degree = tuple(a + b for a, b in zip(right.degree, left.degree))
+        degree = tuple(map(operator.add, right.degree, left.degree))
         return Path(right.edges + left.edges, right.source, left.range, degree)
+
+    def extend(self, path: Path, alpha: Path) -> Path:
+        """``normal_form(compose(path, alpha))``, for a ``path`` in normal form.
+
+        Extending by a vertex returns ``path`` itself, which is only right
+        because ``path`` is already normal; callers guarantee that.
+        """
+        if not alpha.edges and path.source == alpha.range:
+            return path
+        return self.normal_form(self.compose(path, alpha))
 
     # -- squares and normal forms ---------------------------------------------
 
@@ -483,20 +499,25 @@ class KGraph:
         return self.squares.swap_map[(outer, inner)]
 
     @cached_property
-    def _nf_cache(self) -> dict[tuple[str, ...], tuple[str, ...]]:
+    def _nf_cache(self) -> dict[tuple[str, ...], Path]:
         return {}
 
     def normal_form(self, path: Path) -> Path:
-        """The equivalent path whose color word ascends in traversal order."""
-        if path.is_vertex or len(path.edges) == 1:
+        """The equivalent path whose color word ascends in traversal order.
+
+        The edges determine a path, so the cache maps them to the normal
+        form itself: a hit allocates nothing, and a path that is already
+        normal comes back as the same object.
+        """
+        if len(path.edges) < 2:
             return path
-        cached = self._nf_cache.get(path.edges)
-        if cached is not None:
-            return Path(cached, path.source, path.range, path.degree)
-        word = tuple(sorted(self.skeleton.edge(n).color for n in path.edges))
-        edges = self._rearrange_edges(path.edges, word)
-        self._nf_cache[path.edges] = edges
-        return Path(edges, path.source, path.range, path.degree)
+        key = path.edges
+        normal = self._nf_cache.get(key)
+        if normal is None:
+            word = tuple(sorted(self.skeleton.edge(n).color for n in key))
+            edges = self._rearrange_edges(key, word)
+            normal = self._nf_cache[key] = path if edges == key else path._replace(edges=edges)
+        return normal
 
     def _rearrange_edges(self, edges: tuple[str, ...], word: tuple[int, ...]) -> tuple[str, ...]:
         out = list(edges)

@@ -333,10 +333,10 @@ def reconstruct_split(
 ) -> SplitResult:
     """Rebuild the bookkeeping for a split loaded from serialized files.
 
-    Copy indices come from the ``item.i`` names; consistency of the parent
-    maps with ranges, degrees, and the original graph is re-checked, and so
-    is the split color: a vertex with several copies has one per outgoing
-    edge of that color.
+    Copy indices come from the ``item.i`` names, and an edge must be named
+    after its parent; consistency of the parent maps with ranges, degrees,
+    and the original graph is re-checked, and so is the split color: a
+    vertex with several copies has one per outgoing edge of that color.
     """
     copy_index: dict[str, int] = {}
     counts: dict[str, int] = {v: 0 for v in original.vertices}
@@ -364,6 +364,8 @@ def reconstruct_split(
         if pe is None:
             raise SplitError(f"edge {e.name!r} has no valid parent")
         idx = _parse_copy_index(e.name)
+        if e.name != _copy_name(parent, idx):
+            raise SplitError(f"edge {e.name!r} is not named {parent}.<copy index>")
         copy_index[e.name] = idx
         if pe.color != e.color:
             raise SplitError(f"edge {e.name!r} changed color relative to {parent!r}")

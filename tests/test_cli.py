@@ -401,6 +401,26 @@ class TestKpVerify:
         assert err == ("inconsistent split data: vertex 'v' has 2 copies but 1 outgoing "
                        "edge(s) in the split color\n")
 
+    def test_edge_copy_names_must_match_their_parent(self, capsys, tmp_path):
+        # a.01 parses as copy 1 of a but is not named a.1, next to the real a.1
+        (tmp_path / "loops.kg").write_text(
+            "kgraph 1 k=1 colors=blue\nvertex v\nedge a : blue v -> v\nedge b : blue v -> v\n",
+            encoding="utf-8",
+        )
+        split = tmp_path / "s.kg"
+        code, _, _ = run(capsys, "split", str(tmp_path / "loops.kg"), "--default-partition",
+                         "--color", "blue", "--base", "v", "-o", str(split))
+        assert code == 0
+        sidecar = tmp_path / "s.kg.parents"
+        with split.open("a", encoding="utf-8") as f:
+            f.write("edge a.01 : blue v.1 -> v.1\n")
+        with sidecar.open("a", encoding="utf-8") as f:
+            f.write("parent a.01 = a\n")
+        code, out, err = run(capsys, "kp-verify", str(tmp_path / "loops.kg"),
+                             "--split-output", str(split), "--parents", str(sidecar))
+        assert (code, out) == (1, "")
+        assert err == "inconsistent split data: edge 'a.01' is not named a.<copy index>\n"
+
     @pytest.mark.parametrize("max_len", ["0", "-1"])
     def test_max_len_below_one_is_usage_error(self, capsys, workdir, max_len):
         code, out, err = run(

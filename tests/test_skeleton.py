@@ -21,6 +21,7 @@ from kgraphs import (
     product_graph,
     validate,
 )
+from kgraphs.fileformat import parse
 from kgraphs.skeleton import (
     HexagonFailure,
     ValidationReport,
@@ -30,7 +31,7 @@ from kgraphs.skeleton import (
     join,
 )
 
-from conftest import BLUE, RED, SQUARES_ONE, lambda_skeleton, random_double
+from conftest import BLUE, DATA, RED, SQUARES_ONE, lambda_skeleton, random_double
 
 
 class TestDegree:
@@ -385,6 +386,46 @@ class TestNormalForm:
                 lambda_one.compose(lambda_one.normal_form(left), lambda_one.normal_form(right))
             )
             assert direct == via_nf
+
+    def test_a_normal_path_comes_back_itself(self, lambda_one):
+        graph = KGraph(lambda_one.skeleton, lambda_one.squares)  # empty caches
+        normal = [p for v in graph.vertices for d in [(1, 1), (2, 1), (0, 2)]
+                  for p in graph.paths_with_range(v, d)]
+        assert normal
+        for p in normal:
+            assert graph.normal_form(p) is p  # a miss
+            assert graph.normal_form(p) is p  # a hit
+
+    def test_a_cache_hit_allocates_nothing(self, lambda_one):
+        kb = lambda_one.make_path(("b", "k"))
+        first = lambda_one.normal_form(kb)
+        assert first.edges == ("h", "e")
+        assert lambda_one.normal_form(kb) is first
+        assert lambda_one.normal_form(lambda_one.make_path(("b", "k"))) is first
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_extend_is_the_normal_form_of_the_composite(self, source):
+        if source == "random_double":
+            graph, _ = random_double(random.Random(5), k=3, max_vertices=3)
+        else:
+            graph = parse((DATA / source).read_text(encoding="utf-8")).build()
+        # a second graph keeps its own normal-form cache, shared with no call of extend
+        reference = KGraph(graph.skeleton, graph.squares)
+        normal = [p for total in range(4) for d in degrees_with_total(graph.k, total)
+                  for v in graph.vertices for p in graph.paths_with_range(v, d)]
+        pairs = 0
+        for p in normal:
+            for alpha in normal:
+                if alpha.range == p.source and len(p.edges) + len(alpha.edges) <= 3:
+                    expected = reference.normal_form(reference.compose(p, alpha))
+                    assert graph.extend(p, alpha) == expected
+                    pairs += 1
+        assert pairs > len(graph.vertices)
+        edge = graph.make_path((graph.edges[0].name,))
+        for v in graph.vertices:
+            if v != edge.source:
+                with pytest.raises(StructureError, match="do not compose"):
+                    graph.extend(edge, graph.vertex_path(v))
 
     def test_factor_recovers_prefixes(self, lambda_one):
         rng = random.Random(13)

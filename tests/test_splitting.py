@@ -438,3 +438,15 @@ class TestReconstruction:
             reconstruct_split(
                 split_one.original, split_one.graph, BLUE, parents_v, missing
             )
+
+    def test_edge_named_off_its_parent_rejected(self):
+        skeleton = Skeleton.create(1, ["v"], [Edge("a", BLUE, "v", "v"), Edge("b", BLUE, "v", "v")])
+        original = build_kgraph(skeleton, SquareSet(()))
+        split = outsplit(original, default_spec(original, BLUE, "v"))
+        # copy 1 of a a second time, under a name that only parses as one
+        extra = Edge("a.01", BLUE, "v.1", "v.1")
+        graph = build_kgraph(Skeleton.create(1, split.graph.vertices, split.graph.edges + (extra,)),
+                             SquareSet(()))
+        parents_e = {**split.parent_edge, "a.01": "a"}
+        with pytest.raises(SplitError, match=r"edge 'a\.01' is not named a\.<copy index>"):
+            reconstruct_split(original, graph, BLUE, dict(split.parent_vertex), parents_e)
