@@ -73,9 +73,9 @@ class GraphDocument:
 def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """``(line number, raw line, tokens)`` for each line that is not blank or a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield lineno, raw, content.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw, tokens
 
 
 def _column(raw: str, index: int) -> int:
@@ -163,16 +163,11 @@ def parse(text: str) -> GraphDocument:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
     version, k, colors = header
     skeleton = Skeleton.create(k, vertices, (e for e, _ in edges.values()))
+    line = [1]  # the line of the pair being checked; pairs are checked in order
     try:
-        square_set = SquareSet.create(skeleton, [(s1, s2) for s1, s2, _ in squares])
+        square_set = SquareSet.create(skeleton, ((s1, s2) for s1, s2, line[0] in squares))
     except StructureError as exc:
-        # find the offending line by re-checking pair by pair
-        for s1, s2, lineno in squares:
-            try:
-                SquareSet._check_pair(skeleton, s1, s2)
-            except StructureError as inner:
-                raise ParseError(lineno, 1, str(inner)) from None
-        raise ParseError(1, 1, str(exc)) from None
+        raise ParseError(line[0], 1, str(exc)) from None
 
     spec = None
     if split_header is not None:

@@ -237,52 +237,68 @@ class SquareSet:
     are traversed first.  :meth:`create` checks each pair structurally
     (composability, swapped colors, equal endpoints and degree);
     completeness and uniqueness across pairs are the job of ``validate``.
+    The swap map is built in one pass over the pairs, and the partner
+    table only when asked for, which ``validate`` does only when a side
+    lacks a unique partner.
     """
 
     pairs: tuple[tuple[Side, Side], ...]
 
     @staticmethod
     def create(skeleton: Skeleton, pairs: Iterable[tuple[Side, Side]]) -> "SquareSet":
-        normalized: set[tuple[Side, Side]] = set()
-        for side1, side2 in pairs:
-            SquareSet._check_pair(skeleton, side1, side2)
-            s1 = (side1[0], side1[1])
-            s2 = (side2[0], side2[1])
-            normalized.add((s1, s2) if s1 <= s2 else (s2, s1))
-        return SquareSet(tuple(sorted(normalized)))
+        # a dict keeps the first-seen order, so canonical input sorts in linear time
+        unique = dict.fromkeys(SquareSet._check_pair(skeleton, s1, s2) for s1, s2 in pairs)
+        return SquareSet(tuple(sorted(unique)))
 
     @staticmethod
-    def _check_pair(skeleton: Skeleton, side1: Side, side2: Side) -> None:
-        label = f"square {side1[0]} {side1[1]} = {side2[0]} {side2[1]}"
+    def _check_pair(skeleton: Skeleton, side1: Side, side2: Side) -> tuple[Side, Side]:
+        """The pair with its smaller side first, once it passes the structural checks."""
         (f, e), (g, h) = side1, side2
-        ef, ee = skeleton.edge(f), skeleton.edge(e)
-        eg, eh = skeleton.edge(g), skeleton.edge(h)
-        if side1 == side2:
-            raise StructureError(f"{label}: a side cannot pair with itself")
-        if ee.color == ef.color or eh.color == eg.color:
-            raise StructureError(f"{label}: sides must be bicolored")
-        if ef.color != eh.color or ee.color != eg.color:
-            raise StructureError(f"{label}: degree not preserved (colors must swap)")
-        if ef.source != ee.range:
-            raise StructureError(f"{label}: {f} after {e} is not composable")
-        if eg.source != eh.range:
-            raise StructureError(f"{label}: {g} after {h} is not composable")
-        if ee.source != eh.source or ef.range != eg.range:
-            raise StructureError(f"{label}: the two sides have different endpoints")
+        edges = skeleton.edge_map
+        try:
+            ef, ee, eg, eh = edges[f], edges[e], edges[g], edges[h]
+        except KeyError:
+            ef, ee, eg, eh = map(skeleton.edge, (f, e, g, h))  # raises "unknown edge"
+        if (f, e) == (g, h):
+            problem = "a side cannot pair with itself"
+        elif ee.color == ef.color or eh.color == eg.color:
+            problem = "sides must be bicolored"
+        elif ef.color != eh.color or ee.color != eg.color:
+            problem = "degree not preserved (colors must swap)"
+        elif ef.source != ee.range:
+            problem = f"{f} after {e} is not composable"
+        elif eg.source != eh.range:
+            problem = f"{g} after {h} is not composable"
+        elif ee.source != eh.source or ef.range != eg.range:
+            problem = "the two sides have different endpoints"
+        else:
+            return ((f, e), (g, h)) if (f, e) <= (g, h) else ((g, h), (f, e))
+        raise StructureError(f"square {f} {e} = {g} {h}: {problem}")
 
     @cached_property
-    def partner_table(self) -> Mapping[Side, tuple[Side, ...]]:
-        """Every side mapped to all partner sides declared for it."""
-        table: dict[Side, list[Side]] = {}
+    def _partners(self) -> tuple[dict[Side, Side], dict[Side, list[Side]]]:
+        """Each side's first partner, and every partner of a side with several."""
+        first: dict[Side, Side] = {}
+        several: dict[Side, list[Side]] = {}
         for side1, side2 in self.pairs:
-            table.setdefault(side1, []).append(side2)
-            table.setdefault(side2, []).append(side1)
-        return {s: tuple(sorted(set(ps))) for s, ps in table.items()}
+            for side, partner in ((side1, side2), (side2, side1)):
+                seen = first.setdefault(side, partner)
+                if seen != partner:
+                    several.setdefault(side, [seen]).append(partner)
+        return first, several
 
     @cached_property
     def swap_map(self) -> Mapping[Side, Side]:
         """Every side with exactly one partner mapped to that partner."""
-        return {s: ps[0] for s, ps in self.partner_table.items() if len(ps) == 1}
+        first, several = self._partners
+        return {s: p for s, p in first.items() if s not in several} if several else first
+
+    @cached_property
+    def partner_table(self) -> Mapping[Side, tuple[Side, ...]]:
+        """Every side mapped to all partner sides declared for it, sorted."""
+        first, several = self._partners
+        return {s: tuple(sorted(set(several[s]))) if s in several else (p,)
+                for s, p in first.items()}
 
 
 class HexagonFailure(NamedTuple):
@@ -327,40 +343,13 @@ class ValidationReport:
         return out
 
 
-def _bicolored_two_paths(skeleton: Skeleton) -> Iterator[Side]:
-    out, k = skeleton._out, skeleton.k
-    for inner in skeleton.edges:
-        for color in range(1, k + 1):
-            if color != inner.color:
-                for outer in out.get((inner.range, color), ()):
-                    yield (outer.name, inner.name)
-
-
-def _three_paths(skeleton: Skeleton, ascending: bool) -> Iterator[tuple[str, str, str]]:
-    """3-paths ``(a, b, c)`` in three distinct colors, ``c`` traversed first.
-
-    Inner edges come by id, the later edges by color and then id.  With
-    ``ascending`` only the 3-paths whose colors rise in traversal order come.
-    """
-    out, k = skeleton._out, skeleton.k
-    for inner in skeleton.edges:
-        c1 = inner.color
-        for c2 in range(c1 + 1 if ascending else 1, k + 1):
-            if c2 == c1:
-                continue
-            for mid in out.get((inner.range, c2), ()):
-                for c3 in range(c2 + 1 if ascending else 1, k + 1):
-                    if c3 == c1 or c3 == c2:
-                        continue
-                    for outer in out.get((mid.range, c3), ()):
-                        yield outer.name, mid.name, inner.name
-
-
 def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     """Check completeness/uniqueness of swaps and the hexagon condition.
 
-    A 3-path that needs a missing or ambiguous swap gets no hexagon check;
-    the completeness report already names that swap.
+    Completeness asks the swap map for every bicolored 2-path, and builds
+    the partner table only for a side without a unique partner.  A 3-path
+    that needs a missing or ambiguous swap gets no hexagon check; the
+    completeness report already names that swap.
 
     When completeness finds nothing, only the 3-paths whose colors ascend
     in traversal order are checked at first; the full sweep, with its
@@ -376,40 +365,65 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     3-path's class, one of which ascends.
     """
     report = ValidationReport()
-    table = squares.partner_table
-    for side in _bicolored_two_paths(skeleton):
-        partners = table.get(side, ())
-        if not partners:
-            report.unmatched.append(side)
-        elif len(partners) > 1:
-            report.ambiguous.append((side, partners))
-    if skeleton.k >= 3:
-        swap = squares.swap_map
-        incomplete = report.unmatched or report.ambiguous
-        if incomplete or any(_hexagon_failures(swap, _three_paths(skeleton, ascending=True))):
-            report.hexagon_failures.extend(
-                _hexagon_failures(swap, _three_paths(skeleton, ascending=False)))
+    swap = squares.swap_map
+    out, rank = skeleton._out, skeleton.k
+    for inner in skeleton.edges:
+        for color in range(1, rank + 1):
+            if color == inner.color:
+                continue
+            for outer in out.get((inner.range, color), ()):
+                side = (outer.name, inner.name)
+                if side in swap:
+                    continue
+                partners = squares.partner_table.get(side, ())
+                if partners:
+                    report.ambiguous.append((side, partners))
+                else:
+                    report.unmatched.append(side)
+    if rank >= 3 and (report.unmatched or report.ambiguous
+                      or any(_hexagon_failures(skeleton, swap, ascending=True))):
+        report.hexagon_failures.extend(_hexagon_failures(skeleton, swap, ascending=False))
     return report
 
 
-def _hexagon_failures(swap: Mapping[Side, Side],
-                      three_paths: Iterable[tuple[str, str, str]]) -> Iterator[HexagonFailure]:
-    for a, b, c in three_paths:
-        try:
-            d, e = swap[a, b]
-            f, g = swap[e, c]
-            h, j = swap[d, f]
-            k, m = swap[b, c]
-            n, p = swap[a, k]
-            r, q = swap[p, m]
-        except KeyError:  # missing or ambiguous swap: the completeness report has it
-            continue
-        if (h, j, g) != (n, r, q):
-            yield HexagonFailure(
-                (a, b, c), (h, j, g), (n, r, q),
-                (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
-                (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
-            )
+def _hexagon_failures(skeleton: Skeleton, swap: Mapping[Side, Side],
+                      ascending: bool) -> Iterator[HexagonFailure]:
+    """Failures at 3-paths ``(a, b, c)`` in three distinct colors, ``c`` traversed first.
+
+    Inner edges come by id, the later edges by color and then id; with
+    ``ascending``, only 3-paths whose colors rise in traversal order.
+    """
+    out, rank = skeleton._out, skeleton.k
+    for inner in skeleton.edges:
+        c, c1 = inner.name, inner.color
+        for c2 in range(c1 + 1 if ascending else 1, rank + 1):
+            if c2 == c1:
+                continue
+            for mid in out.get((inner.range, c2), ()):
+                b = mid.name
+                try:
+                    k, m = swap[b, c]
+                except KeyError:
+                    continue
+                for c3 in range(c2 + 1 if ascending else 1, rank + 1):
+                    if c3 == c1 or c3 == c2:
+                        continue
+                    for outer in out.get((mid.range, c3), ()):
+                        a = outer.name
+                        try:
+                            d, e = swap[a, b]
+                            f, g = swap[e, c]
+                            h, j = swap[d, f]
+                            n, p = swap[a, k]
+                            r, q = swap[p, m]
+                        except KeyError:
+                            continue
+                        if h != n or j != r or g != q:
+                            yield HexagonFailure(
+                                (a, b, c), (h, j, g), (n, r, q),
+                                (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
+                                (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
+                            )
 
 
 class SourceFreeness(NamedTuple):
@@ -610,9 +624,12 @@ def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path
     cut = sum(source_degree)
     tail_edges, head_edges = arranged[:cut], arranged[cut:]
     mid = path.source if not tail_edges else graph.edge(tail_edges[-1]).range
-    tail = graph.normal_form(Path(tail_edges, path.source, mid, source_degree))
-    head = graph.normal_form(Path(head_edges, mid, path.range, head_degree))
-    return head, tail
+    tail = Path(tail_edges, path.source, mid, source_degree)
+    head = Path(head_edges, mid, path.range, head_degree)
+    # both parts ascend already; interning makes equal normal forms one object
+    intern = graph._nf_cache.setdefault
+    return (intern(head_edges, head) if len(head_edges) > 1 else head,
+            intern(tail_edges, tail) if len(tail_edges) > 1 else tail)
 
 
 def build_kgraph(skeleton: Skeleton, squares: SquareSet) -> KGraph:
@@ -643,8 +660,7 @@ def product_graph(factors: Sequence[Skeleton]) -> KGraph:
                 raise StructureError(f"factor {i} is not source-free: vertex {v!r}")
     k = len(factors)
     if k == 1:
-        graph = build_kgraph(factors[0], SquareSet(()))
-        return graph
+        return build_kgraph(factors[0], SquareSet(()))
 
     def vname(coords: tuple[str, ...]) -> str:
         return "|".join(coords)

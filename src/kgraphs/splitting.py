@@ -105,13 +105,6 @@ class SplitSpec:
     base: str
     partitions: Mapping[str, tuple[tuple[str, ...], ...]]
 
-    def block_of(self, vertex: str, edge: str) -> int:
-        """1-based index of the block at ``vertex`` containing ``edge``."""
-        for i, block in enumerate(self.partitions[vertex], start=1):
-            if edge in block:
-                return i
-        raise SplitError(f"edge {edge!r} not in any block at {vertex!r}")
-
 
 def default_spec(graph: KGraph, color: int, base: str) -> SplitSpec:
     """Singleton blocks in edge-id order on the region, one block elsewhere."""
@@ -242,28 +235,29 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
             )
     counts = validate_spec(graph, spec)
     color = spec.color
+    swap = graph.squares.swap_map
+    edge_map = graph.skeleton.edge_map
+    # 1-based index of the block holding each split-color edge at its source
+    block = {(v, name): j for v, blocks in spec.partitions.items()
+             for j, names in enumerate(blocks, start=1) for name in names}
 
-    vertices = []
     parent_vertex: dict[str, str] = {}
     copy_index: dict[str, int] = {}
     for v in graph.vertices:
         for i in range(1, counts[v] + 1):
             name = _copy_name(v, i)
-            vertices.append(name)
             parent_vertex[name] = v
             copy_index[name] = i
 
     def source_block(e: Edge, i: int) -> int:
         """Block index j with source(e^i) = source(e)^j."""
         if e.color == color:
-            return spec.block_of(e.source, e.name)
-        b_out = graph.skeleton.edges_from(e.range, color)
-        if not b_out:
+            return block[e.source, e.name]
+        blocks = spec.partitions.get(e.range)
+        if blocks is None:  # no outgoing split-color edge at the range
             return 1
-        answers = set()
-        for f in spec.partitions[e.range][i - 1]:
-            _, c = graph.swap(f, e.name)
-            answers.add(spec.block_of(graph.edge(c).source, c))
+        # the partner side of f·e starts with a split-color edge at source(e)
+        answers = {block[e.source, swap[f, e.name][1]] for f in blocks[i - 1]}
         if len(answers) != 1:
             raise SplitError(
                 f"source of copy {i} of {e.name!r} depends on the block representative "
@@ -273,29 +267,24 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
 
     edges = []
     parent_edge: dict[str, str] = {}
+    source_of: dict[str, str] = {}
     for e in graph.edges:
         for i in range(1, counts[e.range] + 1):
             name = _copy_name(e.name, i)
-            j = source_block(e, i)
-            edges.append(Edge(name, e.color, _copy_name(e.source, j), _copy_name(e.range, i)))
+            source = source_of[name] = _copy_name(e.source, source_block(e, i))
+            edges.append(Edge(name, e.color, source, _copy_name(e.range, i)))
             parent_edge[name] = e.name
             copy_index[name] = i
 
-    skeleton = Skeleton.create(graph.k, vertices, edges)
-    source_of = {e.name: e.source for e in edges}
-
-    def lift_inner(parent: str, src_vertex: str) -> str:
-        # the unique copy of `parent` whose range is src_vertex
-        idx = copy_index[src_vertex]
-        return _copy_name(parent, idx)
+    skeleton = Skeleton.create(graph.k, parent_vertex, edges)
 
     pairs = []
     for (a, b), (g, h) in graph.squares.pairs:
-        for p in range(1, counts[graph.edge(a).range] + 1):
-            a_p = _copy_name(a, p)
-            b_q = lift_inner(b, source_of[a_p])
-            g_p = _copy_name(g, p)
-            h_q = lift_inner(h, source_of[g_p])
+        for p in range(1, counts[edge_map[a].range] + 1):
+            # each inner edge lifts to its copy whose range is the outer copy's source
+            a_p, g_p = _copy_name(a, p), _copy_name(g, p)
+            b_q = _copy_name(b, copy_index[source_of[a_p]])
+            h_q = _copy_name(h, copy_index[source_of[g_p]])
             if source_of[b_q] != source_of[h_q]:
                 raise SplitError(
                     f"lift of square {a} {b} = {g} {h} at copy {p} has mismatched "
@@ -407,11 +396,8 @@ def sibling_set(graph: KGraph, edge: str, color: int) -> tuple[str, ...]:
     e = graph.edge(edge)
     if e.color == color:
         raise SplitError(f"edge {edge!r} already has color {color}")
-    siblings = set()
-    for x in graph.skeleton.edges_from(e.range, color):
-        _, c = graph.swap(x.name, edge)
-        siblings.add(c)
-    return tuple(sorted(siblings))
+    swap = graph.squares.swap_map
+    return tuple(sorted({swap[x.name, edge][1] for x in graph.skeleton.edges_from(e.range, color)}))
 
 
 class PairingReport(NamedTuple):

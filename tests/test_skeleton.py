@@ -109,6 +109,22 @@ class TestSquareStructure:
         with pytest.raises(StructureError, match="different endpoints"):
             SquareSet.create(sk, [(("β", "α"), ("k", "b"))])
 
+    @pytest.mark.parametrize("pair", [(("e", "zz"), ("qq", "b")), (("e", "h"), ("zz", "qq"))])
+    def test_unknown_edge_rejected(self, pair):
+        # the first unknown id in the order f, e, g, h is named
+        with pytest.raises(StructureError, match="unknown edge 'zz'"):
+            SquareSet.create(lambda_skeleton(), [pair])
+
+    def test_partner_tables_of_raw_pairs(self):
+        # built directly, so nothing is deduplicated or put in canonical order
+        a, b, c, d, x = ("a1", "b1"), ("a2", "b2"), ("a3", "b3"), ("a4", "b4"), ("x", "y")
+        pairs = ((a, b), (a, b), (b, a), (c, a), (d, x), (c, a))
+        squares = SquareSet(pairs)
+        expected = {a: (b, c), b: (a,), c: (a,), d: (x,), x: (d,)}
+        assert squares.partner_table == expected == _partners_from_pairs(pairs)
+        assert squares.swap_map == {b: a, c: a, d: x, x: d}
+        assert SquareSet(pairs[3:5]).swap_map == {c: a, a: c, d: x, x: d}
+
 
 class TestValidation:
     def test_lambda_one_is_valid(self, lambda_one):
@@ -224,9 +240,18 @@ class TestValidation:
             assert failures_without_color_one
 
 
+def _partners_from_pairs(pairs) -> dict:
+    """Every side of the pairs mapped to its distinct partners, sorted."""
+    found = defaultdict(set)
+    for s1, s2 in pairs:
+        found[s1].add(s2)
+        found[s2].add(s1)
+    return {side: tuple(sorted(partners)) for side, partners in found.items()}
+
+
 def _reference_report(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
-    """``validate``'s report from ``partner_table``, with a hexagon check on every 3-path."""
-    table = squares.partner_table
+    """``validate``'s report from the raw pairs, with a hexagon check on every 3-path."""
+    table = _partners_from_pairs(squares.pairs)
     report = ValidationReport()
     for inner in skeleton.edges:
         for outer in skeleton.edges_from(inner.range):

@@ -170,12 +170,6 @@ class TestSplitSpec:
         with pytest.raises(SplitError, match=message.split("ium")[0]):
             validate_spec(lambda_one, spec)
 
-    def test_block_of(self, lambda_one):
-        spec = paper_spec()
-        assert spec.block_of("v", "h") == 2
-        with pytest.raises(SplitError):
-            spec.block_of("v", "k")
-
 
 class TestGoldenSplits:
     def test_first_example_matches_figure(self, split_one):
