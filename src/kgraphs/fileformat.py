@@ -91,10 +91,13 @@ def _check_id(token: str, what: str, line: int, raw: str, index: int, skip: int 
 
 
 def parse(text: str) -> GraphDocument:
-    """Parse a document, validating names and square well-formedness."""
+    """Parse a document, validating names, square well-formedness and, per
+    declaration, the rules of ``Skeleton.create``, so the skeleton is built
+    directly from the checked data: the two rule sets must stay in step.
+    """
     header: tuple[str, int, tuple[str, ...]] | None = None
-    vertices: dict[str, int] = {}
-    edges: dict[str, tuple[Edge, int]] = {}
+    vertices: set[str] = set()
+    edges: dict[str, Edge] = {}
     squares: list[tuple[Side, Side, int]] = []
     split_header: tuple[int, str] | None = None
     partitions: Partitions = {}
@@ -126,7 +129,7 @@ def parse(text: str) -> GraphDocument:
                 raise ParseError(lineno, _column(raw, 1), f"duplicate vertex id {name!r}")
             if name in edges:
                 raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
-            vertices[name] = lineno
+            vertices.add(name)
         elif keyword == "edge":
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
                 raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
@@ -142,7 +145,7 @@ def parse(text: str) -> GraphDocument:
             for i in (4, 6):
                 if tokens[i] not in vertices:
                     raise ParseError(lineno, _column(raw, i), f"unknown vertex {tokens[i]!r}")
-            edges[name] = (Edge(name, color, tokens[4], tokens[6]), lineno)
+            edges[name] = Edge(name, color, tokens[4], tokens[6])
         elif keyword == "square":
             if len(tokens) != 6 or tokens[3] != "=":
                 raise ParseError(lineno, 1, "expected: square <a> <b> = <c> <d>")
@@ -162,7 +165,7 @@ def parse(text: str) -> GraphDocument:
     if header is None:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
     version, k, colors = header
-    skeleton = Skeleton.create(k, vertices, (e for e, _ in edges.values()))
+    skeleton = Skeleton(k, tuple(sorted(vertices)), tuple(edges[name] for name in sorted(edges)))
     line = [1]  # the line of the pair being checked; pairs are checked in order
     try:
         square_set = SquareSet.create(skeleton, ((s1, s2) for s1, s2, line[0] in squares))

@@ -1,7 +1,8 @@
 """Exact symbolic Kumjian-Pask algebra over a finite source-free k-graph.
 
 Elements are finite linear combinations of spanning terms ``t_λ t_μ*`` with
-``s(λ) = s(μ)`` and integer coefficients.  The algebra is defined over any
+``s(λ) = s(μ)`` and integer coefficients; the ``KPElement`` constructor is
+the one place that drops zero coefficients.  The algebra is defined over any
 commutative ring, and every identity checked here has integer coefficients,
 so the integers serve.  Terms and paths are named tuples and degrees plain
 tuples, so they hash and compare as tuples.  Multiplication expands the
@@ -98,9 +99,7 @@ class KumjianPask:
                 f"term has mismatched sources: {left} ends at {left.source}, "
                 f"{right} at {right.source}"
             )
-        if not _exact(coeff):
-            return self.zero()
-        return KPElement(self, {BasisTerm(left, right): coeff})
+        return KPElement(self, {BasisTerm(left, right): _exact(coeff)})
 
     def vertex(self, v: str) -> "KPElement":
         p = self.graph.vertex_path(v)
@@ -150,9 +149,10 @@ class KPElement:
 
     Both paths of every term are normal forms: ``KumjianPask.term``
     normalizes, and ``*`` and ``adjoint`` only build terms from normal
-    forms.  The product's hash join relies on it.  ``==`` is equality in
-    the algebra: a fast term-map comparison first, then a refinement of the
-    difference to a common degree.
+    forms.  The product's hash join relies on it.  Only the constructor
+    drops zero coefficients.  ``*`` multiplies two elements, :meth:`scale`
+    by an integer.  ``==`` is equality in the algebra: a fast term-map
+    comparison first, then a refinement of the difference to a common degree.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -175,11 +175,7 @@ class KPElement:
         self._check_compatible(other)
         out = dict(self._terms)
         for t, c in other._terms.items():
-            acc = out.get(t, 0) + c
-            if acc:
-                out[t] = acc
-            else:
-                out.pop(t, None)
+            out[t] = out.get(t, 0) + c
         return KPElement(self.algebra, out)
 
     def __neg__(self) -> "KPElement":
@@ -189,13 +185,12 @@ class KPElement:
         return self + (-other)
 
     def scale(self, factor: int) -> "KPElement":
-        if not _exact(factor):
-            return self.algebra.zero()
+        _exact(factor)
         return KPElement(self.algebra, {t: x * factor for t, x in self._terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, KPElement):
-            return self.scale(other)
+            return NotImplemented
         self._check_compatible(other)
         alg = self.algebra
         graph = alg.graph
@@ -214,15 +209,8 @@ class KPElement:
                     left = graph.extend(t1.left, alpha)
                     for right, c2 in rights:
                         key = BasisTerm(left, graph.extend(right, beta))
-                        acc = out.get(key, 0) + c1 * c2
-                        if acc:
-                            out[key] = acc
-                        else:
-                            out.pop(key, None)
+                        out[key] = out.get(key, 0) + c1 * c2
         return KPElement(alg, out)
-
-    def __rmul__(self, factor: int) -> "KPElement":
-        return self.scale(factor)
 
     def adjoint(self) -> "KPElement":
         return KPElement(
@@ -239,8 +227,6 @@ class KPElement:
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        if not self._terms:
-            return True
         graph = self.algebra.graph
         for component in self.graded_components().values():
             terms = component._terms
@@ -258,12 +244,8 @@ class KPElement:
                     refinement = (t,)
                 for left, right in refinement:
                     key = (left.edges, left.source, right.edges, right.source)
-                    acc = refined.get(key, 0) + c
-                    if acc:
-                        refined[key] = acc
-                    else:
-                        refined.pop(key, None)
-            if refined:
+                    refined[key] = refined.get(key, 0) + c
+            if any(refined.values()):
                 return False
         return True
 

@@ -130,6 +130,8 @@ class Skeleton:
 
     Construct through :meth:`create`, which sorts the data and checks the
     structural invariants (unique ids, declared endpoints, valid colors).
+    ``fileformat.parse`` checks the same rules per declaration and builds the
+    sorted skeleton directly, so the two rule sets must stay in step.
     """
 
     k: int

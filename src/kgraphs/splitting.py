@@ -322,11 +322,15 @@ def reconstruct_split(
 ) -> SplitResult:
     """Rebuild the bookkeeping for a split loaded from serialized files.
 
-    Copy indices come from the ``item.i`` names, and an edge must be named
-    after its parent; consistency of the parent maps with ranges, degrees,
-    and the original graph is re-checked, and so is the split color: a
-    vertex with several copies has one per outgoing edge of that color.
+    Every key of the parent maps must name an item of ``graph``; copy indices
+    come from the ``item.i`` names, an edge must be named after its parent, and
+    the maps are re-checked against ranges, degrees, the original graph and the
+    split color: a vertex with several copies has one per outgoing split-color edge.
     """
+    unknown = [c for c in parent_vertex if not graph.skeleton.has_vertex(c)]
+    unknown += [c for c in parent_edge if c not in graph.skeleton.edge_map]
+    if unknown:
+        raise SplitError(f"parent line for unknown item {min(unknown)!r}")
     copy_index: dict[str, int] = {}
     counts: dict[str, int] = {v: 0 for v in original.vertices}
     for v in graph.vertices:

@@ -1,9 +1,9 @@
-"""Reference answers that the tests check the fast paths against; the library never calls them."""
+"""Reference answers that the tests check the library's fast paths against."""
 
 from __future__ import annotations
 
-from .kp import KPElement
-from .skeleton import Degree, KGraph, Path, difference, dominates, factor, join
+from kgraphs.kp import KPElement
+from kgraphs.skeleton import Degree, KGraph, Path, difference, dominates, factor, join
 
 
 def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:

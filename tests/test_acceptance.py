@@ -26,7 +26,6 @@ from kgraphs import (
     verify_swap_identities,
 )
 from kgraphs.fileformat import parse, parse_partition_file
-from kgraphs.oracle import mce_bruteforce
 
 from conftest import (
     BLUE,
@@ -36,6 +35,7 @@ from conftest import (
     random_one_skeleton,
     shuffled_spec,
 )
+from oracle import mce_bruteforce
 from test_kp import _basis_terms
 from test_splitting import (
     GAMMA_ONE_EDGES,

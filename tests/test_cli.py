@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -375,6 +379,23 @@ class TestKpVerify:
         assert out == ""
         assert err == "inconsistent split data: edge 'b.1' has no valid parent\n"
 
+    def test_parent_line_for_unknown_item_is_inconsistent(self, capsys, workdir):
+        sidecar = workdir / "gamma1.parents"
+        with sidecar.open("a", encoding="utf-8") as f:
+            f.write("parent nosuch.1 = e\n")
+        code, out, err = run(
+            capsys,
+            "kp-verify",
+            str(workdir / "lambda1.kg"),
+            "--split-output",
+            str(workdir / "gamma1.kg"),
+            "--parents",
+            str(sidecar),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "inconsistent split data: parent line for unknown item 'nosuch.1'\n"
+
     def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
         # blue loops x, y and a red loop z commuting with both: the blue split
         # makes two copies of v, which a red split (one red edge) cannot
@@ -519,6 +540,20 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    def test_module_entry_point(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "kgraphs", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        done = module("validate", str(DATA / "lambda1.kg"))
+        assert (done.returncode, done.stdout) == (0, "valid k-graph\n")
+        done = module("validate", str(tmp_path / "missing.kg"))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert len(done.stderr.splitlines()) == 1
+        assert "Traceback" not in done.stderr
 
 
 FUZZ_FILES = ("lambda1.kg", "lambda2.kg", "gamma1.kg", "gamma2.kg",

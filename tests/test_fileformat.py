@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from kgraphs import SplitSpec, StructureError, product_graph, outsplit
+from kgraphs import Skeleton, SplitSpec, StructureError, product_graph, outsplit
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
@@ -17,7 +19,7 @@ from kgraphs.fileformat import (
     sidecar_text,
 )
 
-from conftest import DATA, paper_spec
+from conftest import DATA, paper_spec, random_one_skeleton
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +45,23 @@ class TestParse:
         assert len(doc.squares.pairs) == 8
         graph = doc.build()
         assert graph.is_source_free().ok
+
+    @pytest.mark.parametrize(
+        "source", sorted(p.name for p in DATA.glob("*.kg")) + ["product", "split"])
+    def test_skeleton_equals_the_checked_constructor(self, source, lambda_one):
+        # parse builds the skeleton from declarations it checked itself;
+        # Skeleton.create, which sorts and checks again, is the reference
+        if source == "product":
+            graph = product_graph([random_one_skeleton(random.Random(5), "f"),
+                                   random_one_skeleton(random.Random(6), "g")])
+            text = serialize(document_for_graph(graph, ["blue", "red"]))
+        elif source == "split":
+            text = serialize(document_for_graph(outsplit(lambda_one, paper_spec()).graph,
+                                                ["blue", "red"]))
+        else:
+            text = (DATA / source).read_text(encoding="utf-8")
+        doc = parse(text)
+        assert doc.skeleton == Skeleton.create(doc.k, doc.skeleton.vertices, doc.skeleton.edges)
 
     def test_color_indexing(self, lambda_one_doc):
         assert lambda_one_doc.color_index("blue") == 1
@@ -167,9 +186,6 @@ class TestRoundTrip:
         assert parse(serialize(doc)) == doc
 
     def test_product_graph(self):
-        from conftest import random_one_skeleton
-        import random
-
         rng = random.Random(3)
         graph = product_graph([random_one_skeleton(rng, "f"), random_one_skeleton(rng, "g")])
         doc = document_for_graph(graph, ["blue", "red"])

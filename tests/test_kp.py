@@ -30,10 +30,10 @@ from kgraphs import (
     verify_universal_family,
 )
 from kgraphs.fileformat import parse
-from kgraphs.oracle import act, action, mce_bruteforce
 from kgraphs.skeleton import dominates, join
 
 from conftest import DATA, random_double
+from oracle import act, action, mce_bruteforce
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,27 @@ class TestAdjoint:
         for _ in range(100):
             a, b = rng.choice(terms), rng.choice(terms)
             assert (a * b).adjoint() == b.adjoint() * a.adjoint()
+
+
+class TestZeroFreeTerms:
+    def test_sums_and_products_store_no_zero(self, lambda_one, alg):
+        rng = random.Random(29)
+        terms = _basis_terms(lambda_one, alg, max_total=2, coeffs=(1, -1, 2))
+        for _ in range(200):
+            x = sum((rng.choice(terms) for _ in range(4)), alg.zero())
+            y = sum((rng.choice(terms) for _ in range(4)), alg.zero())
+            for z in (x, x + y, x - y, x * y, x * y - y * x):
+                assert all(c for _, c in z.terms())
+            assert len(x - x) == 0
+
+    def test_scalars_multiply_only_through_scale(self, lambda_one, alg):
+        x = alg.term(path(lambda_one, "b"), path(lambda_one, "h"), -1) + alg.vertex("v")
+        with pytest.raises(TypeError):
+            x * 2
+        with pytest.raises(TypeError):
+            2 * x
+        assert x.scale(2) == x + x
+        assert len(x.scale(0)) == 0
 
 
 class TestRendering:

@@ -433,6 +433,20 @@ class TestReconstruction:
                 split_one.original, split_one.graph, BLUE, parents_v, missing
             )
 
+    @pytest.mark.parametrize("vertex_extra, edge_extra, unknown", [
+        ({}, {"nosuch.1": "e"}, "nosuch.1"),
+        ({"nosuch.1": "v"}, {}, "nosuch.1"),
+        # a key names an item of the other kind
+        ({"b.1": "b"}, {}, "b.1"),
+        ({}, {"v.1": "v"}, "v.1"),
+    ])
+    def test_parent_for_unknown_item_rejected(self, split_one, vertex_extra, edge_extra, unknown):
+        with pytest.raises(SplitError) as exc:
+            reconstruct_split(split_one.original, split_one.graph, BLUE,
+                              {**split_one.parent_vertex, **vertex_extra},
+                              {**split_one.parent_edge, **edge_extra})
+        assert str(exc.value) == f"parent line for unknown item {unknown!r}"
+
     def test_edge_named_off_its_parent_rejected(self):
         skeleton = Skeleton.create(1, ["v"], [Edge("a", BLUE, "v", "v"), Edge("b", BLUE, "v", "v")])
         original = build_kgraph(skeleton, SquareSet(()))
