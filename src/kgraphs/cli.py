@@ -129,8 +129,10 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 def _cmd_kp_verify(args: argparse.Namespace) -> int:
     doc, graph = _load(args.file)
     _, split_graph = _load(args.split_output)
-    color_name, _, parents = _read(args.parents, fileformat.parse_sidecar)
+    color_name, base, parents = _read(args.parents, fileformat.parse_sidecar)
     color = doc.color_index(color_name)
+    if base != "-" and not graph.skeleton.has_vertex(base):  # "-": no base recorded
+        raise SplitError(f"inconsistent split data: unknown base vertex {base!r}")
     vertex_names = set(split_graph.vertices)
     parent_vertex = {c: p for c, p in parents.items() if c in vertex_names}
     parent_edge = {c: p for c, p in parents.items() if c not in vertex_names}

@@ -27,7 +27,10 @@ component before comparing coefficients: ``t_λ t_μ*`` equals the sum of
 ``t_λα t_(μα)*`` over all ``α`` of any fixed degree out of ``s(λ)``, and at
 a uniform degree distinct refined terms really are independent (they are
 indicator functions of disjoint nonempty cylinders of the path groupoid).
-A term already at the common degree is its own refinement and enumerates
+The context's second cache, ``refinement``, refines a path to each degree
+once per run; the zero test sorts terms into classes by ``(d(left),
+d(right))`` and computes the common degree and the gaps once per class.  A
+term already at the common degree is its own refinement and enumerates
 nothing.
 Source-freeness keeps those cylinders nonempty, so the algebra context
 refuses graphs with sources.
@@ -77,7 +80,7 @@ def _exact(coeff: int) -> int:
 
 
 class KumjianPask:
-    """Algebra context: term constructors and one extension cache, ``extensions``."""
+    """Algebra context: term constructors and two caches, ``extensions`` and ``refinement``."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -87,6 +90,7 @@ class KumjianPask:
             )
         self.graph = graph
         self._extensions: dict[tuple[Path, Degree], tuple[tuple[Path, Path, Path], ...]] = {}
+        self._refinements: dict[tuple[Path, Degree], tuple[Path, ...]] = {}
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
@@ -130,6 +134,20 @@ class KumjianPask:
                 for alpha in graph.paths_with_range(mu.source, difference(top, mu.degree))
             )
         return rows
+
+    def refinement(self, path: Path, d: Degree) -> tuple[Path, ...]:
+        """``path`` extended by every ``α`` of degree ``d`` into ``s(path)``, in order, cached.
+
+        Two paths with one source extend by the same ``α``s, so zipping their
+        refinements gives the terms ``t_λα t_(μα)*`` that sum to ``t_λ t_μ*``.
+        """
+        key = (path, d)
+        paths = self._refinements.get(key)
+        if paths is None:
+            graph = self.graph
+            paths = self._refinements[key] = tuple(
+                graph.extend(path, alpha) for alpha in graph.paths_with_range(path.source, d))
+        return paths
 
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
         """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``, sorted.
@@ -227,24 +245,27 @@ class KPElement:
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        graph = self.algebra.graph
-        for component in self.graded_components().values():
-            terms = component._terms
-            target = (0,) * graph.k
-            for t in terms:
-                target = join(target, t.left.degree)
+        refine = self.algebra.refinement
+        by_class: dict[tuple[Degree, Degree], list[tuple[BasisTerm, int]]] = {}
+        for t, c in self._terms.items():
+            by_class.setdefault((t.left.degree, t.right.degree), []).append((t, c))
+        components: dict[tuple[int, ...], list[tuple[Degree, Degree]]] = {}
+        for degrees in by_class:
+            components.setdefault(difference(*degrees), []).append(degrees)
+        for classes in components.values():
+            target = classes[0][0]
+            for left_degree, _ in classes[1:]:
+                target = join(target, left_degree)
             refined: dict[tuple, int] = {}
-            for t, c in terms.items():
-                gap = difference(target, t.left.degree)
-                if any(gap):
-                    refinement: Iterable[tuple[Path, Path]] = [
-                        (graph.extend(t.left, alpha), graph.extend(t.right, alpha))
-                        for alpha in graph.paths_with_range(t.left.source, gap)]
-                else:  # a term already at the target degree is its own refinement
-                    refinement = (t,)
-                for left, right in refinement:
-                    key = (left.edges, left.source, right.edges, right.source)
-                    refined[key] = refined.get(key, 0) + c
+            for degrees in classes:
+                gap = difference(target, degrees[0])
+                spread = any(gap)
+                for t, c in by_class[degrees]:
+                    # a term already at the target degree is its own refinement
+                    for left, right in (zip(refine(t.left, gap), refine(t.right, gap))
+                                        if spread else (t,)):
+                        key = (left.edges, left.source, right.edges, right.source)
+                        refined[key] = refined.get(key, 0) + c
             if any(refined.values()):
                 return False
         return True

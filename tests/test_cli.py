@@ -396,6 +396,30 @@ class TestKpVerify:
         assert out == ""
         assert err == "inconsistent split data: parent line for unknown item 'nosuch.1'\n"
 
+    @pytest.mark.parametrize("base", ["nosuch", "-"])
+    def test_sidecar_base_must_be_a_vertex(self, capsys, workdir, base):
+        # "-" is what sidecar_text writes for a split without a recorded base
+        sidecar = workdir / "gamma1.parents"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("base=v\n", f"base={base}\n", 1), encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "kp-verify",
+            str(workdir / "lambda1.kg"),
+            "--split-output",
+            str(workdir / "gamma1.kg"),
+            "--parents",
+            str(sidecar),
+            "--max-len",
+            "1",
+        )
+        if base == "-":
+            assert (code, err) == (0, "")
+            return
+        assert code == 1
+        assert out == ""
+        assert err == "inconsistent split data: unknown base vertex 'nosuch'\n"
+
     def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
         # blue loops x, y and a red loop z commuting with both: the blue split
         # makes two copies of v, which a red split (one red edge) cannot

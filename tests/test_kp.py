@@ -220,6 +220,84 @@ class TestEquality:
         assert not total == alg.vertex("z")
 
 
+class TestRefinementTable:
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "rank3_split"])
+    def test_table_matches_direct_extension(self, source):
+        graph = _refinement_graph(source)
+        alg = KumjianPask(graph)
+        paths = [graph.vertex_path(v) for v in graph.vertices]
+        paths += [graph.make_path((e.name,)) for e in graph.edges]
+        degrees = [d for total in range(3) for d in degrees_with_total(graph.k, total)]
+        for p in paths:
+            for d in degrees:
+                direct = tuple(graph.extend(p, alpha) for alpha in graph.paths_with_range(p.source, d))
+                assert alg.refinement(p, d) == direct
+                assert alg.refinement(p, d) == direct  # the cached copy too
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_warm_table_changes_no_answer(self, source):
+        # a context warmed in reverse order must answer as a fresh one does
+        graph = _oracle_graph(source)
+        fresh = [x.is_zero() for x in _zero_test_elements(KumjianPask(graph))]
+        warm = _zero_test_elements(KumjianPask(graph))
+        for x in reversed(warm):
+            x.is_zero()
+        assert [x.is_zero() for x in warm] == fresh
+        assert True in fresh and False in fresh
+
+    def test_one_component_over_several_degree_classes(self, lambda_one):
+        # at z, the unit refined to (1,0), (0,1) and (1,1) in one element:
+        # one graded component, four classes, common degree (1,1)
+        alg = KumjianPask(lambda_one)
+
+        def diagonal(degree):
+            return sum((alg.path(lam) * alg.ghost(lam)
+                        for lam in lambda_one.paths_with_range("z", degree)), alg.zero())
+
+        unit = alg.vertex("z")
+        zero = diagonal((1, 0)) - diagonal((0, 1)) + unit - diagonal((1, 1))
+        h, i = path(lambda_one, "h"), path(lambda_one, "i")
+        nm = path(lambda_one, "n", "m")
+        cases = [
+            (zero, True),
+            (zero + alg.term(i, i) - alg.term(i, h), False),
+            (zero - alg.path(nm) * alg.ghost(nm), False),
+        ]
+        for element, _ in cases:
+            classes = {(t.left.degree, t.right.degree) for t, _ in element.terms()}
+            assert len(element.graded_components()) == 1 and len(classes) >= 3
+        # the unit again, now refined to (1,0) on the same context
+        cases.append((unit - diagonal((1, 0)), True))
+        for element, expected in cases:
+            n = _right_join(element)
+            assert (not any(action(element, n).values())) == expected
+            assert element.is_zero() == expected
+
+
+def _refinement_graph(source):
+    if source == "rank3_split":
+        from conftest import diagonal_double
+        from kgraphs import default_spec, outsplit
+
+        arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"), ("d", "u1", "u0")]
+        graph = diagonal_double(["u0", "u1"], arrows, 3)
+        return outsplit(graph, default_spec(graph, 1, "u0")).graph
+    return _oracle_graph(source)
+
+
+def _zero_test_elements(alg):
+    """Seeded differences that are zero (a unit absorbed) or not (a partial unit)."""
+    rng = random.Random(67)
+    terms = _basis_terms(alg.graph, alg, max_total=1, coeffs=(1, -1, 2))
+    units = _units(alg)
+    out = []
+    for _ in range(25):
+        c = rng.choice(terms) + rng.choice(terms)
+        unit, partial = rng.choice(units)
+        out += [c * unit - c, unit * c - c, c * partial - c, partial * c - c]
+    return out
+
+
 def _basis_terms(graph, alg, max_total=2, coeffs=(1,)):
     by_source: dict[str, list] = {}
     paths = [graph.vertex_path(v) for v in graph.vertices]
