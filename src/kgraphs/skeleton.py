@@ -11,10 +11,10 @@ quotient is a k-graph exactly when two conditions hold:
   one square (the color swap is a well-defined involution), and
 * the hexagon condition: for every 3-path in three distinct colors, the
   two ways of fully reversing its color order by successive swaps agree.
-  Once the swap is an involution, the routes agree at a 3-path iff they
+  Where the swap is an involution, the routes agree at a 3-path iff they
   agree at its swap neighbours, and swaps reach every color order; so
   ``validate`` checks the 3-paths whose colors ascend in traversal order,
-  and all of them only when completeness or one of those fails.
+  and re-checks only 3-paths a few swaps from a failure or a bad side.
 
 ``build_kgraph`` checks both and returns a validated :class:`KGraph`;
 ``validate`` returns the full diagnostic report instead of raising.  In a
@@ -348,57 +348,40 @@ class ValidationReport:
 def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     """Check completeness/uniqueness of swaps and the hexagon condition.
 
-    Completeness asks the swap map for every bicolored 2-path, and builds
-    the partner table only for a side without a unique partner.  A 3-path
+    One pass over the bicolored 2-paths ``(b, c)`` does both jobs: a side
+    missing from the swap map is reported (only then is the partner table
+    read), and a matched side whose colors ascend in traversal order starts
+    the hexagon checks on the ascending 3-paths ``(a, b, c)``.  A 3-path
     that needs a missing or ambiguous swap gets no hexagon check; the
     completeness report already names that swap.
 
-    When completeness finds nothing, only the 3-paths whose colors ascend
-    in traversal order are checked at first; the full sweep, with its
-    witnesses in order, runs only if one of them fails.  This is exact.
-    Every bicolored 2-path then has one partner, so the swap is a total
-    involution, and so are its moves on 3-paths: ``A`` swaps the outer
-    pair of edges and ``B`` the inner pair.  Route 1 is ``ABA`` and
-    route 2 is ``BAB``; they agree at ``x`` iff ``(AB)^3 x = x``.  At ``Ax``
-    the condition reads ``A(BA)^3 x = Ax`` and at ``Bx`` it reads
-    ``B(BA)^3 x = Bx``; both hold iff ``(BA)^3 x = x``, the inverse of the
-    condition at ``x``.  So a hexagon holds at a 3-path iff it holds at its
-    swap neighbours, and ``A`` and ``B`` reach all six color orders of the
-    3-path's class, one of which ascends.
+    If the pass finds anything, only 3-paths near it are re-checked, with
+    the full route comparison; this is exact.  Let ``A`` swap the outer pair
+    of edges and ``B`` the inner pair, and number the alternating orbit of a
+    3-path ``x`` as ``x_t``: ``x_1 = Ax``, ``x_2 = BAx``, ``x_-1 = Bx``, and so
+    on.  Route 1 is ``ABA`` and route 2 is ``BAB``, so ``x`` fails iff
+    ``x_3 != x_-3``.  Suppose ``x_-5 .. x_5`` are good: both moves are defined
+    and involutive there.  Applying one move to both sides shows that
+    ``x_t+3 = x_t-3`` holds for one ``t`` in ``[-3, 3]`` iff it holds for all,
+    and 6 consecutive positions hold exactly one ascending 3-path; so ``x``
+    fails iff the ascending one among ``x_-2 .. x_3`` fails.  Otherwise a
+    bad point, a 3-path in three colors with a bad side in either position,
+    lies within 5 moves of ``x``.  The bad sides are the unmatched and
+    ambiguous ones, and each partner ``p`` of an ambiguous side ``s`` with
+    ``swap(p) = s``.  So the candidates are the 3-paths reached by at most 3
+    alternating moves from a failing ascending 3-path, or at most 5 from a
+    bad point, either move first.
+
+    Precondition: every pair passes :meth:`SquareSet.create`'s structural
+    checks for this skeleton, so each move maps 3-paths to 3-paths.
     """
     report = ValidationReport()
     swap = squares.swap_map
     out, rank = skeleton._out, skeleton.k
-    for inner in skeleton.edges:
-        for color in range(1, rank + 1):
-            if color == inner.color:
-                continue
-            for outer in out.get((inner.range, color), ()):
-                side = (outer.name, inner.name)
-                if side in swap:
-                    continue
-                partners = squares.partner_table.get(side, ())
-                if partners:
-                    report.ambiguous.append((side, partners))
-                else:
-                    report.unmatched.append(side)
-    if rank >= 3 and (report.unmatched or report.ambiguous
-                      or any(_hexagon_failures(skeleton, swap, ascending=True))):
-        report.hexagon_failures.extend(_hexagon_failures(skeleton, swap, ascending=False))
-    return report
-
-
-def _hexagon_failures(skeleton: Skeleton, swap: Mapping[Side, Side],
-                      ascending: bool) -> Iterator[HexagonFailure]:
-    """Failures at 3-paths ``(a, b, c)`` in three distinct colors, ``c`` traversed first.
-
-    Inner edges come by id, the later edges by color and then id; with
-    ``ascending``, only 3-paths whose colors rise in traversal order.
-    """
-    out, rank = skeleton._out, skeleton.k
+    failing = []  # ascending 3-paths whose routes disagree
     for inner in skeleton.edges:
         c, c1 = inner.name, inner.color
-        for c2 in range(c1 + 1 if ascending else 1, rank + 1):
+        for c2 in range(1, rank + 1):
             if c2 == c1:
                 continue
             for mid in out.get((inner.range, c2), ()):
@@ -406,10 +389,15 @@ def _hexagon_failures(skeleton: Skeleton, swap: Mapping[Side, Side],
                 try:
                     k, m = swap[b, c]
                 except KeyError:
+                    partners = squares.partner_table.get((b, c), ())
+                    if partners:
+                        report.ambiguous.append(((b, c), partners))
+                    else:
+                        report.unmatched.append((b, c))
                     continue
-                for c3 in range(c2 + 1 if ascending else 1, rank + 1):
-                    if c3 == c1 or c3 == c2:
-                        continue
+                if c2 < c1:
+                    continue
+                for c3 in range(c2 + 1, rank + 1):
                     for outer in out.get((mid.range, c3), ()):
                         a = outer.name
                         try:
@@ -421,11 +409,65 @@ def _hexagon_failures(skeleton: Skeleton, swap: Mapping[Side, Side],
                         except KeyError:
                             continue
                         if h != n or j != r or g != q:
-                            yield HexagonFailure(
-                                (a, b, c), (h, j, g), (n, r, q),
-                                (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
-                                (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
-                            )
+                            failing.append((a, b, c))
+    bad = set(report.unmatched)
+    for side, partners in report.ambiguous:
+        bad.add(side)
+        bad.update(p for p in partners if swap.get(p) == side)
+    if rank < 3 or not (bad or failing):
+        return report
+    candidates = {y for x in failing for y in _walks(swap, x, 3)}
+    edge = skeleton.edge_map
+    for b, c in bad:
+        eb, ec = edge[b], edge[c]
+        for color in range(1, rank + 1):
+            if color != eb.color and color != ec.color:
+                for x in skeleton._into.get((ec.source, color), ()):
+                    candidates.update(_walks(swap, (b, c, x.name), 5))
+                for x in out.get((eb.range, color), ()):
+                    candidates.update(_walks(swap, (x.name, b, c), 5))
+    found = filter(None, (_hexagon_failure(swap, *x) for x in candidates))
+    report.hexagon_failures.extend(sorted(found, key=lambda fail: (
+        fail.triple[2], edge[fail.triple[1]].color, fail.triple[1],
+        edge[fail.triple[0]].color, fail.triple[0])))
+    return report
+
+
+def _walks(swap: Mapping[Side, Side], x: tuple[str, str, str],
+           radius: int) -> Iterator[tuple[str, str, str]]:
+    """3-paths reached from ``x`` by at most ``radius`` alternating moves, either move first."""
+    yield x
+    for first in (0, 1):
+        a, b, c = x
+        for step in range(first, first + radius):
+            try:
+                if step % 2:
+                    b, c = swap[b, c]
+                else:
+                    a, b = swap[a, b]
+            except KeyError:
+                break
+            yield a, b, c
+
+
+def _hexagon_failure(swap: Mapping[Side, Side], a: str, b: str, c: str) -> HexagonFailure | None:
+    """The witness when both routes around the 3-path ``(a, b, c)`` exist and disagree."""
+    try:
+        d, e = swap[a, b]
+        f, g = swap[e, c]
+        h, j = swap[d, f]
+        k, m = swap[b, c]
+        n, p = swap[a, k]
+        r, q = swap[p, m]
+    except KeyError:
+        return None
+    if (h, j, g) == (n, r, q):
+        return None
+    return HexagonFailure(
+        (a, b, c), (h, j, g), (n, r, q),
+        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
+        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
+    )
 
 
 class SourceFreeness(NamedTuple):

@@ -227,6 +227,8 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     free = graph.is_source_free()
     if not free.ok:
         raise SplitError(f"graph is not source-free, e.g. {free.witnesses[0]}")
+    if not 1 <= spec.color <= graph.k:
+        raise SplitError(f"color {spec.color} out of range 1..{graph.k}")
     if graph.k >= 3:
         sinks = graph.degree_sinks(spec.color)
         if sinks:

@@ -215,19 +215,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("k, cases", [(3, 150), (4, 200)])
     def test_report_matches_a_sweep_of_every_three_path(self, k, cases):
-        # validate checks only the ascending 3-paths of a complete square set
-        # unless one fails; the reference checks all of them every time
+        # validate re-checks only 3-paths near a bad side or a failing
+        # ascending 3-path; the reference checks all of them every time
         complete_with_failures = failures_without_color_one = 0
         for seed in range(cases):
-            rng = random.Random(seed)
-            graph, _ = random_double(rng, k=k, max_vertices=3)
-            # in a double, a twist in colors i and j breaks every triple with
-            # both; without one color, some failures avoid that color
-            gone = rng.choice((None, 1, 2, 3, 4)) if k == 4 else None
-            if gone:
-                graph = _without_color(graph, gone)
-            squares = _mutated_squares(rng, graph)
-            reference = _reference_report(graph.skeleton, squares)
+            graph, squares, reference = _oracle_case(seed, k, max_vertices=3)
             assert validate(graph.skeleton, squares).lines() == reference.lines(), seed
             if reference.hexagon_failures and not (reference.unmatched or reference.ambiguous):
                 complete_with_failures += 1
@@ -238,6 +230,42 @@ class TestValidation:
         assert complete_with_failures >= 10
         if k == 4:  # only colors 2-4 fail: an ascending sweep must not skip that triple
             assert failures_without_color_one
+
+    @pytest.mark.parametrize("seeds", [range(300, 400), range(900, 1000)],
+                             ids=["seeds-300-399", "seeds-900-999"])
+    def test_failures_five_moves_from_a_bad_point(self, seeds):
+        # seeds 339 and 957 each leave a failing 3-path that no walk of four
+        # moves from a bad point reaches, and no walk of three moves from a
+        # failing ascending 3-path
+        for seed in seeds:
+            graph, squares, reference = _oracle_case(seed, 4, max_vertices=4)
+            assert validate(graph.skeleton, squares).lines() == reference.lines(), seed
+
+    def test_product_scale_report_matches_the_reference(self):
+        # four 3-cycles; the first has an edge x parallel to s0, so each
+        # square through s0 has a twin through x
+        graph = product_graph([_cycle(f"f{i}_", 3, parallel=(i == 0)) for i in range(4)])
+        assert validate(graph.skeleton, graph.squares).summary() == "valid k-graph"
+
+        def twin(side):
+            return tuple(name.replace("f0_s0~", "f0_x~") for name in side)
+
+        pairs = list(graph.squares.pairs)
+        rng = random.Random(5)
+        for _ in range(len(pairs) // 50 + 1):  # drop over 2% of the squares
+            del pairs[rng.randrange(len(pairs))]
+        kept = set(pairs)
+        with_twin = [(s, t) for s, t in pairs if s != twin(s) and (twin(s), twin(t)) in kept]
+        s, t = with_twin[0]  # one conflicting pair
+        pairs.append((s, twin(t)))
+        s, t = with_twin[-1]  # one square and its twin exchange partners
+        pairs.remove((s, t))
+        pairs.remove((twin(s), twin(t)))
+        pairs += [(s, twin(t)), (twin(s), t)]
+        squares = SquareSet.create(graph.skeleton, pairs)
+        reference = _reference_report(graph.skeleton, squares)
+        assert reference.unmatched and reference.ambiguous and reference.hexagon_failures
+        assert validate(graph.skeleton, squares).lines() == reference.lines()
 
 
 def _partners_from_pairs(pairs) -> dict:
@@ -288,6 +316,27 @@ def _reference_report(skeleton: Skeleton, squares: SquareSet) -> ValidationRepor
                         (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
                     ))
     return report
+
+
+def _oracle_case(seed: int, k: int, max_vertices: int):
+    """A seeded double with mutated squares: the graph, the squares and the reference report."""
+    rng = random.Random(seed)
+    graph, _ = random_double(rng, k=k, max_vertices=max_vertices)
+    # in a double, a twist in colors i and j breaks every triple with
+    # both; without one color, some failures avoid that color
+    gone = rng.choice((None, 1, 2, 3, 4)) if k == 4 else None
+    if gone:
+        graph = _without_color(graph, gone)
+    squares = _mutated_squares(rng, graph)
+    return graph, squares, _reference_report(graph.skeleton, squares)
+
+
+def _cycle(tag: str, n: int, parallel: bool = False) -> Skeleton:
+    """A 1-colored n-cycle of edges ``s0, s1, ...``; with ``parallel``, an edge ``x`` beside ``s0``."""
+    edges = [Edge(f"{tag}s{i}", 1, f"{tag}{i}", f"{tag}{(i + 1) % n}") for i in range(n)]
+    if parallel:
+        edges.append(Edge(f"{tag}x", 1, f"{tag}0", f"{tag}1"))
+    return Skeleton.create(1, [f"{tag}{i}" for i in range(n)], edges)
 
 
 def _without_color(graph: KGraph, color: int) -> KGraph:

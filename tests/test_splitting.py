@@ -231,6 +231,17 @@ class TestSplitPreconditions:
         two = diagonal_double(vertices, arrows, 2)
         outsplit(two, default_spec(two, 1, "u0"))
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("color", [0, 4])
+    def test_color_out_of_range(self, k, color):
+        # at rank 3 the sink check would otherwise meet the color first, in
+        # degree_sinks, and raise a bare ValueError
+        graph = diagonal_double(["u0", "u1"], [("a", "u0", "u0"), ("b", "u0", "u0"),
+                                               ("c", "u0", "u1"), ("d", "u1", "u0")], k)
+        spec = default_spec(graph, 1, "u0")
+        with pytest.raises(SplitError, match=rf"color {color} out of range 1\.\.{k}"):
+            outsplit(graph, SplitSpec(color, spec.base, spec.partitions))
+
 
 class TestSiblingsAndPairing:
     def test_worked_sibling_sets(self, lambda_one, lambda_two):
