@@ -133,11 +133,8 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
     color = doc.color_index(color_name)
     if base != "-" and not graph.skeleton.has_vertex(base):  # "-": no base recorded
         raise SplitError(f"inconsistent split data: unknown base vertex {base!r}")
-    vertex_names = set(split_graph.vertices)
-    parent_vertex = {c: p for c, p in parents.items() if c in vertex_names}
-    parent_edge = {c: p for c, p in parents.items() if c not in vertex_names}
     try:
-        result = splitting.reconstruct_split(graph, split_graph, color, parent_vertex, parent_edge)
+        result = splitting.reconstruct_split(graph, split_graph, color, parents)
     except SplitError as exc:
         raise SplitError(f"inconsistent split data: {exc}") from exc
     if not result.paired:

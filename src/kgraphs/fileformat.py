@@ -294,8 +294,7 @@ def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:
     colors = tuple(colors)
     base = result.base if result.base is not None else "-"
     lines = [f"split color={colors[result.color - 1]} base={base}"]
-    items = list(result.parent_vertex.items()) + list(result.parent_edge.items())
-    lines.extend(f"parent {child} = {parent}" for child, parent in sorted(items))
+    lines.extend(f"parent {child} = {parent}" for child, parent in sorted(result.parent.items()))
     return "\n".join(lines) + "\n"
 
 

@@ -377,7 +377,7 @@ class SplitEmbedding:
         self._path_cache: dict[Path, KPElement] = {}
 
     def vertex_image(self, v: str) -> KPElement:
-        return self.algebra.vertex(self.result.vertex_copy(v, 1))
+        return self.algebra.vertex(self.result.copy_of(v, 1))
 
     def path_image(self, path: Path) -> KPElement:
         if path.is_vertex:
@@ -593,7 +593,7 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     corner_paths: list[Path] = []
     gamma = result.graph
     for v in result.original.vertices:
-        top = result.vertex_copy(v, 1)
+        top = result.copy_of(v, 1)
         corner_paths.append(gamma.vertex_path(top))
         for total in range(1, max_len + 1):
             for degree in degrees_with_total(gamma.k, total):

@@ -706,48 +706,25 @@ def product_graph(factors: Sequence[Skeleton]) -> KGraph:
     if k == 1:
         return build_kgraph(factors[0], SquareSet(()))
 
-    def vname(coords: tuple[str, ...]) -> str:
-        return "|".join(coords)
+    def vname(point: tuple[str, ...]) -> str:
+        return "|".join(point)
 
-    def ename(i: int, edge: Edge, coords: tuple[str, ...]) -> str:
-        others = coords[:i] + coords[i + 1 :]
-        return f"{edge.name}~{i + 1}|{'|'.join(others)}"
+    def ename(i: int, edge: Edge, point: tuple[str, ...]) -> str:
+        return f"{edge.name}~{i + 1}|{'|'.join(point[:i] + point[i + 1 :])}"
 
-    coords_iter = list(itertools.product(*[f.vertices for f in factors]))
-    vertices = [vname(c) for c in coords_iter]
+    def step(point: tuple[str, ...], i: int, edge: Edge) -> tuple[str, ...]:
+        return point[:i] + (edge.range,) + point[i + 1 :]
+
+    points = list(itertools.product(*[f.vertices for f in factors]))
+    vertices = [vname(p) for p in points]
     edges = []
-    for i, factor in enumerate(factors):
-        for edge in factor.edges:
-            for coords in coords_iter:
-                if coords[i] != edge.source:
-                    continue
-                target = coords[:i] + (edge.range,) + coords[i + 1 :]
-                edges.append(
-                    Edge(ename(i, edge, coords), i + 1, vname(coords), vname(target))
-                )
     pairs = []
-    for i, j in itertools.combinations(range(k), 2):
-        for ei in factors[i].edges:
-            for ej in factors[j].edges:
-                other_axes = [x for x in range(k) if x not in (i, j)]
-                for rest in itertools.product(*[factors[x].vertices for x in other_axes]):
-                    coords = [""] * k
-                    for axis, val in zip(other_axes, rest):
-                        coords[axis] = val
-                    def at(ci: str, cj: str) -> tuple[str, ...]:
-                        c = list(coords)
-                        c[i], c[j] = ci, cj
-                        return tuple(c)
-                    # side 1: move factor j first, then factor i
-                    side1 = (
-                        ename(i, ei, at(ei.source, ej.range)),
-                        ename(j, ej, at(ei.source, ej.source)),
-                    )
-                    # side 2: move factor i first, then factor j
-                    side2 = (
-                        ename(j, ej, at(ei.range, ej.source)),
-                        ename(i, ei, at(ei.source, ej.source)),
-                    )
-                    pairs.append((side1, side2))
+    for p in points:
+        out = [(i, e) for i, f in enumerate(factors) for e in f.edges_from(p[i], 1)]
+        edges.extend(Edge(ename(i, e, p), i + 1, vname(p), vname(step(p, i, e))) for i, e in out)
+        for (i, ei), (j, ej) in itertools.combinations(out, 2):
+            if i != j:  # side 1 moves factor j first, side 2 factor i first
+                pairs.append(((ename(i, ei, step(p, j, ej)), ename(j, ej, p)),
+                              (ename(j, ej, step(p, i, ei)), ename(i, ei, p))))
     skeleton = Skeleton.create(k, vertices, edges)
     return build_kgraph(skeleton, SquareSet.create(skeleton, pairs))

@@ -29,7 +29,6 @@ operation and the algebra embedding in :mod:`kgraphs.kp` well behaved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .skeleton import (
@@ -177,45 +176,30 @@ def _copy_name(item: str, index: int) -> str:
 class SplitResult:
     """A split graph together with its bookkeeping back to the original.
 
-    ``copy_index`` and the parent maps cover both vertices and edges; the
-    naming convention is ``item.i`` for the i-th copy.  ``base`` is absent
-    when the result was reconstructed from serialized files.
+    ``parent`` maps every copy, vertex or edge, to its original, and
+    ``copy_index`` gives its copy number; vertex and edge ids never clash,
+    so one map holds both kinds.  The i-th copy of an item is named
+    ``item.i``, and an edge's copy ``e.i`` has range ``r(e).i``:
+    :func:`outsplit` builds names this way, :func:`reconstruct_split`
+    rejects a split that breaks the rule, and :meth:`copy_of` relies on it.
+    ``base`` is absent when the result was reconstructed from serialized files.
     """
 
     original: KGraph
     graph: KGraph
     color: int
     base: str | None
-    parent_vertex: Mapping[str, str] = field(repr=False)
-    parent_edge: Mapping[str, str] = field(repr=False)
+    parent: Mapping[str, str] = field(repr=False)
     copy_index: Mapping[str, int] = field(repr=False)
     counts: Mapping[str, int] = field(repr=False)
     paired: bool
 
-    @cached_property
-    def _vertex_copies(self) -> Mapping[tuple[str, int], str]:
-        return {
-            (self.parent_vertex[v], self.copy_index[v]): v for v in self.graph.vertices
-        }
-
-    @cached_property
-    def _edge_by_range(self) -> Mapping[tuple[str, str], str]:
-        # a parent edge has exactly one copy per range copy
-        return {
-            (self.parent_edge[e.name], e.range): e.name for e in self.graph.edges
-        }
-
-    def vertex_copy(self, vertex: str, index: int) -> str:
-        try:
-            return self._vertex_copies[(vertex, index)]
-        except KeyError:
-            raise SplitError(f"no copy {index} of vertex {vertex!r}") from None
-
-    def edge_copy_with_range(self, edge: str, range_vertex: str) -> str:
-        try:
-            return self._edge_by_range[(edge, range_vertex)]
-        except KeyError:
-            raise SplitError(f"no copy of edge {edge!r} with range {range_vertex!r}") from None
+    def copy_of(self, item: str, index: int) -> str:
+        """The ``index``-th copy of a vertex or edge of the original graph."""
+        name = _copy_name(item, index)
+        if self.parent.get(name) != item:
+            raise SplitError(f"no copy {index} of {item!r}")
+        return name
 
 
 def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
@@ -243,13 +227,14 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     block = {(v, name): j for v, blocks in spec.partitions.items()
              for j, names in enumerate(blocks, start=1) for name in names}
 
-    parent_vertex: dict[str, str] = {}
+    parent: dict[str, str] = {}
     copy_index: dict[str, int] = {}
     for v in graph.vertices:
         for i in range(1, counts[v] + 1):
             name = _copy_name(v, i)
-            parent_vertex[name] = v
+            parent[name] = v
             copy_index[name] = i
+    vertex_copies = list(parent)
 
     def source_block(e: Edge, i: int) -> int:
         """Block index j with source(e^i) = source(e)^j."""
@@ -268,17 +253,16 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         return answers.pop()
 
     edges = []
-    parent_edge: dict[str, str] = {}
     source_of: dict[str, str] = {}
     for e in graph.edges:
         for i in range(1, counts[e.range] + 1):
             name = _copy_name(e.name, i)
             source = source_of[name] = _copy_name(e.source, source_block(e, i))
             edges.append(Edge(name, e.color, source, _copy_name(e.range, i)))
-            parent_edge[name] = e.name
+            parent[name] = e.name
             copy_index[name] = i
 
-    skeleton = Skeleton.create(graph.k, parent_vertex, edges)
+    skeleton = Skeleton.create(graph.k, vertex_copies, edges)
 
     pairs = []
     for (a, b), (g, h) in graph.squares.pairs:
@@ -307,8 +291,7 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         graph=split_graph,
         color=color,
         base=spec.base,
-        parent_vertex=parent_vertex,
-        parent_edge=parent_edge,
+        parent=parent,
         copy_index=copy_index,
         counts=counts,
         paired=pairing_report(graph, color).ok,
@@ -319,66 +302,67 @@ def reconstruct_split(
     original: KGraph,
     graph: KGraph,
     color: int,
-    parent_vertex: Mapping[str, str],
-    parent_edge: Mapping[str, str],
+    parent: Mapping[str, str],
 ) -> SplitResult:
     """Rebuild the bookkeeping for a split loaded from serialized files.
 
-    Every key of the parent maps must name an item of ``graph``; copy indices
-    come from the ``item.i`` names, an edge must be named after its parent, and
-    the maps are re-checked against ranges, degrees, the original graph and the
-    split color: a vertex with several copies has one per outgoing split-color edge.
+    ``parent`` is the sidecar's map from every vertex and edge of ``graph``
+    to its original, and each of its keys must name such an item.  Copy
+    indices come from the ``item.i`` names; the copies of a vertex must be
+    named ``v.1 .. v.n``, an edge copy ``e.i`` must have range ``r(e).i``,
+    and the map is re-checked against colors, sources, the original graph
+    and the split color: a vertex with several copies has one per outgoing
+    split-color edge.  These are the naming rules :class:`SplitResult` states.
     """
-    unknown = [c for c in parent_vertex if not graph.skeleton.has_vertex(c)]
-    unknown += [c for c in parent_edge if c not in graph.skeleton.edge_map]
+    unknown = [c for c in parent
+               if not graph.skeleton.has_vertex(c) and c not in graph.skeleton.edge_map]
     if unknown:
         raise SplitError(f"parent line for unknown item {min(unknown)!r}")
     copy_index: dict[str, int] = {}
     counts: dict[str, int] = {v: 0 for v in original.vertices}
     for v in graph.vertices:
-        parent = parent_vertex.get(v)
-        if parent is None or parent not in counts:
+        origin = parent.get(v)
+        if origin is None or origin not in counts:
             raise SplitError(f"vertex {v!r} has no valid parent")
         copy_index[v] = _parse_copy_index(v)
-        counts[parent] += 1
+        counts[origin] += 1
     for v, n in counts.items():
         if n == 0:
             raise SplitError(f"original vertex {v!r} has no copies")
         for i in range(1, n + 1):
-            if parent_vertex.get(_copy_name(v, i)) != v:
+            if parent.get(_copy_name(v, i)) != v:
                 raise SplitError(f"copies of {v!r} are not named {v}.1 .. {v}.{n}")
         out = len(original.skeleton.edges_from(v, color))
         if n > 1 and n != out:
             raise SplitError(f"vertex {v!r} has {n} copies but {out} outgoing edge(s) "
                              f"in the split color")
     for e in graph.edges:
-        parent = parent_edge.get(e.name)
-        if parent is None:
+        origin = parent.get(e.name)
+        if origin is None:
             raise SplitError(f"edge {e.name!r} has no parent")
-        pe = original.skeleton.edge_map.get(parent)
+        pe = original.skeleton.edge_map.get(origin)
         if pe is None:
             raise SplitError(f"edge {e.name!r} has no valid parent")
         idx = _parse_copy_index(e.name)
-        if e.name != _copy_name(parent, idx):
-            raise SplitError(f"edge {e.name!r} is not named {parent}.<copy index>")
+        if e.name != _copy_name(origin, idx):
+            raise SplitError(f"edge {e.name!r} is not named {origin}.<copy index>")
         copy_index[e.name] = idx
         if pe.color != e.color:
-            raise SplitError(f"edge {e.name!r} changed color relative to {parent!r}")
+            raise SplitError(f"edge {e.name!r} changed color relative to {origin!r}")
         if e.range != _copy_name(pe.range, idx):
             raise SplitError(f"edge {e.name!r} should have range {pe.range}.{idx}")
-        if parent_vertex[e.source] != pe.source:
+        if parent[e.source] != pe.source:
             raise SplitError(f"edge {e.name!r} has a source that is not a copy of {pe.source!r}")
     for e in original.edges:
         for i in range(1, counts[e.range] + 1):
-            if parent_edge.get(_copy_name(e.name, i)) != e.name:
+            if parent.get(_copy_name(e.name, i)) != e.name:
                 raise SplitError(f"missing copy {e.name}.{i}")
     return SplitResult(
         original=original,
         graph=graph,
         color=color,
         base=None,
-        parent_vertex=dict(parent_vertex),
-        parent_edge=dict(parent_edge),
+        parent=dict(parent),
         copy_index=copy_index,
         counts=counts,
         paired=pairing_report(original, color).ok,
@@ -439,9 +423,10 @@ def pairing_report(graph: KGraph, color: int) -> PairingReport:
 def copy_path(result: SplitResult, path: Path, index: int) -> Path:
     """The copy of a path whose range is the ``index``-th copy of its range.
 
-    Built edgewise from the range end: each edge lifts to its unique copy
-    at the current range vertex.  Requires a paired input so that the
-    copies of a path differ only in the last-composed edge.
+    Built edgewise from the range end: each edge lifts to its copy whose
+    range is the current vertex, so the lifted edges compose and keep their
+    parents' colors.  Requires a paired input so that the copies of a path
+    differ only in the last-composed edge.
     """
     if not result.paired:
         raise UnpairedError(
@@ -450,19 +435,18 @@ def copy_path(result: SplitResult, path: Path, index: int) -> Path:
     n = result.counts[path.range]
     if not 1 <= index <= n:
         raise SplitError(f"copy index {index} out of range 1..{n} for range {path.range!r}")
-    target = result.vertex_copy(path.range, index)
-    if path.is_vertex:
-        return result.graph.vertex_path(target)
+    top = target = result.copy_of(path.range, index)
+    edge_map = result.graph.skeleton.edge_map
     lifted: list[str] = []
     for name in reversed(path.edges):
-        ge = result.edge_copy_with_range(name, target)
-        lifted.append(ge)
-        target = result.graph.edge(ge).source
-    return result.graph.make_path(tuple(reversed(lifted)))
+        edge = edge_map[result.copy_of(name, result.copy_index[target])]
+        lifted.append(edge.name)  # the graph's own string, shared by every cached path
+        target = edge.source
+    return Path(tuple(reversed(lifted)), target, top, path.degree)
 
 
 def parent_path(result: SplitResult, path: Path) -> Path:
     """Edgewise image of a split-graph path in the original graph."""
-    if path.is_vertex:
-        return result.original.vertex_path(result.parent_vertex[path.source])
-    return result.original.make_path(tuple(result.parent_edge[e] for e in path.edges))
+    parent = result.parent
+    return Path(tuple(parent[e] for e in path.edges), parent[path.source],
+                parent[path.range], path.degree)

@@ -150,13 +150,13 @@ def test_criterion_8_corner_and_grading(split_one):
 def test_criterion_9_saturation(split_one, split_two):
     with budget("9 (saturation of first copies)", 60.0):
         for result in (split_one, split_two):
-            seeds = [result.vertex_copy(v, 1) for v in result.original.vertices]
+            seeds = [result.copy_of(v, 1) for v in result.original.vertices]
             assert saturation(result.graph, seeds) == set(result.graph.vertices)
         rng = random.Random(2026)
         for trial in range(100):
             graph, base = random_double(rng, k=2)
             result = outsplit(graph, shuffled_spec(graph, 1, base, rng))
-            seeds = [result.vertex_copy(v, 1) for v in graph.vertices]
+            seeds = [result.copy_of(v, 1) for v in graph.vertices]
             assert saturation(result.graph, seeds) == set(result.graph.vertices), (
                 f"trial {trial}"
             )
@@ -184,7 +184,7 @@ def test_criterion_10b_random_splits():
             assert validate(gamma.skeleton, gamma.squares).ok, f"trial {trial}"
             assert gamma.is_source_free().ok
             for gv in gamma.vertices:
-                v = result.parent_vertex[gv]
+                v = result.parent[gv]
                 for c in range(1, k + 1):
                     assert len(gamma.skeleton.edges_into(gv, c)) == len(
                         graph.skeleton.edges_into(v, c)
@@ -192,7 +192,7 @@ def test_criterion_10b_random_splits():
             ranges_by_parent: dict[str, list[str]] = {}
             sources_by_parent: dict[str, set[str]] = {}
             for e in gamma.edges:
-                parent = result.parent_edge[e.name]
+                parent = result.parent[e.name]
                 ranges_by_parent.setdefault(parent, []).append(e.range)
                 sources_by_parent.setdefault(parent, set()).add(e.source)
             for ranges in ranges_by_parent.values():

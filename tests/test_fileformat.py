@@ -135,10 +135,24 @@ class TestParse:
             (MINIMAL + "split color=blue base=p\npartition p : {a} {a,t}\n", 7, 22, "unknown edge 't'"),
             (MINIMAL + "split color=blue base=p\npartition p : {a} a\n", 7, 19, "malformed block 'a'"),
             (MINIMAL + "  widget w\n", 6, 3, "unknown declaration 'widget'"),
+            ("kgraph 1 k=2\n", 1, 1, "expected: kgraph <version> k=<int> colors=<name,...>"),
+            (MINIMAL + "vertex q r\n", 6, 1, "expected: vertex <id>"),
+            (MINIMAL + "split color=blue base=p\nsplit color=blue base=p\n",
+             7, 1, "duplicate split line"),
+            (MINIMAL + "split color=blue\n", 6, 1, "expected: split color=<color> base=<vertex>"),
+            (MINIMAL + "split color=blue base=p\npartition p {a}\n",
+             7, 1, "expected: partition <vertex> : {<e>,...} ..."),
+            (MINIMAL + "split color=blue base=p\npartition q : {a}\n", 7, 11, "unknown vertex 'q'"),
+            (MINIMAL + "split color=blue base=p\npartition p : {a}\npartition p : {a}\n",
+             8, 11, "duplicate partition for 'p'"),
+            (MINIMAL + "split color=blue base=p\npartition p : {a} {,}\n",
+             7, 19, "empty partition block"),
         ],
         ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color", "bad-rank",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
-             "malformed-block", "indented-keyword"],
+             "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
+             "duplicate-split", "malformed-split", "malformed-partition",
+             "partition-unknown-vertex", "duplicate-partition", "empty-block"],
     )
     def test_error_columns_point_at_the_token(self, text, line, column, message):
         with pytest.raises(ParseError) as err:
@@ -192,6 +206,8 @@ class TestRoundTrip:
         again = parse(serialize(doc))
         assert again == doc
         assert serialize(again) == serialize(doc)
+        with pytest.raises(ValueError, match=r"^need 2 color names, got 1$"):
+            document_for_graph(graph, ["blue"])
 
     def test_serialization_is_canonical(self, lambda_one_doc):
         text = serialize(lambda_one_doc)
@@ -227,14 +243,34 @@ class TestPartitionFile:
         assert (err.value.line, err.value.column) == (1, 23)
 
 
+@pytest.mark.parametrize(
+    "reader,text,line,column,message",
+    [
+        ("partition", "split color=blue base=v\nsplit color=blue base=v\n",
+         2, 1, "duplicate split line"),
+        ("partition", "split color=blue base=v\n  widget w\n", 2, 3, "unknown declaration 'widget'"),
+        ("sidecar", "split color=blue base=v\nparent a.1 a\n", 2, 1, "expected: parent <item> = <item>"),
+        ("sidecar", "split color=blue base=v\n  widget w\n", 2, 3, "unknown declaration 'widget'"),
+    ],
+    ids=["partition-duplicate-split", "partition-unknown-declaration", "sidecar-malformed-parent",
+         "sidecar-unknown-declaration"],
+)
+def test_fragment_error_positions(lambda_one_doc, reader, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        if reader == "partition":
+            parse_partition_file(text, lambda_one_doc)
+        else:
+            parse_sidecar(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 class TestSidecar:
     def test_round_trip(self, lambda_one, lambda_one_doc):
         result = outsplit(lambda_one, paper_spec())
         text = sidecar_text(result, lambda_one_doc.colors)
         color, base, parents = parse_sidecar(text)
         assert color == "blue" and base == "v"
-        merged = dict(result.parent_vertex) | dict(result.parent_edge)
-        assert parents == merged
+        assert parents == result.parent
 
     def test_parse_errors(self):
         with pytest.raises(ParseError, match="missing split"):

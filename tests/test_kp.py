@@ -21,6 +21,7 @@ from kgraphs import (
     build_kgraph,
     copy_path,
     degrees_with_total,
+    product_graph,
     saturation,
     verify_corner,
     verify_diagonal,
@@ -490,7 +491,7 @@ class TestSaturation:
 
     def test_first_copies_saturate_the_split(self, split_one, split_two):
         for result in (split_one, split_two):
-            seeds = [result.vertex_copy(v, 1) for v in result.original.vertices]
+            seeds = [result.copy_of(v, 1) for v in result.original.vertices]
             assert saturation(result.graph, seeds) == set(result.graph.vertices)
 
     def test_empty_seed_stays_empty_on_a_loop(self):
@@ -519,6 +520,16 @@ class TestInducedFamily:
     def test_unpaired_input_rejected(self, split_two):
         with pytest.raises(UnpairedError):
             SplitEmbedding(split_two)
+
+    def test_rank_three_sinks_rejected(self, split_one):
+        # outsplit refuses such an input, so graft one onto a real split
+        sink = Skeleton.create(1, ["p", "q"], [Edge("a", 1, "p", "p"), Edge("b", 1, "p", "q")])
+        loops = [Skeleton.create(1, [v], [Edge(f"{v}{v}", 1, v, v)]) for v in "rs"]
+        original = product_graph([sink, *loops])
+        assert original.degree_sinks(1)
+        with pytest.raises(UnpairedError) as exc:
+            SplitEmbedding(dataclasses.replace(split_one, original=original))
+        assert str(exc.value) == "rank 3 inputs must have no sinks in color 1"
 
     def test_path_image_shape(self, split_one):
         # one summand per rainbow path into the source vertex
@@ -619,7 +630,7 @@ class TestVerifiers:
         assert verify_diagonal(emb, max_len=2).ok
         assert verify_family(emb, max_paths=2).ok
         assert verify_grading(emb, max_len=2).ok
-        seeds = [result.vertex_copy(v, 1) for v in graph.vertices]
+        seeds = [result.copy_of(v, 1) for v in graph.vertices]
         assert saturation(result.graph, seeds) == set(result.graph.vertices)
 
     def test_random_double_split_verifies(self):
@@ -653,6 +664,17 @@ class TestVerifiers:
         assert [r.summary() for r in with_shared] == [r.summary() for r in with_fresh]
         assert [r.failures for r in with_shared] == [r.failures for r in with_fresh]
         assert all(r.ok for r in with_shared) != corrupt
+
+    def test_grading_reports_a_mixed_image(self, split_one, monkeypatch):
+        # an image of n with a degree-zero summand is not homogeneous
+        emb = SplitEmbedding(split_one)
+        n = split_one.original.make_path(("n",))
+        image = emb.path_image
+        monkeypatch.setattr(emb, "path_image",
+                            lambda p: image(p) + emb.vertex_image(p.range) if p == n else image(p))
+        report = verify_grading(emb, max_len=1)
+        assert report.failures == ["s[n] homogeneous of (1,0)", "s*[n] homogeneous of -(1,0)"]
+        assert report.summary() == "grading: FAIL (2 failures), 32 checks"
 
     def test_verifier_summaries(self, split_one):
         report = verify_diagonal(SplitEmbedding(split_one), max_len=1)

@@ -163,6 +163,10 @@ class TestSplitSpec:
                 {"v": (("α",), ("h",), ("α",)), "x": (("k",), ("ℓ",)), "z": (("n",),)},
                 "two blocks|do not cover",
             ),
+            (
+                {"v": (("α",), ("h", "i"), ()), "x": (("k",), ("ℓ",)), "z": (("n",),)},
+                "empty block at vertex 'v'",
+            ),
         ],
     )
     def test_invalid_partitions(self, lambda_one, partitions, message):
@@ -185,8 +189,8 @@ class TestGoldenSplits:
         assert split_two.graph.edge("b.2").source == "v.3"
 
     def test_bookkeeping(self, split_one):
-        assert split_one.parent_edge["b.2"] == "b"
-        assert split_one.parent_vertex["v.3"] == "v"
+        assert split_one.parent["b.2"] == "b"
+        assert split_one.parent["v.3"] == "v"
         assert split_one.copy_index["α.3"] == 3
         assert split_one.counts == {"v": 3, "x": 2, "y": 1, "z": 1}
         assert split_one.paired
@@ -272,6 +276,9 @@ class TestSiblingsAndPairing:
         assert not report.ok
         assert report.witness == ("b", ("h", "i"))
         assert report.describe() == "b : {h, i}"
+        for color in (0, 3):
+            with pytest.raises(SplitError, match=rf"^color {color} out of range 1\.\.2$"):
+                pairing_report(lambda_one, color)
 
     def test_products_can_fail_pairing(self):
         # a factor vertex with out-degree two makes the product unpaired
@@ -312,7 +319,7 @@ class TestCopyPath:
         assert lifted.edges == ("h.1", "e.1")
         assert lifted.source == "v.2" and lifted.range == "y.1"
 
-    def test_vertex_copies(self, split_one):
+    def test_vertex_path_copies(self, split_one):
         v = split_one.original.vertex_path("v")
         assert copy_path(split_one, v, 3).source == "v.3"
 
@@ -359,17 +366,17 @@ class TestParentPath:
     def test_parent_commutes_with_endpoints_and_degree(self, split_one):
         lam = split_one.original
         for e in split_one.graph.edges:
-            parent = lam.edge(split_one.parent_edge[e.name])
+            parent = lam.edge(split_one.parent[e.name])
             assert parent.color == e.color
-            assert split_one.parent_vertex[e.source] == parent.source
-            assert split_one.parent_vertex[e.range] == parent.range
+            assert split_one.parent[e.source] == parent.source
+            assert split_one.parent[e.range] == parent.range
 
 
 class TestStructuralInvariants:
     def test_fan_in_preserved(self, split_one):
         lam, gamma = split_one.original, split_one.graph
         for gv in gamma.vertices:
-            v = split_one.parent_vertex[gv]
+            v = split_one.parent[gv]
             for c in (BLUE, RED):
                 assert len(gamma.skeleton.edges_into(gv, c)) == len(
                     lam.skeleton.edges_into(v, c)
@@ -379,14 +386,14 @@ class TestStructuralInvariants:
         for result in (split_one, split_two):
             by_parent: dict[str, list[str]] = {}
             for e in result.graph.edges:
-                by_parent.setdefault(result.parent_edge[e.name], []).append(e.range)
+                by_parent.setdefault(result.parent[e.name], []).append(e.range)
             for ranges in by_parent.values():
                 assert len(set(ranges)) == len(ranges)
 
     def test_paired_split_copies_share_source(self, split_one):
         by_parent: dict[str, set[str]] = {}
         for e in split_one.graph.edges:
-            by_parent.setdefault(split_one.parent_edge[e.name], set()).add(e.source)
+            by_parent.setdefault(split_one.parent[e.name], set()).add(e.source)
         assert all(len(sources) == 1 for sources in by_parent.values())
 
     def test_unpaired_split_can_separate_sources(self, split_two):
@@ -403,7 +410,7 @@ class TestStructuralInvariants:
             assert validate(result.graph.skeleton, result.graph.squares).ok
             assert result.graph.is_source_free().ok
             for gv in result.graph.vertices:
-                v = result.parent_vertex[gv]
+                v = result.parent[gv]
                 for c in range(1, k + 1):
                     assert len(result.graph.skeleton.edges_into(gv, c)) == len(
                         graph.skeleton.edges_into(v, c)
@@ -415,47 +422,101 @@ class TestStructuralInvariants:
         print(f"pairedness preserved on the worked example: {preserved}")
 
 
+# Λ for the rejection table: blue loops a and c at u, a red loop d at w and a
+# blue loop g at x.  No two edges of different colors compose, here or in any
+# variant below, so each is a 2-graph without squares.
+LOOPS = {"a": (BLUE, "u", "u"), "c": (BLUE, "u", "u"), "d": (RED, "w", "w"), "g": (BLUE, "x", "x")}
+# a consistent split of it at u in blue, named as outsplit names copies
+LOOPS_SPLIT = {
+    "a.1": (BLUE, "u.1", "u.1"),
+    "a.2": (BLUE, "u.1", "u.2"),
+    "c.1": (BLUE, "u.2", "u.1"),
+    "c.2": (BLUE, "u.2", "u.2"),
+    "d.1": (RED, "w.1", "w.1"),
+    "g.1": (BLUE, "x.1", "x.1"),
+}
+
+
+def _two_graph(edges):
+    vertices = {v for _, source, target in edges.values() for v in (source, target)}
+    skeleton = Skeleton.create(2, vertices, [Edge(name, *rest) for name, rest in edges.items()])
+    return build_kgraph(skeleton, SquareSet(()))
+
+
+def _named_parents(graph):
+    """Each item's parent is its name without the copy index."""
+    items = [*graph.vertices, *(e.name for e in graph.edges)]
+    return {item: item.rpartition(".")[0] for item in items}
+
+
 class TestReconstruction:
+    def test_loops_split_is_consistent(self):
+        # the unchanged table passes, so each case below fails on its one change
+        graph = _two_graph(LOOPS_SPLIT)
+        result = reconstruct_split(_two_graph(LOOPS), graph, BLUE, _named_parents(graph))
+        assert result.counts == {"u": 2, "w": 1, "x": 1}
+        assert result.copy_of("a", 2) == "a.2"
+
+    @pytest.mark.parametrize("original_extra, split_changes, parent_changes, message", [
+        ({"e": (RED, "y", "y")}, {}, {}, "original vertex 'y' has no copies"),
+        ({}, {}, {"u.2": "w"}, "copies of 'w' are not named w.1 .. w.2"),
+        ({}, {"g.2": (BLUE, "x.1", "x.2")}, {},
+         "vertex 'x' has 2 copies but 1 outgoing edge(s) in the split color"),
+        ({}, {}, {"w.1": "d"}, "vertex 'w.1' has no valid parent"),
+        ({}, {}, {"d.1": "w"}, "edge 'd.1' has no valid parent"),
+        ({}, {"d.1": (BLUE, "w.1", "w.1")}, {}, "edge 'd.1' changed color relative to 'd'"),
+        ({}, {"a.2": (BLUE, "u.1", "u.1")}, {}, "edge 'a.2' should have range u.2"),
+        ({}, {"g.1": (BLUE, "u.1", "x.1")}, {},
+         "edge 'g.1' has a source that is not a copy of 'x'"),
+        ({}, {"c.2": None}, {}, "missing copy c.2"),
+        ({}, {"d.1": (RED, "w.one", "w.one")}, {}, "name 'w.one' does not end in a copy index"),
+    ], ids=["no-copies", "copy-names", "copy-count", "vertex-parent", "edge-parent", "color",
+            "range", "source", "missing-copy", "copy-index"])
+    def test_each_rejection(self, original_extra, split_changes, parent_changes, message):
+        original = _two_graph({**LOOPS, **original_extra})
+        split_edges = {**LOOPS_SPLIT, **split_changes}
+        graph = _two_graph({name: rest for name, rest in split_edges.items() if rest is not None})
+        with pytest.raises(SplitError) as exc:
+            reconstruct_split(original, graph, BLUE, _named_parents(graph) | parent_changes)
+        assert str(exc.value) == message
+
+    def test_copy_of(self, split_one):
+        assert split_one.copy_of("v", 3) == "v.3"
+        assert split_one.copy_of("b", 2) == "b.2"
+        for item, index in [("v", 4), ("y", 2), ("b", 0), ("nosuch", 1)]:
+            with pytest.raises(SplitError) as exc:
+                split_one.copy_of(item, index)
+            assert str(exc.value) == f"no copy {index} of {item!r}"
+
     def test_round_trip(self, split_one):
         rebuilt = reconstruct_split(
             split_one.original,
             split_one.graph,
             split_one.color,
-            dict(split_one.parent_vertex),
-            dict(split_one.parent_edge),
+            dict(split_one.parent),
         )
         assert rebuilt.copy_index == split_one.copy_index
         assert rebuilt.counts == split_one.counts
         assert rebuilt.paired == split_one.paired
 
     def test_inconsistencies_rejected(self, split_one):
-        parents_v = dict(split_one.parent_vertex)
-        parents_e = dict(split_one.parent_edge)
-        broken = dict(parents_e)
+        broken = dict(split_one.parent)
         broken["b.2"] = "c"
         with pytest.raises(SplitError):
-            reconstruct_split(
-                split_one.original, split_one.graph, BLUE, parents_v, broken
-            )
-        missing = dict(parents_e)
+            reconstruct_split(split_one.original, split_one.graph, BLUE, broken)
+        missing = dict(split_one.parent)
         del missing["b.2"]
         with pytest.raises(SplitError, match="no parent"):
-            reconstruct_split(
-                split_one.original, split_one.graph, BLUE, parents_v, missing
-            )
+            reconstruct_split(split_one.original, split_one.graph, BLUE, missing)
 
-    @pytest.mark.parametrize("vertex_extra, edge_extra, unknown", [
-        ({}, {"nosuch.1": "e"}, "nosuch.1"),
-        ({"nosuch.1": "v"}, {}, "nosuch.1"),
-        # a key names an item of the other kind
-        ({"b.1": "b"}, {}, "b.1"),
-        ({}, {"v.1": "v"}, "v.1"),
+    @pytest.mark.parametrize("extra, unknown", [
+        ({"nosuch.1": "e"}, "nosuch.1"),
+        ({"nosuch.1": "v"}, "nosuch.1"),
     ])
-    def test_parent_for_unknown_item_rejected(self, split_one, vertex_extra, edge_extra, unknown):
+    def test_parent_for_unknown_item_rejected(self, split_one, extra, unknown):
         with pytest.raises(SplitError) as exc:
             reconstruct_split(split_one.original, split_one.graph, BLUE,
-                              {**split_one.parent_vertex, **vertex_extra},
-                              {**split_one.parent_edge, **edge_extra})
+                              {**split_one.parent, **extra})
         assert str(exc.value) == f"parent line for unknown item {unknown!r}"
 
     def test_edge_named_off_its_parent_rejected(self):
@@ -466,6 +527,6 @@ class TestReconstruction:
         extra = Edge("a.01", BLUE, "v.1", "v.1")
         graph = build_kgraph(Skeleton.create(1, split.graph.vertices, split.graph.edges + (extra,)),
                              SquareSet(()))
-        parents_e = {**split.parent_edge, "a.01": "a"}
+        parents = {**split.parent, "a.01": "a"}
         with pytest.raises(SplitError, match=r"edge 'a\.01' is not named a\.<copy index>"):
-            reconstruct_split(original, graph, BLUE, dict(split.parent_vertex), parents_e)
+            reconstruct_split(original, graph, BLUE, parents)
