@@ -131,10 +131,8 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
     _, split_graph = _load(args.split_output)
     color_name, base, parents = _read(args.parents, fileformat.parse_sidecar)
     color = doc.color_index(color_name)
-    if base != "-" and not graph.skeleton.has_vertex(base):  # "-": no base recorded
-        raise SplitError(f"inconsistent split data: unknown base vertex {base!r}")
     try:
-        result = splitting.reconstruct_split(graph, split_graph, color, parents)
+        result = splitting.reconstruct_split(graph, split_graph, color, base, parents)
     except SplitError as exc:
         raise SplitError(f"inconsistent split data: {exc}") from exc
     if not result.paired:

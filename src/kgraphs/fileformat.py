@@ -85,7 +85,7 @@ def _column(raw: str, index: int) -> int:
 
 def _check_id(token: str, what: str, line: int, raw: str, index: int, skip: int = 0) -> str:
     """``token`` if it is a valid id; it starts ``skip`` characters into token ``index``."""
-    if not _ID.match(token) or token == "->":
+    if not _ID.match(token) or token in ("->", "-"):
         raise ParseError(line, _column(raw, index) + skip, f"invalid {what} identifier {token!r}")
     return token
 
@@ -298,8 +298,8 @@ def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
-    """Returns (color name, base vertex, child-to-parent map)."""
+def parse_sidecar(text: str) -> tuple[str, str | None, dict[str, str]]:
+    """Returns (color name, base vertex or ``None`` for ``base=-``, child-to-parent map)."""
     color = base = None
     parents: dict[str, str] = {}
     for lineno, raw, tokens in _declarations(text):
@@ -318,7 +318,7 @@ def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
             raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
     if color is None or base is None:
         raise ParseError(1, 1, "missing split line in parent sidecar")
-    return color, base, parents
+    return color, None if base == "-" else base, parents
 
 
 _DOT_STYLES = ("solid", "dashed", "dotted")

@@ -364,13 +364,13 @@ class SplitEmbedding:
     """
 
     def __init__(self, result: SplitResult):
-        if not result.paired:
-            raise UnpairedError(
-                f"the induced family needs an input paired in color {result.color}"
-            )
         if result.original.k >= 3 and result.original.degree_sinks(result.color):
             raise UnpairedError(
                 f"rank {result.original.k} inputs must have no sinks in color {result.color}"
+            )
+        if not result.paired:
+            raise UnpairedError(
+                f"the induced family needs an input paired in color {result.color}"
             )
         self.result = result
         self.algebra = KumjianPask(result.graph)

@@ -116,8 +116,7 @@ def degrees_with_total(k: int, total: int) -> Iterator[Degree]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     color: int
     source: str

@@ -29,6 +29,7 @@ operation and the algebra embedding in :mod:`kgraphs.kp` well behaved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .skeleton import (
@@ -176,13 +177,14 @@ def _copy_name(item: str, index: int) -> str:
 class SplitResult:
     """A split graph together with its bookkeeping back to the original.
 
-    ``parent`` maps every copy, vertex or edge, to its original, and
-    ``copy_index`` gives its copy number; vertex and edge ids never clash,
-    so one map holds both kinds.  The i-th copy of an item is named
-    ``item.i``, and an edge's copy ``e.i`` has range ``r(e).i``:
-    :func:`outsplit` builds names this way, :func:`reconstruct_split`
-    rejects a split that breaks the rule, and :meth:`copy_of` relies on it.
-    ``base`` is absent when the result was reconstructed from serialized files.
+    The stored fields are what ``split`` writes to its two files; ``base`` is
+    ``None`` when none was recorded, and ``parent`` maps every copy, vertex
+    or edge, to its original (their ids never clash).  ``copy_index``,
+    ``counts`` and ``paired`` are derived on first use.  The i-th copy of an
+    item is named ``item.i``, and an edge's copy ``e.i`` has range
+    ``r(e).i``: :func:`outsplit` builds names this way,
+    :func:`reconstruct_split` rejects a split that breaks the rule, and
+    :meth:`copy_of` relies on it.
     """
 
     original: KGraph
@@ -190,9 +192,22 @@ class SplitResult:
     color: int
     base: str | None
     parent: Mapping[str, str] = field(repr=False)
-    copy_index: Mapping[str, int] = field(repr=False)
-    counts: Mapping[str, int] = field(repr=False)
-    paired: bool
+
+    @cached_property
+    def copy_index(self) -> dict[str, int]:
+        return {name: _parse_copy_index(name) for name in self.parent}
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        counts = dict.fromkeys(self.original.vertices, 0)
+        for origin in self.parent.values():
+            if origin in counts:
+                counts[origin] += 1
+        return counts
+
+    @cached_property
+    def paired(self) -> bool:
+        return pairing_report(self.original, self.color).ok
 
     def copy_of(self, item: str, index: int) -> str:
         """The ``index``-th copy of a vertex or edge of the original graph."""
@@ -227,13 +242,7 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     block = {(v, name): j for v, blocks in spec.partitions.items()
              for j, names in enumerate(blocks, start=1) for name in names}
 
-    parent: dict[str, str] = {}
-    copy_index: dict[str, int] = {}
-    for v in graph.vertices:
-        for i in range(1, counts[v] + 1):
-            name = _copy_name(v, i)
-            parent[name] = v
-            copy_index[name] = i
+    parent = {_copy_name(v, i): v for v in graph.vertices for i in range(1, counts[v] + 1)}
     vertex_copies = list(parent)
 
     def source_block(e: Edge, i: int) -> int:
@@ -253,14 +262,13 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         return answers.pop()
 
     edges = []
-    source_of: dict[str, str] = {}
+    source_index: dict[str, int] = {}  # copy index of each edge copy's source
     for e in graph.edges:
         for i in range(1, counts[e.range] + 1):
             name = _copy_name(e.name, i)
-            source = source_of[name] = _copy_name(e.source, source_block(e, i))
-            edges.append(Edge(name, e.color, source, _copy_name(e.range, i)))
+            j = source_index[name] = source_block(e, i)
+            edges.append(Edge(name, e.color, _copy_name(e.source, j), _copy_name(e.range, i)))
             parent[name] = e.name
-            copy_index[name] = i
 
     skeleton = Skeleton.create(graph.k, vertex_copies, edges)
 
@@ -269,14 +277,8 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         for p in range(1, counts[edge_map[a].range] + 1):
             # each inner edge lifts to its copy whose range is the outer copy's source
             a_p, g_p = _copy_name(a, p), _copy_name(g, p)
-            b_q = _copy_name(b, copy_index[source_of[a_p]])
-            h_q = _copy_name(h, copy_index[source_of[g_p]])
-            if source_of[b_q] != source_of[h_q]:
-                raise SplitError(
-                    f"lift of square {a} {b} = {g} {h} at copy {p} has mismatched "
-                    f"sources {source_of[b_q]} and {source_of[h_q]}"
-                )
-            pairs.append(((a_p, b_q), (g_p, h_q)))
+            pairs.append(((a_p, _copy_name(b, source_index[a_p])),
+                          (g_p, _copy_name(h, source_index[g_p]))))
 
     try:
         split_graph = build_kgraph(skeleton, SquareSet.create(skeleton, pairs))
@@ -286,45 +288,39 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     if not free.ok:  # pragma: no cover - defensive
         raise SplitError(f"internal error: split output is not source-free: {free.witnesses}")
 
-    return SplitResult(
-        original=graph,
-        graph=split_graph,
-        color=color,
-        base=spec.base,
-        parent=parent,
-        copy_index=copy_index,
-        counts=counts,
-        paired=pairing_report(graph, color).ok,
-    )
+    return SplitResult(graph, split_graph, color, spec.base, parent)
 
 
 def reconstruct_split(
     original: KGraph,
     graph: KGraph,
     color: int,
+    base: str | None,
     parent: Mapping[str, str],
 ) -> SplitResult:
-    """Rebuild the bookkeeping for a split loaded from serialized files.
+    """Rebuild the record :func:`outsplit` returned from a split's two files.
 
-    ``parent`` is the sidecar's map from every vertex and edge of ``graph``
-    to its original, and each of its keys must name such an item.  Copy
-    indices come from the ``item.i`` names; the copies of a vertex must be
-    named ``v.1 .. v.n``, an edge copy ``e.i`` must have range ``r(e).i``,
-    and the map is re-checked against colors, sources, the original graph
-    and the split color: a vertex with several copies has one per outgoing
-    split-color edge.  These are the naming rules :class:`SplitResult` states.
+    ``base``, unless ``None``, must be a vertex of ``original``.  ``parent``
+    is the sidecar's map from every vertex and edge of ``graph`` to its
+    original, and each of its keys must name such an item.  The copies of a
+    vertex must be named ``v.1 .. v.n``, an edge copy ``e.i`` must have
+    range ``r(e).i``, and the map is re-checked against colors, sources, the
+    original graph and the split color: a vertex with several copies has one
+    per outgoing split-color edge.  These are the naming rules
+    :class:`SplitResult` states.
     """
+    if base is not None and not original.skeleton.has_vertex(base):
+        raise SplitError(f"unknown base vertex {base!r}")
     unknown = [c for c in parent
                if not graph.skeleton.has_vertex(c) and c not in graph.skeleton.edge_map]
     if unknown:
         raise SplitError(f"parent line for unknown item {min(unknown)!r}")
-    copy_index: dict[str, int] = {}
     counts: dict[str, int] = {v: 0 for v in original.vertices}
     for v in graph.vertices:
         origin = parent.get(v)
         if origin is None or origin not in counts:
             raise SplitError(f"vertex {v!r} has no valid parent")
-        copy_index[v] = _parse_copy_index(v)
+        _parse_copy_index(v)
         counts[origin] += 1
     for v, n in counts.items():
         if n == 0:
@@ -346,7 +342,6 @@ def reconstruct_split(
         idx = _parse_copy_index(e.name)
         if e.name != _copy_name(origin, idx):
             raise SplitError(f"edge {e.name!r} is not named {origin}.<copy index>")
-        copy_index[e.name] = idx
         if pe.color != e.color:
             raise SplitError(f"edge {e.name!r} changed color relative to {origin!r}")
         if e.range != _copy_name(pe.range, idx):
@@ -357,21 +352,12 @@ def reconstruct_split(
         for i in range(1, counts[e.range] + 1):
             if parent.get(_copy_name(e.name, i)) != e.name:
                 raise SplitError(f"missing copy {e.name}.{i}")
-    return SplitResult(
-        original=original,
-        graph=graph,
-        color=color,
-        base=None,
-        parent=dict(parent),
-        copy_index=copy_index,
-        counts=counts,
-        paired=pairing_report(original, color).ok,
-    )
+    return SplitResult(original, graph, color, base, dict(parent))
 
 
 def _parse_copy_index(name: str) -> int:
     stem, dot, suffix = name.rpartition(".")
-    if not dot or not suffix.isdigit() or int(suffix) < 1:
+    if not dot or not (suffix.isascii() and suffix.isdigit()) or int(suffix) < 1:
         raise SplitError(f"name {name!r} does not end in a copy index")
     return int(suffix)
 

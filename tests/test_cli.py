@@ -466,6 +466,26 @@ class TestKpVerify:
         assert (code, out) == (1, "")
         assert err == "inconsistent split data: edge 'a.01' is not named a.<copy index>\n"
 
+    def test_non_ascii_copy_index_is_inconsistent(self, capsys, workdir):
+        # "²" passes str.isdigit but is no copy index
+        for name in ("gamma1.kg", "gamma1.parents"):
+            path = workdir / name
+            path.write_text(path.read_text(encoding="utf-8").replace("v.1", "v.²"),
+                            encoding="utf-8")
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(workdir / "gamma1.kg"),
+                             "--parents", str(workdir / "gamma1.parents"))
+        assert (code, out) == (1, "")
+        assert err == "inconsistent split data: name 'v.²' does not end in a copy index\n"
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_max_len_not_an_integer_is_usage_error(self, capsys, workdir):
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(workdir / "gamma1.kg"),
+                             "--parents", str(workdir / "gamma1.parents"), "--max-len", "abc")
+        assert (code, out) == (2, "")
+        assert "argument --max-len: invalid int value: 'abc'" in err
+
     @pytest.mark.parametrize("max_len", ["0", "-1"])
     def test_max_len_below_one_is_usage_error(self, capsys, workdir, max_len):
         code, out, err = run(

@@ -128,6 +128,7 @@ class TestParse:
             ("kgraph 1 k=1 colors=c1\nvertex v\nedge e : c1 v -> e\n", 3, 18, "unknown vertex 'e'"),
             ("kgraph 1 k=1 colors=d\nvertex v\nedge ed : e v -> v\n", 3, 11, "unknown color 'e'"),
             ("kgraph 1 k=2 colors=a,k=\n", 1, 23, "invalid color identifier 'k='"),
+            (MINIMAL + "vertex -\n", 6, 8, "invalid vertex identifier '-'"),
             ("kgraph 1 k=x colors=a\n", 1, 10, "bad rank 'x'"),
             (MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
             (MINIMAL + "split color=blue base=s\n", 6, 23, "unknown vertex 's'"),
@@ -148,7 +149,8 @@ class TestParse:
             (MINIMAL + "split color=blue base=p\npartition p : {a} {,}\n",
              7, 19, "empty partition block"),
         ],
-        ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color", "bad-rank",
+        ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color",
+             "reserved-vertex", "bad-rank",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
              "duplicate-split", "malformed-split", "malformed-partition",

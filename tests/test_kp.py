@@ -149,6 +149,9 @@ class TestRendering:
         )
         assert str(el) == "p[v] + (2)·t[b]t*[h] + (-1)·t[α]t*[β]"
 
+    def test_zero(self, alg):
+        assert str(alg.zero()) == "0"
+
     def test_degree_labels(self, split_one, monkeypatch):
         # these labels reach the output only when a check fails
         labels = []
@@ -208,6 +211,10 @@ class TestEquality:
                     total = total + alg.path(lam) * alg.ghost(lam)
                 assert total == alg.vertex(v)
                 assert not total.terms() == alg.vertex(v).terms()
+
+    def test_non_elements_are_not_compared(self, alg):
+        assert alg.vertex("v").__eq__(1) is NotImplemented
+        assert alg.vertex("v") != 1
 
     def test_unequal_elements_detected(self, lambda_one, alg):
         assert not alg.vertex("v") == alg.vertex("x")

@@ -80,6 +80,11 @@ class TestSkeletonStructure:
         with pytest.raises(StructureError, match="k must be"):
             Skeleton.create(0, [], [])
 
+    def test_id_shared_by_a_vertex_and_an_edge(self):
+        with pytest.raises(StructureError) as exc:
+            Skeleton.create(1, ["v"], [Edge("v", 1, "v", "v")])
+        assert str(exc.value) == "id 'v' used for both a vertex and an edge"
+
 
 class TestSquareStructure:
     def test_monochrome_side_rejected(self):
@@ -102,6 +107,14 @@ class TestSquareStructure:
         sk = lambda_skeleton()
         with pytest.raises(StructureError, match="not composable"):
             SquareSet.create(sk, [(("e", "α"), ("k", "b"))])
+
+    def test_second_side_not_composable_rejected(self):
+        # b after a composes at p, but c (at q) cannot follow d (into p)
+        sk = Skeleton.create(2, ["p", "q"], [Edge("a", 1, "p", "p"), Edge("b", 2, "p", "p"),
+                                             Edge("c", 1, "q", "q"), Edge("d", 2, "p", "p")])
+        with pytest.raises(StructureError) as exc:
+            SquareSet.create(sk, [(("b", "a"), ("c", "d"))])
+        assert str(exc.value) == "square b a = c d: c after d is not composable"
 
     def test_endpoint_mismatch_rejected(self):
         sk = lambda_skeleton()
@@ -501,6 +514,11 @@ class TestNormalForm:
                 with pytest.raises(StructureError, match="do not compose"):
                     graph.extend(edge, graph.vertex_path(v))
 
+    def test_factor_needs_a_dominated_degree(self, lambda_one):
+        with pytest.raises(ValueError) as exc:
+            factor(lambda_one, lambda_one.make_path(("h",)), (0, 1))
+        assert str(exc.value) == "cannot factor degree (1,0) with first part (0,1)"
+
     def test_factor_recovers_prefixes(self, lambda_one):
         rng = random.Random(13)
         for _ in range(100):
@@ -606,6 +624,18 @@ class TestPathEnumeration:
         with pytest.raises(StructureError, match="unknown vertex"):
             lambda_one.paths_with_range("q", (1, 0))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda g: g.vertex_path("q"), StructureError, "unknown vertex 'q'"),
+        (lambda g: g.make_path(()), ValueError,
+         "a path needs at least one edge; use vertex_path for vertices"),
+        (lambda g: g.make_path(("n", "h")), StructureError,
+         "edges n and h do not compose: range z != source v"),
+    ], ids=["unknown-vertex", "empty", "not-composable"])
+    def test_path_construction_errors(self, lambda_one, build, error, message):
+        with pytest.raises(error) as exc:
+            build(lambda_one)
+        assert str(exc.value) == message
+
     def test_sorted_deterministically(self, lambda_one):
         paths = lambda_one.paths_with_range("z", (1, 1))
         assert [p.edges for p in paths] == sorted(p.edges for p in paths)
@@ -655,6 +685,11 @@ class TestProductGraph:
             graph.edge(s1[0]).range for s1, _ in graph.squares.pairs
         )
         assert ranges == sorted(graph.vertices)
+
+    def test_single_factor_is_itself(self):
+        graph = product_graph([_loop("p")])
+        assert (graph.k, graph.vertices, graph.squares.pairs) == (1, ("p",), ())
+        assert graph.edges == (Edge("ploop", 1, "p", "p"),)
 
     def test_three_loops_satisfies_hexagon(self):
         graph = product_graph([_loop("p"), _loop("q"), _loop("r")])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -453,7 +454,7 @@ class TestReconstruction:
     def test_loops_split_is_consistent(self):
         # the unchanged table passes, so each case below fails on its one change
         graph = _two_graph(LOOPS_SPLIT)
-        result = reconstruct_split(_two_graph(LOOPS), graph, BLUE, _named_parents(graph))
+        result = reconstruct_split(_two_graph(LOOPS), graph, BLUE, "u", _named_parents(graph))
         assert result.counts == {"u": 2, "w": 1, "x": 1}
         assert result.copy_of("a", 2) == "a.2"
 
@@ -470,14 +471,15 @@ class TestReconstruction:
          "edge 'g.1' has a source that is not a copy of 'x'"),
         ({}, {"c.2": None}, {}, "missing copy c.2"),
         ({}, {"d.1": (RED, "w.one", "w.one")}, {}, "name 'w.one' does not end in a copy index"),
+        ({}, {"d.1": (RED, "w.²", "w.²")}, {}, "name 'w.²' does not end in a copy index"),
     ], ids=["no-copies", "copy-names", "copy-count", "vertex-parent", "edge-parent", "color",
-            "range", "source", "missing-copy", "copy-index"])
+            "range", "source", "missing-copy", "copy-index", "non-ascii-copy-index"])
     def test_each_rejection(self, original_extra, split_changes, parent_changes, message):
         original = _two_graph({**LOOPS, **original_extra})
         split_edges = {**LOOPS_SPLIT, **split_changes}
         graph = _two_graph({name: rest for name, rest in split_edges.items() if rest is not None})
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(original, graph, BLUE, _named_parents(graph) | parent_changes)
+            reconstruct_split(original, graph, BLUE, "u", _named_parents(graph) | parent_changes)
         assert str(exc.value) == message
 
     def test_copy_of(self, split_one):
@@ -493,21 +495,47 @@ class TestReconstruction:
             split_one.original,
             split_one.graph,
             split_one.color,
+            split_one.base,
             dict(split_one.parent),
         )
-        assert rebuilt.copy_index == split_one.copy_index
-        assert rebuilt.counts == split_one.counts
-        assert rebuilt.paired == split_one.paired
+        assert rebuilt == split_one
+
+    def test_every_split_round_trips(self, split_one, split_two):
+        rank_three = diagonal_double(
+            ["u0", "u1"], [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"),
+                           ("d", "u1", "u0")], 3)
+        results = [split_one, split_two, outsplit(rank_three, default_spec(rank_three, 1, "u0"))]
+        rng = random.Random(17)
+        for _ in range(15):
+            graph, base = random_double(rng, k=rng.choice([2, 3]))
+            results.append(outsplit(graph, shuffled_spec(graph, 1, base, rng)))
+        for r in results:
+            assert reconstruct_split(r.original, r.graph, r.color, r.base, dict(r.parent)) == r
+
+    def test_stored_and_derived_fields(self, split_one):
+        assert [f.name for f in dataclasses.fields(split_one)] == [
+            "original", "graph", "color", "base", "parent"]
+        rebuilt = reconstruct_split(split_one.original, split_one.graph, BLUE, None,
+                                    dict(split_one.parent))
+        assert rebuilt.base is None
+        assert (rebuilt.copy_index, rebuilt.counts, rebuilt.paired) == (
+            split_one.copy_index, split_one.counts, split_one.paired)
+
+    def test_unknown_base_rejected(self, split_one):
+        with pytest.raises(SplitError) as exc:
+            reconstruct_split(split_one.original, split_one.graph, BLUE, "nosuch",
+                              dict(split_one.parent))
+        assert str(exc.value) == "unknown base vertex 'nosuch'"
 
     def test_inconsistencies_rejected(self, split_one):
         broken = dict(split_one.parent)
         broken["b.2"] = "c"
         with pytest.raises(SplitError):
-            reconstruct_split(split_one.original, split_one.graph, BLUE, broken)
+            reconstruct_split(split_one.original, split_one.graph, BLUE, "v", broken)
         missing = dict(split_one.parent)
         del missing["b.2"]
         with pytest.raises(SplitError, match="no parent"):
-            reconstruct_split(split_one.original, split_one.graph, BLUE, missing)
+            reconstruct_split(split_one.original, split_one.graph, BLUE, "v", missing)
 
     @pytest.mark.parametrize("extra, unknown", [
         ({"nosuch.1": "e"}, "nosuch.1"),
@@ -515,7 +543,7 @@ class TestReconstruction:
     ])
     def test_parent_for_unknown_item_rejected(self, split_one, extra, unknown):
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph, BLUE,
+            reconstruct_split(split_one.original, split_one.graph, BLUE, "v",
                               {**split_one.parent, **extra})
         assert str(exc.value) == f"parent line for unknown item {unknown!r}"
 
@@ -529,4 +557,4 @@ class TestReconstruction:
                              SquareSet(()))
         parents = {**split.parent, "a.01": "a"}
         with pytest.raises(SplitError, match=r"edge 'a\.01' is not named a\.<copy index>"):
-            reconstruct_split(original, graph, BLUE, parents)
+            reconstruct_split(original, graph, BLUE, "v", parents)
