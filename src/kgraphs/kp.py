@@ -4,8 +4,10 @@ Elements are finite linear combinations of spanning terms ``t_λ t_μ*`` with
 ``s(λ) = s(μ)`` and integer coefficients; the ``KPElement`` constructor is
 the one place that drops zero coefficients.  The algebra is defined over any
 commutative ring, and every identity checked here has integer coefficients,
-so the integers serve.  Terms and paths are named tuples and degrees plain
-tuples, so they hash and compare as tuples.  Multiplication expands the
+so the integers serve.  The algebra context numbers each normal-form path
+once (``paths``, ``intern``) and a term is a pair of those ids, local to the
+context, so the engine hashes small ints; ``terms()`` decodes them to
+``BasisTerm`` named tuples for output.  Multiplication expands the
 middle product by one rule for every pair of degrees:
 ``t_μ* t_ν = Σ t_α t_β*`` over the minimal common extensions of ``μ`` and
 ``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree ``d(μ) ∨ d(ν)``),
@@ -13,8 +15,9 @@ which is the defining relation calculus for row-finite source-free graphs.
 By unique factorization each such ``(α, β)`` is found by extending ``μ``
 by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα`` at
 ``d(ν)`` into ``head·β``: it is an extension exactly when ``head = ν``.
-The algebra context caches those rows per ``(μ, d(ν))``, so a product is a
-hash join of the rows' heads against the right operand's left paths.  When
+The context caches those rows per ``(μ, d(ν))`` and each extension's id, so
+a product is a hash join of the rows' heads against the right operand's left
+paths.  When
 ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
 ``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  Those trivial
 extensions cost nothing: the terms hold normal forms, and a normal form
@@ -80,7 +83,7 @@ def _exact(coeff: int) -> int:
 
 
 class KumjianPask:
-    """Algebra context: term constructors and two caches, ``extensions`` and ``refinement``."""
+    """Algebra context: the path table (``paths``, ``degree``), term constructors, caches by id."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -89,8 +92,30 @@ class KumjianPask:
                 f"the Kumjian-Pask calculus needs a source-free graph; missing {free.witnesses[0]}"
             )
         self.graph = graph
-        self._extensions: dict[tuple[Path, Degree], tuple[tuple[Path, Path, Path], ...]] = {}
-        self._refinements: dict[tuple[Path, Degree], tuple[Path, ...]] = {}
+        self.paths: list[Path] = []
+        self.degree: list[Degree] = []
+        self._ids: dict[Path, int] = {}
+        self._extended: dict[tuple[int, int], int] = {}
+        self._extensions: dict[tuple[int, Degree], tuple[tuple[int, int, int], ...]] = {}
+        self._refinements: dict[tuple[int, Degree], tuple[int, ...]] = {}
+
+    def intern(self, path: Path) -> int:
+        """The id of ``path``, which must be a normal form."""
+        i = self._ids.get(path)
+        if i is None:
+            i = self._ids[path] = len(self.paths)
+            self.paths.append(path)
+            self.degree.append(path.degree)
+        return i
+
+    def extend(self, i: int, alpha: int) -> int:
+        """The id of the normal form of ``paths[i]·paths[alpha]``, cached."""
+        key = (i, alpha)
+        j = self._extended.get(key)
+        if j is None:
+            j = self._extended[key] = self.intern(
+                self.graph.extend(self.paths[i], self.paths[alpha]))
+        return j
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
@@ -103,7 +128,7 @@ class KumjianPask:
                 f"term has mismatched sources: {left} ends at {left.source}, "
                 f"{right} at {right.source}"
             )
-        return KPElement(self, {BasisTerm(left, right): _exact(coeff)})
+        return KPElement(self, {(self.intern(left), self.intern(right)): _exact(coeff)})
 
     def vertex(self, v: str) -> "KPElement":
         p = self.graph.vertex_path(v)
@@ -115,8 +140,8 @@ class KumjianPask:
     def ghost(self, p: Path) -> "KPElement":
         return self.term(self.graph.vertex_path(p.source), p)
 
-    def extensions(self, mu: Path, d: Degree) -> tuple[tuple[Path, Path, Path], ...]:
-        """The rows ``(α, head, β)`` with ``μα = head·β`` and ``d(head) = d``, cached.
+    def extensions(self, mu: int, d: Degree) -> tuple[tuple[int, int, int], ...]:
+        """The id rows ``(α, head, β)`` with ``μα = head·β`` and ``d(head) = d``, cached.
 
         ``α`` runs over the paths of degree ``(d(μ) ∨ d) − d(μ)`` into
         ``s(μ)``, in sorted order, and ``head`` and ``β`` are normal forms.
@@ -126,28 +151,29 @@ class KumjianPask:
         key = (mu, d)
         rows = self._extensions.get(key)
         if rows is None:
-            graph = self.graph
-            top = join(mu.degree, d)
+            graph, intern, path = self.graph, self.intern, self.paths[mu]
+            top = join(path.degree, d)
             tail_degree = difference(top, d)
             rows = self._extensions[key] = tuple(
-                (alpha, *factor(graph, graph.compose(mu, alpha), tail_degree))
-                for alpha in graph.paths_with_range(mu.source, difference(top, mu.degree))
+                (intern(alpha), *map(intern, factor(graph, graph.compose(path, alpha), tail_degree)))
+                for alpha in graph.paths_with_range(path.source, difference(top, path.degree))
             )
         return rows
 
-    def refinement(self, path: Path, d: Degree) -> tuple[Path, ...]:
-        """``path`` extended by every ``α`` of degree ``d`` into ``s(path)``, in order, cached.
+    def refinement(self, i: int, d: Degree) -> tuple[int, ...]:
+        """``paths[i]`` extended by every ``α`` of degree ``d`` into its source, in order, cached.
 
         Two paths with one source extend by the same ``α``s, so zipping their
         refinements gives the terms ``t_λα t_(μα)*`` that sum to ``t_λ t_μ*``.
         """
-        key = (path, d)
-        paths = self._refinements.get(key)
-        if paths is None:
-            graph = self.graph
-            paths = self._refinements[key] = tuple(
-                graph.extend(path, alpha) for alpha in graph.paths_with_range(path.source, d))
-        return paths
+        key = (i, d)
+        ids = self._refinements.get(key)
+        if ids is None:
+            graph, path = self.graph, self.paths[i]
+            ids = self._refinements[key] = tuple(
+                self.intern(graph.extend(path, alpha))
+                for alpha in graph.paths_with_range(path.source, d))
+        return ids
 
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
         """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``, sorted.
@@ -157,37 +183,40 @@ class KumjianPask:
         """
         if mu.range != nu.range:
             return ()
-        nu = self.graph.normal_form(nu)
-        return tuple((alpha, beta) for alpha, head, beta in self.extensions(mu, nu.degree)
-                     if head == nu)
+        mu, nu = self.intern(self.graph.normal_form(mu)), self.graph.normal_form(nu)
+        head, paths = self.intern(nu), self.paths
+        return tuple((paths[alpha], paths[beta]) for alpha, h, beta in self.extensions(mu, nu.degree)
+                     if h == head)
 
 
 class KPElement:
     """Immutable finite linear combination of spanning terms.
 
-    Both paths of every term are normal forms: ``KumjianPask.term``
-    normalizes, and ``*`` and ``adjoint`` only build terms from normal
-    forms.  The product's hash join relies on it.  Only the constructor
-    drops zero coefficients.  ``*`` multiplies two elements, :meth:`scale`
+    A term is a pair of ids in the context's path table, so both paths are
+    normal forms: ``KumjianPask.term`` interns normal forms, and ``*`` and
+    ``adjoint`` only build terms from ids.  Only the constructor drops zero
+    coefficients.  ``*`` multiplies two elements of one context, :meth:`scale`
     by an integer.  ``==`` is equality in the algebra: a fast term-map
     comparison first, then a refinement of the difference to a common degree.
     """
 
     __slots__ = ("algebra", "_terms")
 
-    def __init__(self, algebra: KumjianPask, terms: dict[BasisTerm, int]):
+    def __init__(self, algebra: KumjianPask, terms: dict[tuple[int, int], int]):
         self.algebra = algebra
         self._terms = {t: c for t, c in terms.items() if c}
 
     def terms(self) -> tuple[tuple[BasisTerm, int], ...]:
-        return tuple(sorted(self._terms.items()))
+        paths = self.algebra.paths
+        return tuple(sorted((BasisTerm(paths[left], paths[right]), c)
+                            for (left, right), c in self._terms.items()))
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def _check_compatible(self, other: "KPElement") -> None:
-        if self.algebra is not other.algebra and self.algebra.graph != other.algebra.graph:
-            raise ValueError("operands live over different graphs")
+        if self.algebra is not other.algebra:
+            raise ValueError("operands belong to different algebra contexts")
 
     def __add__(self, other: "KPElement") -> "KPElement":
         self._check_compatible(other)
@@ -211,44 +240,42 @@ class KPElement:
             return NotImplemented
         self._check_compatible(other)
         alg = self.algebra
-        graph = alg.graph
+        degree, extend = alg.degree, alg.extend
         # the right operand's terms by degree and path on the left
-        groups: dict[Degree, dict[Path, list[tuple[Path, int]]]] = {}
-        for t, c in other._terms.items():
-            groups.setdefault(t.left.degree, {}).setdefault(t.left, []).append((t.right, c))
-        out: dict[BasisTerm, int] = {}
-        for t1, c1 in self._terms.items():
+        groups: dict[Degree, dict[int, list[tuple[int, int]]]] = {}
+        for (left, right), c in other._terms.items():
+            groups.setdefault(degree[left], {}).setdefault(left, []).append((right, c))
+        out: dict[tuple[int, int], int] = {}
+        for (left1, right1), c1 in self._terms.items():
             for d, by_path in groups.items():
                 # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
-                for alpha, head, beta in alg.extensions(t1.right, d):
+                for alpha, head, beta in alg.extensions(right1, d):
                     rights = by_path.get(head)
                     if rights is None:
                         continue
-                    left = graph.extend(t1.left, alpha)
+                    left = extend(left1, alpha)
                     for right, c2 in rights:
-                        key = BasisTerm(left, graph.extend(right, beta))
+                        key = (left, extend(right, beta))
                         out[key] = out.get(key, 0) + c1 * c2
         return KPElement(alg, out)
 
     def adjoint(self) -> "KPElement":
-        return KPElement(
-            self.algebra,
-            {BasisTerm(t.right, t.left): c for t, c in self._terms.items()},
-        )
+        return KPElement(self.algebra, {(right, left): c for (left, right), c in self._terms.items()})
 
     def graded_components(self) -> dict[tuple[int, ...], "KPElement"]:
         """Split by ``d(left) - d(right)``; the parts sum back to the element."""
-        parts: dict[tuple[int, ...], dict[BasisTerm, int]] = {}
+        degree = self.algebra.degree
+        parts: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
         for t, c in self._terms.items():
-            parts.setdefault(difference(t.left.degree, t.right.degree), {})[t] = c
+            parts.setdefault(difference(degree[t[0]], degree[t[1]]), {})[t] = c
         return {n: KPElement(self.algebra, terms) for n, terms in sorted(parts.items())}
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        refine = self.algebra.refinement
-        by_class: dict[tuple[Degree, Degree], list[tuple[BasisTerm, int]]] = {}
+        refine, degree = self.algebra.refinement, self.algebra.degree
+        by_class: dict[tuple[Degree, Degree], list[tuple[tuple[int, int], int]]] = {}
         for t, c in self._terms.items():
-            by_class.setdefault((t.left.degree, t.right.degree), []).append((t, c))
+            by_class.setdefault((degree[t[0]], degree[t[1]]), []).append((t, c))
         components: dict[tuple[int, ...], list[tuple[Degree, Degree]]] = {}
         for degrees in by_class:
             components.setdefault(difference(*degrees), []).append(degrees)
@@ -256,15 +283,13 @@ class KPElement:
             target = classes[0][0]
             for left_degree, _ in classes[1:]:
                 target = join(target, left_degree)
-            refined: dict[tuple, int] = {}
+            refined: dict[tuple[int, int], int] = {}
             for degrees in classes:
                 gap = difference(target, degrees[0])
                 spread = any(gap)
                 for t, c in by_class[degrees]:
                     # a term already at the target degree is its own refinement
-                    for left, right in (zip(refine(t.left, gap), refine(t.right, gap))
-                                        if spread else (t,)):
-                        key = (left.edges, left.source, right.edges, right.source)
+                    for key in zip(refine(t[0], gap), refine(t[1], gap)) if spread else (t,):
                         refined[key] = refined.get(key, 0) + c
             if any(refined.values()):
                 return False
@@ -375,6 +400,7 @@ class SplitEmbedding:
         self.result = result
         self.algebra = KumjianPask(result.graph)
         self._path_cache: dict[Path, KPElement] = {}
+        self._ghost_cache: dict[Path, KPElement] = {}
 
     def vertex_image(self, v: str) -> KPElement:
         return self.algebra.vertex(self.result.copy_of(v, 1))
@@ -398,7 +424,10 @@ class SplitEmbedding:
         return total
 
     def ghost_image(self, path: Path) -> KPElement:
-        return self.path_image(path).adjoint()
+        hit = self._ghost_cache.get(path)
+        if hit is None:
+            hit = self._ghost_cache[path] = self.path_image(path).adjoint()
+        return hit
 
     def corner_projection(self) -> KPElement:
         total = self.algebra.zero()
@@ -480,7 +509,7 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
     images_q = {v: emb.vertex_image(v) for v in lam.vertices}
     paths = _paths_up_to(lam, max_paths)
     images_s = {p: emb.path_image(p) for p in paths}
-    images_g = {p: images_s[p].adjoint() for p in paths}
+    images_g = {p: emb.ghost_image(p) for p in paths}
     zero = emb.algebra.zero()
 
     for v in lam.vertices:
@@ -602,12 +631,12 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     for p in corner_paths:
         by_source.setdefault(p.source, []).append(p)
     for group in by_source.values():
-        for a in group:
-            for b in group:
-                expected = emb.path_image(parent_path(result, a)) * emb.ghost_image(
-                    parent_path(result, b)
-                )
-                rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), expected)
+        parents = [parent_path(result, p) for p in group]
+        images = [emb.path_image(p) for p in parents]
+        ghosts = [emb.ghost_image(p) for p in parents]
+        for a, image in zip(group, images):
+            for b, ghost in zip(group, ghosts):
+                rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), image * ghost)
     return rep
 
 

@@ -97,8 +97,16 @@ class TestProducts:
     def test_mixed_graph_operands_rejected(self, lambda_one, lambda_two):
         one = KumjianPask(lambda_one).vertex("v")
         two = KumjianPask(lambda_two).vertex("v")
-        with pytest.raises(ValueError, match="different graphs"):
+        with pytest.raises(ValueError, match="different algebra contexts"):
             one * two
+
+    def test_contexts_over_one_graph_do_not_mix(self, lambda_one):
+        # ids are local to a context, so equal graphs do not make operands compatible
+        b = path(lambda_one, "b")
+        one, other = KumjianPask(lambda_one).path(b), KumjianPask(lambda_one).ghost(b)
+        for combine in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x == y):
+            with pytest.raises(ValueError, match="different algebra contexts"):
+                combine(one, other)
 
     def test_vertex_idempotents(self, lambda_one, alg):
         assert alg.vertex("v") * alg.vertex("v") == alg.vertex("v")
@@ -239,8 +247,9 @@ class TestRefinementTable:
         for p in paths:
             for d in degrees:
                 direct = tuple(graph.extend(p, alpha) for alpha in graph.paths_with_range(p.source, d))
-                assert alg.refinement(p, d) == direct
-                assert alg.refinement(p, d) == direct  # the cached copy too
+                i = alg.intern(p)
+                assert tuple(alg.paths[j] for j in alg.refinement(i, d)) == direct
+                assert tuple(alg.paths[j] for j in alg.refinement(i, d)) == direct  # cached
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_warm_table_changes_no_answer(self, source):
@@ -284,13 +293,17 @@ class TestRefinementTable:
 
 def _refinement_graph(source):
     if source == "rank3_split":
-        from conftest import diagonal_double
-        from kgraphs import default_spec, outsplit
-
-        arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"), ("d", "u1", "u0")]
-        graph = diagonal_double(["u0", "u1"], arrows, 3)
-        return outsplit(graph, default_spec(graph, 1, "u0")).graph
+        return _rank_three_split().graph
     return _oracle_graph(source)
+
+
+def _rank_three_split():
+    from conftest import diagonal_double
+    from kgraphs import default_spec, outsplit
+
+    arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"), ("d", "u1", "u0")]
+    graph = diagonal_double(["u0", "u1"], arrows, 3)
+    return outsplit(graph, default_spec(graph, 1, "u0"))
 
 
 def _zero_test_elements(alg):
@@ -370,7 +383,7 @@ class TestAssociativityAndOracle:
         cases = set()
         for _ in range(60):
             a, b = operand(), operand()
-            assert (a * b)._terms == _pairwise_product(a, b)
+            assert dict((a * b).terms()) == _pairwise_product(a, b)
             for t1, _ in a.terms():
                 for t2, _ in b.terms():
                     if mce_bruteforce(graph, t1.right, t2.left):
@@ -711,13 +724,59 @@ class TestVerifiers:
         assert len(compared) > 1000
 
 
+class TestPathTable:
+    @pytest.mark.parametrize("source", ["worked example", "rank-3 split"])
+    def test_every_id_names_one_normal_form(self, split_one, source):
+        result, max_len = (split_one, 3) if source == "worked example" else (_rank_three_split(), 2)
+        emb = SplitEmbedding(result)
+        _all_sweeps(lambda: emb, max_len=max_len)
+        alg = emb.algebra
+        graph = result.graph
+        assert len(alg.paths) > 100
+        assert len(set(alg.paths)) == len(alg.paths)
+        assert alg.degree == [p.degree for p in alg.paths]
+        for i, p in enumerate(alg.paths):
+            assert graph.normal_form(p) == p
+            assert alg.intern(p) == i
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_ids_never_reach_output(self, split_one, split_two, corrupt):
+        # two contexts over one split, warmed by the sweeps in opposite
+        # orders, number the paths differently and must answer alike
+        result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
+        forward, backward = SplitEmbedding(result), SplitEmbedding(result)
+        sweeps = _sweeps(max_len=2)
+        reports = [sweep(forward) for sweep in sweeps]
+        reversed_reports = [sweep(backward) for sweep in reversed(sweeps)][::-1]
+        assert forward.algebra.paths != backward.algebra.paths
+        assert sorted(forward.algebra.paths) == sorted(backward.algebra.paths)
+        assert [r.summary() for r in reports] == [r.summary() for r in reversed_reports]
+        assert [r.failures for r in reports] == [r.failures for r in reversed_reports]
+        assert any(r.failures for r in reports) == corrupt
+        lam = result.original
+        paths = [lam.make_path((e.name,)) for e in lam.edges]
+        for emb_a, emb_b in ((forward, backward), (backward, forward)):
+            for p in paths:
+                for q in paths:
+                    x = emb_a.path_image(p) * emb_a.ghost_image(q)
+                    y = emb_b.path_image(p) * emb_b.ghost_image(q)
+                    assert x.terms() == y.terms()
+                    assert str(x) == str(y)
+                    assert x.is_zero() == y.is_zero()
+
+
+def _sweeps(max_len: int = 3) -> list:
+    """The six sweeps in ``kp-verify`` order and bounds, as functions of an embedding."""
+    return [
+        lambda emb: verify_universal_family(emb.algebra),
+        lambda emb: verify_family(emb, max_paths=max_len),
+        verify_swap_identities,
+        lambda emb: verify_diagonal(emb, max_len=max_len),
+        lambda emb: verify_corner(emb, max_len=min(max_len, 2)),
+        lambda emb: verify_grading(emb, max_len=max_len),
+    ]
+
+
 def _all_sweeps(embedding, max_len: int = 3) -> list:
     """The six sweeps in ``kp-verify`` order and bounds, each on ``embedding()``."""
-    return [
-        verify_universal_family(embedding().algebra),
-        verify_family(embedding(), max_paths=max_len),
-        verify_swap_identities(embedding()),
-        verify_diagonal(embedding(), max_len=max_len),
-        verify_corner(embedding(), max_len=min(max_len, 2)),
-        verify_grading(embedding(), max_len=max_len),
-    ]
+    return [sweep(embedding()) for sweep in _sweeps(max_len)]
