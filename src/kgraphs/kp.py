@@ -17,7 +17,9 @@ by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα``
 ``d(ν)`` into ``head·β``: it is an extension exactly when ``head = ν``.
 The context caches those rows per ``(μ, d(ν))`` and each extension's id, so
 a product is a hash join of the rows' heads against the right operand's left
-paths.  When
+paths.  A fixed left element joins a whole group of right operands at once
+(``products``), reading each row and extending each ``α`` once for the group,
+and ``KumjianPask.sum`` accumulates a sum in one term map.  When
 ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
 ``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  Those trivial
 extensions cost nothing: the terms hold normal forms, and a normal form
@@ -82,6 +84,11 @@ def _exact(coeff: int) -> int:
     return coeff
 
 
+def _check_context(algebra: "KumjianPask", element: "KPElement") -> None:
+    if element.algebra is not algebra:
+        raise ValueError("operands belong to different algebra contexts")
+
+
 class KumjianPask:
     """Algebra context: the path table (``paths``, ``degree``), term constructors, caches by id."""
 
@@ -119,6 +126,15 @@ class KumjianPask:
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
+
+    def sum(self, elements: Iterable["KPElement"]) -> "KPElement":
+        """The sum of ``elements``, accumulated in one term map."""
+        out: dict[tuple[int, int], int] = {}
+        for element in elements:
+            _check_context(self, element)
+            for t, c in element._terms.items():
+                out[t] = out.get(t, 0) + c
+        return KPElement(self, out)
 
     def term(self, left: Path, right: Path, coeff: int = 1) -> "KPElement":
         left = self.graph.normal_form(left)
@@ -195,9 +211,10 @@ class KPElement:
     A term is a pair of ids in the context's path table, so both paths are
     normal forms: ``KumjianPask.term`` interns normal forms, and ``*`` and
     ``adjoint`` only build terms from ids.  Only the constructor drops zero
-    coefficients.  ``*`` multiplies two elements of one context, :meth:`scale`
-    by an integer.  ``==`` is equality in the algebra: a fast term-map
-    comparison first, then a refinement of the difference to a common degree.
+    coefficients.  ``*`` multiplies two elements of one context,
+    :meth:`products` one element by each of a group, :meth:`scale` by an
+    integer.  ``==`` is equality in the algebra: a fast term-map comparison
+    first, then a refinement of the difference to a common degree.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -214,12 +231,8 @@ class KPElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def _check_compatible(self, other: "KPElement") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("operands belong to different algebra contexts")
-
     def __add__(self, other: "KPElement") -> "KPElement":
-        self._check_compatible(other)
+        _check_context(self.algebra, other)
         out = dict(self._terms)
         for t, c in other._terms.items():
             out[t] = out.get(t, 0) + c
@@ -238,26 +251,33 @@ class KPElement:
     def __mul__(self, other):
         if not isinstance(other, KPElement):
             return NotImplemented
-        self._check_compatible(other)
+        return self.products((other,))[0]
+
+    def products(self, others: Iterable["KPElement"]) -> list["KPElement"]:
+        """``[self * o for o in others]`` from one hash join over all the operands."""
         alg = self.algebra
         degree, extend = alg.degree, alg.extend
-        # the right operand's terms by degree and path on the left
-        groups: dict[Degree, dict[int, list[tuple[int, int]]]] = {}
-        for (left, right), c in other._terms.items():
-            groups.setdefault(degree[left], {}).setdefault(left, []).append((right, c))
-        out: dict[tuple[int, int], int] = {}
+        # every operand's terms by degree and path on the left, each row naming its output
+        groups: dict[Degree, dict[int, list[tuple[dict[tuple[int, int], int], int, int]]]] = {}
+        outs: list[dict[tuple[int, int], int]] = []
+        for other in others:
+            _check_context(alg, other)
+            out: dict[tuple[int, int], int] = {}
+            outs.append(out)
+            for (left, right), c in other._terms.items():
+                groups.setdefault(degree[left], {}).setdefault(left, []).append((out, right, c))
         for (left1, right1), c1 in self._terms.items():
             for d, by_path in groups.items():
                 # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
                 for alpha, head, beta in alg.extensions(right1, d):
-                    rights = by_path.get(head)
-                    if rights is None:
+                    rows = by_path.get(head)
+                    if rows is None:
                         continue
                     left = extend(left1, alpha)
-                    for right, c2 in rights:
+                    for out, right, c2 in rows:
                         key = (left, extend(right, beta))
                         out[key] = out.get(key, 0) + c1 * c2
-        return KPElement(alg, out)
+        return [KPElement(alg, out) for out in outs]
 
     def adjoint(self) -> "KPElement":
         return KPElement(self.algebra, {(right, left): c for (left, right), c in self._terms.items()})
@@ -298,10 +318,13 @@ class KPElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KPElement):
             return NotImplemented
-        self._check_compatible(other)
+        _check_context(self.algebra, other)
         if self._terms == other._terms:
             return True
-        return (self - other).is_zero()
+        diff = dict(self._terms)
+        for t, c in other._terms.items():
+            diff[t] = diff.get(t, 0) - c
+        return KPElement(self.algebra, diff).is_zero()
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -415,11 +438,10 @@ class SplitEmbedding:
         graph = result.graph
         first = copy_path(result, path, 1)
         j = result.copy_index[first.source]
-        total = self.algebra.zero()
-        for f in result.original.rainbow_paths_into(path.source):
-            f_j = copy_path(result, f, j)
-            f_1 = copy_path(result, f, 1)
-            total = total + self.algebra.term(graph.compose(first, f_j), f_1)
+        total = self.algebra.sum(
+            self.algebra.term(graph.compose(first, copy_path(result, f, j)),
+                              copy_path(result, f, 1))
+            for f in result.original.rainbow_paths_into(path.source))
         self._path_cache[path] = total
         return total
 
@@ -430,10 +452,7 @@ class SplitEmbedding:
         return hit
 
     def corner_projection(self) -> KPElement:
-        total = self.algebra.zero()
-        for v in self.result.original.vertices:
-            total = total + self.vertex_image(v)
-        return total
+        return self.algebra.sum(self.vertex_image(v) for v in self.result.original.vertices)
 
 
 def _paths_up_to(graph: KGraph, max_total: int, include_vertices: bool = False) -> list[Path]:
@@ -490,9 +509,7 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
                 )
     for v in graph.vertices:
         for n in _kp4_degrees(graph.k, 0):
-            total = alg.zero()
-            for lam in graph.paths_with_range(v, n):
-                total = total + alg.path(lam) * alg.ghost(lam)
+            total = alg.sum(alg.path(lam) * alg.ghost(lam) for lam in graph.paths_with_range(v, n))
             rep.expect_equal(f"sum tt* over {v}@{format_degree(n)}", total, alg.vertex(v))
     return rep
 
@@ -524,14 +541,13 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
         rep.expect_equal(f"unit s*[{p}]q[r]", images_g[p] * images_q[p.range], images_g[p])
 
     for lam_path in paths:
-        for mu in paths:
-            if lam_path.source != mu.range or len(lam_path.edges) + len(mu.edges) > max_paths:
-                continue
+        mus = [mu for mu in paths
+               if lam_path.source == mu.range and len(lam_path.edges) + len(mu.edges) <= max_paths]
+        products = images_s[lam_path].products([images_s[mu] for mu in mus])
+        for mu, product in zip(mus, products):
             composite = lam.normal_form(lam.compose(lam_path, mu))
             rep.expect_equal(
-                f"composition s[{lam_path}]s[{mu}]",
-                images_s[lam_path] * images_s[mu],
-                emb.path_image(composite),
+                f"composition s[{lam_path}]s[{mu}]", product, emb.path_image(composite)
             )
             rep.expect_equal(
                 f"composition s*[{mu}]s*[{lam_path}]",
@@ -543,16 +559,16 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
     for p in paths:
         by_degree.setdefault(p.degree, []).append(p)
     for group in by_degree.values():
+        group_s = [images_s[b] for b in group]
         for a in group:
-            for b in group:
+            for b, product in zip(group, images_g[a].products(group_s)):
                 expected = images_q[a.source] if a == b else zero
-                rep.expect_equal(f"ghost pairing s*[{a}]s[{b}]", images_g[a] * images_s[b], expected)
+                rep.expect_equal(f"ghost pairing s*[{a}]s[{b}]", product, expected)
 
     for v in lam.vertices:
         for n in _kp4_degrees(lam.k, max_paths):
-            total = zero
-            for p in lam.paths_with_range(v, n):
-                total = total + emb.path_image(p) * emb.ghost_image(p)
+            total = emb.algebra.sum(emb.path_image(p) * emb.ghost_image(p)
+                                    for p in lam.paths_with_range(v, n))
             rep.expect_equal(f"fullness {v}@{format_degree(n)}", total, images_q[v])
     return rep
 
@@ -572,9 +588,8 @@ def verify_swap_identities(emb: SplitEmbedding) -> VerificationReport:
         x = lam.make_path((e.name,))
         rainbows = lam.rainbow_paths_into(e.range)
         for j in range(1, result.counts[e.range] + 1):
-            carrier = alg.zero()
-            for f in rainbows:
-                carrier = carrier + alg.term(copy_path(result, f, j), copy_path(result, f, 1))
+            carrier = alg.sum(alg.term(copy_path(result, f, j), copy_path(result, f, 1))
+                              for f in rainbows)
             x_1 = alg.path(copy_path(result, x, 1))
             x_j = alg.path(copy_path(result, x, j))
             rep.expect_equal(f"carry t[{e.name}] to copy {j}", carrier * x_1, x_j)
@@ -635,8 +650,8 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
         images = [emb.path_image(p) for p in parents]
         ghosts = [emb.ghost_image(p) for p in parents]
         for a, image in zip(group, images):
-            for b, ghost in zip(group, ghosts):
-                rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), image * ghost)
+            for b, product in zip(group, image.products(ghosts)):
+                rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), product)
     return rep
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from kgraphs import (
     BasisTerm,
     Edge,
+    KPElement,
     KumjianPask,
     Skeleton,
     SplitEmbedding,
@@ -111,6 +112,51 @@ class TestProducts:
     def test_vertex_idempotents(self, lambda_one, alg):
         assert alg.vertex("v") * alg.vertex("v") == alg.vertex("v")
         assert (alg.vertex("v") * alg.vertex("x")).is_zero()
+
+    @pytest.mark.parametrize("source", ["worked example", "rank-3 split"])
+    def test_products_equal_one_product_each(self, lambda_one, source):
+        graph = lambda_one if source == "worked example" else _rank_three_split().graph
+        alg = KumjianPask(graph)
+        terms = _basis_terms(graph, alg, max_total=2 if source == "worked example" else 1,
+                             coeffs=(1, -2))
+        rng = random.Random(71)
+        for _ in range(20):
+            a = alg.sum(rng.sample(terms, 4))
+            bs = [alg.sum(rng.sample(terms, rng.randrange(1, 5))) for _ in range(6)]
+            bs.append(bs[0])
+            bs.append(next(b for b in terms if len(a * b) == 0))
+            left_degrees = [{term.left.degree for term, _ in b.terms()} for b in bs]
+            assert any(len(degrees) > 1 for degrees in left_degrees)
+            assert len(set().union(*left_degrees)) > 1
+            got = a.products(bs)
+            assert [dict(p.terms()) for p in got] == [dict((a * b).terms()) for b in bs]
+            assert got[-1].terms() == ()
+        assert a.products([]) == []
+
+    def test_products_reject_another_context(self, lambda_one, alg):
+        b = path(lambda_one, "b")
+        other = KumjianPask(lambda_one).path(b)
+        with pytest.raises(ValueError, match="operands belong to different algebra contexts"):
+            alg.ghost(b).products([alg.path(b), other])
+
+    def test_sum_equals_the_left_fold(self, lambda_one, alg):
+        terms = _basis_terms(lambda_one, alg, max_total=2, coeffs=(1, -1, 2))
+        rng = random.Random(73)
+        for _ in range(50):
+            xs = rng.sample(terms, rng.randrange(1, 8))
+            # negated copies cancel some terms to zero coefficients
+            xs += [x.scale(-1) for x in xs[:rng.randrange(len(xs) + 1)]]
+            rng.shuffle(xs)
+            fold = alg.zero()
+            for x in xs:
+                fold = fold + x
+            assert dict(alg.sum(xs).terms()) == dict(fold.terms())
+            assert dict(alg.sum(iter(xs)).terms()) == dict(fold.terms())
+        x = rng.choice(terms)
+        assert alg.sum([x, x.scale(-1)]).terms() == ()
+        assert alg.sum([]).terms() == alg.zero().terms() == ()
+        with pytest.raises(ValueError, match="different algebra contexts"):
+            alg.sum([alg.vertex("v"), KumjianPask(lambda_one).vertex("v")])
 
 
 class TestAdjoint:
@@ -684,6 +730,31 @@ class TestVerifiers:
         assert [r.summary() for r in with_shared] == [r.summary() for r in with_fresh]
         assert [r.failures for r in with_shared] == [r.failures for r in with_fresh]
         assert all(r.ok for r in with_shared) != corrupt
+
+    @pytest.mark.parametrize("max_len", [2, 3])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_grouped_products_change_no_report(self, split_one, split_two, corrupt, max_len,
+                                               monkeypatch):
+        # the sweeps join a fixed left element against a group; one product
+        # at a time must give the same checks, in the same order
+        result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
+        grouped_emb = SplitEmbedding(result)
+        grouped = _all_sweeps(lambda: grouped_emb, max_len=max_len)
+        products = KPElement.products
+        sizes = []
+
+        def one_at_a_time(self, others):
+            others = list(others)
+            sizes.append(len(others))
+            return [products(self, (other,))[0] for other in others]
+
+        monkeypatch.setattr(KPElement, "products", one_at_a_time)
+        single_emb = SplitEmbedding(result)
+        single = _all_sweeps(lambda: single_emb, max_len=max_len)
+        assert max(sizes) > 1
+        assert [r.summary() for r in single] == [r.summary() for r in grouped]
+        assert [r.failures for r in single] == [r.failures for r in grouped]
+        assert any(r.failures for r in grouped) == corrupt
 
     def test_grading_reports_a_mixed_image(self, split_one, monkeypatch):
         # an image of n with a degree-zero summand is not homogeneous
