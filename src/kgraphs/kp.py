@@ -19,11 +19,13 @@ The context caches those rows per ``(μ, d(ν))`` and each extension's id, so
 a product is a hash join of the rows' heads against the right operand's left
 paths.  A fixed left element joins a whole group of right operands at once
 (``products``), reading each row and extending each ``α`` once for the group,
-and ``KumjianPask.sum`` accumulates a sum in one term map.  When
-``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
+and ``KumjianPask.sum`` accumulates every sum, ``+`` included, in one term
+map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
 ``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  Those trivial
-extensions cost nothing: the terms hold normal forms, and a normal form
-extended by a vertex is itself, so ``KGraph.extend`` returns it unchanged.
+extensions compute nothing new: the terms hold normal forms, and a normal
+form extended by a vertex is itself, so ``KGraph.extend`` returns it
+unchanged.  Each one still takes an entry in the ``extend`` table, though:
+16,726 of its entries (13%) on the rank-3 split at ``--max-len 4``.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -232,14 +234,10 @@ class KPElement:
         return len(self._terms)
 
     def __add__(self, other: "KPElement") -> "KPElement":
-        _check_context(self.algebra, other)
-        out = dict(self._terms)
-        for t, c in other._terms.items():
-            out[t] = out.get(t, 0) + c
-        return KPElement(self.algebra, out)
+        return self.algebra.sum((self, other))
 
     def __neg__(self) -> "KPElement":
-        return KPElement(self.algebra, {t: -c for t, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "KPElement") -> "KPElement":
         return self + (-other)

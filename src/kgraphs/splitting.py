@@ -11,14 +11,16 @@ that the quotient by the lifted squares is again a k-graph:
 * a ``B``-edge copy starts at the copy of its source named by the
   partition block containing the edge;
 * a non-``B`` edge copy ``e^i`` starts where the square against the i-th
-  block's ``B``-edge at ``range(e)`` says it must (this is independent of
-  the block representative, which :func:`outsplit` re-checks defensively);
+  block's ``B``-edge at ``range(e)`` says it must (every edge of the block
+  gives the same answer, as :func:`outsplit` proves);
 * a non-``B`` edge whose range has no outgoing ``B``-edge keeps a single
   source, the first copy.
 
 Every Λ-square lifts to one square per copy of its range, which realizes
-the equivalence "parents commute and endpoints agree".  The output is
-re-validated and re-checked for source-freeness before it is returned.
+the equivalence "parents commute and endpoints agree".
+:func:`validate_spec` checks every precondition of the move, in one order,
+before anything is built, and the output is re-validated before it is
+returned; it is source-free by construction.
 
 A graph is *paired* in color ``B`` when no edge has two distinct sibling
 ``B``-edges (see :func:`sibling_set`); splits of paired graphs give all
@@ -143,8 +145,22 @@ def block_problem(vertex: str, blocks: tuple[tuple[str, ...], ...], out: set[str
 
 
 def validate_spec(graph: KGraph, spec: SplitSpec) -> dict[str, int]:
-    """Check the spec against the graph; return the copy counts it was checked against."""
+    """Check every precondition of splitting ``graph`` by ``spec``; return the copy counts.
+
+    The first failing check raises, in this order: the graph is source-free;
+    :func:`split_region`'s color, base and out-degree checks; at rank at
+    least 3, every vertex has an outgoing split-color edge; partitions are
+    given for exactly the vertices with one; each has one block per copy;
+    and its blocks pass :func:`block_problem`.
+    """
+    free = graph.is_source_free()
+    if not free.ok:
+        raise SplitError(f"graph is not source-free, e.g. {free.witnesses[0]}")
     region = split_region(graph, spec.color, spec.base)
+    if graph.k >= 3 and (sinks := graph.degree_sinks(spec.color)):
+        raise SplitError(
+            f"rank {graph.k} split needs no sinks in color {spec.color}; found {list(sinks)}"
+        )
     counts = copy_counts(graph, region, spec.color)
     expected_keys = {
         v for v in graph.vertices if graph.skeleton.edges_from(v, spec.color)
@@ -220,26 +236,14 @@ class SplitResult:
 def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     """Perform the split move and return the validated result.
 
-    Preconditions: the graph is source-free, the spec is valid, and for
-    rank at least 3 no vertex may lack an outgoing edge of the split color.
+    :func:`validate_spec` checks every precondition first, in its order.
     """
-    free = graph.is_source_free()
-    if not free.ok:
-        raise SplitError(f"graph is not source-free, e.g. {free.witnesses[0]}")
-    if not 1 <= spec.color <= graph.k:
-        raise SplitError(f"color {spec.color} out of range 1..{graph.k}")
-    if graph.k >= 3:
-        sinks = graph.degree_sinks(spec.color)
-        if sinks:
-            raise SplitError(
-                f"rank {graph.k} split needs no sinks in color {spec.color}; found {list(sinks)}"
-            )
     counts = validate_spec(graph, spec)
     color = spec.color
     swap = graph.squares.swap_map
     edge_map = graph.skeleton.edge_map
-    # 1-based index of the block holding each split-color edge at its source
-    block = {(v, name): j for v, blocks in spec.partitions.items()
+    # 1-based index of the block holding each split-color edge (edge ids are unique)
+    block = {name: j for blocks in spec.partitions.values()
              for j, names in enumerate(blocks, start=1) for name in names}
 
     parent = {_copy_name(v, i): v for v in graph.vertices for i in range(1, counts[v] + 1)}
@@ -248,18 +252,17 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     def source_block(e: Edge, i: int) -> int:
         """Block index j with source(e^i) = source(e)^j."""
         if e.color == color:
-            return block[e.source, e.name]
+            return block[e.name]
         blocks = spec.partitions.get(e.range)
         if blocks is None:  # no outgoing split-color edge at the range
             return 1
-        # the partner side of f·e starts with a split-color edge at source(e)
-        answers = {block[e.source, swap[f, e.name][1]] for f in blocks[i - 1]}
-        if len(answers) != 1:
-            raise SplitError(
-                f"source of copy {i} of {e.name!r} depends on the block representative "
-                f"({sorted(answers)}); the input does not satisfy the factorization axioms"
-            )
-        return answers.pop()
+        # The partner side of f·e starts with a split-color edge at source(e);
+        # every f in the block names the same block there.  On the region the
+        # blocks are singletons.  Off it, a block of two or more edges means
+        # r(e) has that many split-color edges, so r(e) would have joined the
+        # region if source(e) lay on it; source(e) therefore lies off it too,
+        # with a single block, and every f names block 1.
+        return block[swap[blocks[i - 1][0], e.name][1]]
 
     edges = []
     source_index: dict[str, int] = {}  # copy index of each edge copy's source
@@ -284,10 +287,8 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         split_graph = build_kgraph(skeleton, SquareSet.create(skeleton, pairs))
     except (KGraphInvalid, StructureError) as exc:  # pragma: no cover - defensive
         raise SplitError(f"internal error: split output failed validation: {exc}") from exc
-    free = split_graph.is_source_free()
-    if not free.ok:  # pragma: no cover - defensive
-        raise SplitError(f"internal error: split output is not source-free: {free.witnesses}")
-
+    # source-free because the input is: each copy v.i receives the copy e.i
+    # of every edge e into v
     return SplitResult(graph, split_graph, color, spec.base, parent)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import os
 import shutil
@@ -598,6 +599,14 @@ class TestUsage:
         assert (done.returncode, done.stdout) == (2, "")
         assert len(done.stderr.splitlines()) == 1
         assert "Traceback" not in done.stderr
+
+    def test_console_script_names_cli_main(self):
+        tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"kgraphs": "kgraphs.cli:main"}
+        module, _, attr = scripts["kgraphs"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 FUZZ_FILES = ("lambda1.kg", "lambda2.kg", "gamma1.kg", "gamma2.kg",

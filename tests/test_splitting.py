@@ -236,11 +236,30 @@ class TestSplitPreconditions:
         two = diagonal_double(vertices, arrows, 2)
         outsplit(two, default_spec(two, 1, "u0"))
 
+    def test_checks_run_in_one_order(self):
+        # a rank-3 double with a sink at u1: each spec below breaks the sink
+        # check and one other check, and the one validate_spec runs first reports
+        vertices = ["u0", "u1"]
+        arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1")]
+        graph = diagonal_double(vertices, arrows, 3)
+        partitions = default_spec(graph, 1, "u0").partitions
+        for spec, error, message in [
+            (SplitSpec(1, "nosuch", partitions), StructureError, "unknown base vertex 'nosuch'"),
+            (SplitSpec(1, "u1", partitions), SplitError,
+             "vertex 'u1' has fewer than two outgoing edges of color 1"),
+            (SplitSpec(1, "u0", {}), SplitError,
+             "rank 3 split needs no sinks in color 1; found ['u1']"),
+        ]:
+            for check in (validate_spec, outsplit):
+                with pytest.raises(error) as exc:
+                    check(graph, spec)
+                assert str(exc.value) == message
+
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("color", [0, 4])
     def test_color_out_of_range(self, k, color):
-        # at rank 3 the sink check would otherwise meet the color first, in
-        # degree_sinks, and raise a bare ValueError
+        # at rank 3 the color is checked before the sink check, whose
+        # degree_sinks would raise a bare ValueError
         graph = diagonal_double(["u0", "u1"], [("a", "u0", "u0"), ("b", "u0", "u0"),
                                                ("c", "u0", "u1"), ("d", "u1", "u0")], k)
         spec = default_spec(graph, 1, "u0")
@@ -421,6 +440,42 @@ class TestStructuralInvariants:
         # whether the move preserves pairing is open; record the observation
         preserved = pairing_report(split_one.graph, BLUE).ok
         print(f"pairedness preserved on the worked example: {preserved}")
+
+
+class TestOutsplitProofs:
+    """The two facts ``outsplit`` proves in comments instead of checking."""
+
+    def test_blocks_name_one_source_and_splits_are_source_free(self, lambda_one, lambda_two):
+        rank_three = diagonal_double(
+            ["u0", "u1"], [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"),
+                           ("d", "u1", "u0")], 3)
+        specs = [(lambda_one, paper_spec()), (lambda_one, default_spec(lambda_one, BLUE, "v")),
+                 (lambda_one, default_spec(lambda_one, BLUE, "x")), (lambda_two, paper_spec()),
+                 (rank_three, default_spec(rank_three, 1, "u0"))]
+        rng = random.Random(29)
+        for _ in range(200):
+            graph, _ = random_double(rng, k=rng.choice([2, 3]))
+            specs.extend((graph, shuffled_spec(graph, 1, v, rng)) for v in graph.vertices
+                         if len(graph.skeleton.edges_from(v, 1)) >= 2)
+        multi_edge_blocks = 0
+        for graph, spec in specs:
+            result = outsplit(graph, spec)
+            block = {name: j for blocks in spec.partitions.values()
+                     for j, names in enumerate(blocks, start=1) for name in names}
+            swap = graph.squares.swap_map
+            for e in graph.edges:
+                blocks = spec.partitions.get(e.range)
+                if e.color == spec.color or blocks is None:
+                    continue
+                for i in range(1, result.counts[e.range] + 1):
+                    # every edge f of block i at r(e) names one block at s(e)
+                    named = {block[swap[f, e.name][1]] for f in blocks[i - 1]}
+                    assert len(named) == 1, (spec, e.name, i, named)
+                    multi_edge_blocks += len(blocks[i - 1]) > 1
+                    assert result.graph.edge(f"{e.name}.{i}").source == f"{e.source}.{named.pop()}"
+            assert result.graph.is_source_free().ok
+        # at base x, v lies off the region with its three blue edges in one block
+        assert multi_edge_blocks > 0
 
 
 # Λ for the rejection table: blue loops a and c at u, a red loop d at w and a
