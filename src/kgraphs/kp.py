@@ -21,11 +21,9 @@ paths.  A fixed left element joins a whole group of right operands at once
 (``products``), reading each row and extending each ``α`` once for the group,
 and ``KumjianPask.sum`` accumulates every sum, ``+`` included, in one term
 map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
-``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  Those trivial
-extensions compute nothing new: the terms hold normal forms, and a normal
-form extended by a vertex is itself, so ``KGraph.extend`` returns it
-unchanged.  Each one still takes an entry in the ``extend`` table, though:
-16,726 of its entries (13%) on the rank-3 split at ``--max-len 4``.
+``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  The context interns the
+vertex paths first, as ids ``0..|V|−1``, so extending by a vertex is an id
+comparison and stores nothing.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -34,11 +32,12 @@ component before comparing coefficients: ``t_λ t_μ*`` equals the sum of
 ``t_λα t_(μα)*`` over all ``α`` of any fixed degree out of ``s(λ)``, and at
 a uniform degree distinct refined terms really are independent (they are
 indicator functions of disjoint nonempty cylinders of the path groupoid).
-The context's second cache, ``refinement``, refines a path to each degree
-once per run; the zero test sorts terms into classes by ``(d(left),
-d(right))`` and computes the common degree and the gaps once per class.  A
-term already at the common degree is its own refinement and enumerates
-nothing.
+Refining ``λ`` by every ``α`` of degree ``g`` is the head column of
+``extensions(λ, d(λ) + g)``, since at a degree that dominates ``d(λ)`` every
+``β`` is the vertex ``s(α)``; so products and the zero test share one table.
+The zero test sorts terms into classes by ``(d(left), d(right))`` and
+computes the common degree once per graded component.  A term already at
+the common degree is its own refinement and enumerates nothing.
 Source-freeness keeps those cylinders nonempty, so the algebra context
 refuses graphs with sources.
 
@@ -61,7 +60,7 @@ from typing import Iterable, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
                        difference, factor, format_degree, join)
-from .splitting import SplitResult, UnpairedError, copy_path, parent_path
+from .splitting import SplitError, SplitResult, UnpairedError, copy_path, parent_path
 
 
 class BasisTerm(NamedTuple):
@@ -92,7 +91,7 @@ def _check_context(algebra: "KumjianPask", element: "KPElement") -> None:
 
 
 class KumjianPask:
-    """Algebra context: the path table (``paths``, ``degree``), term constructors, caches by id."""
+    """Algebra context: the path table (``paths``, ``degree``), term constructors, tables by id."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -104,9 +103,11 @@ class KumjianPask:
         self.paths: list[Path] = []
         self.degree: list[Degree] = []
         self._ids: dict[Path, int] = {}
+        for v in graph.vertices:
+            self.intern(graph.vertex_path(v))
+        self._vertex_ids = len(self.paths)
         self._extended: dict[tuple[int, int], int] = {}
         self._extensions: dict[tuple[int, Degree], tuple[tuple[int, int, int], ...]] = {}
-        self._refinements: dict[tuple[int, Degree], tuple[int, ...]] = {}
 
     def intern(self, path: Path) -> int:
         """The id of ``path``, which must be a normal form."""
@@ -118,7 +119,14 @@ class KumjianPask:
         return i
 
     def extend(self, i: int, alpha: int) -> int:
-        """The id of the normal form of ``paths[i]·paths[alpha]``, cached."""
+        """The id of the normal form of ``paths[i]·paths[alpha]``, cached.
+
+        ``paths[alpha]`` must end at the source of ``paths[i]``, which every
+        caller guarantees; then a vertex ``alpha`` (an id below ``|V|``) gives
+        ``i`` itself, with no table entry.
+        """
+        if alpha < self._vertex_ids:
+            return i
         key = (i, alpha)
         j = self._extended.get(key)
         if j is None:
@@ -177,21 +185,6 @@ class KumjianPask:
                 for alpha in graph.paths_with_range(path.source, difference(top, path.degree))
             )
         return rows
-
-    def refinement(self, i: int, d: Degree) -> tuple[int, ...]:
-        """``paths[i]`` extended by every ``α`` of degree ``d`` into its source, in order, cached.
-
-        Two paths with one source extend by the same ``α``s, so zipping their
-        refinements gives the terms ``t_λα t_(μα)*`` that sum to ``t_λ t_μ*``.
-        """
-        key = (i, d)
-        ids = self._refinements.get(key)
-        if ids is None:
-            graph, path = self.graph, self.paths[i]
-            ids = self._refinements[key] = tuple(
-                self.intern(graph.extend(path, alpha))
-                for alpha in graph.paths_with_range(path.source, d))
-        return ids
 
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
         """All ``(α, β)`` with ``μα = νβ`` of degree ``d(μ) ∨ d(ν)``, sorted.
@@ -290,24 +283,29 @@ class KPElement:
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        refine, degree = self.algebra.refinement, self.algebra.degree
+        extensions, degree = self.algebra.extensions, self.algebra.degree
         by_class: dict[tuple[Degree, Degree], list[tuple[tuple[int, int], int]]] = {}
         for t, c in self._terms.items():
             by_class.setdefault((degree[t[0]], degree[t[1]]), []).append((t, c))
         components: dict[tuple[int, ...], list[tuple[Degree, Degree]]] = {}
         for degrees in by_class:
             components.setdefault(difference(*degrees), []).append(degrees)
-        for classes in components.values():
+        for n, classes in components.items():
             target = classes[0][0]
             for left_degree, _ in classes[1:]:
                 target = join(target, left_degree)
+            right_target = difference(target, n)
             refined: dict[tuple[int, int], int] = {}
             for degrees in classes:
-                gap = difference(target, degrees[0])
-                spread = any(gap)
-                for t, c in by_class[degrees]:
+                if degrees[0] == target:
                     # a term already at the target degree is its own refinement
-                    for key in zip(refine(t[0], gap), refine(t[1], gap)) if spread else (t,):
+                    for t, c in by_class[degrees]:
+                        refined[t] = refined.get(t, 0) + c
+                    continue
+                for (left, right), c in by_class[degrees]:
+                    # both rows run over the same α into s(left) = s(right)
+                    for row, other in zip(extensions(left, target), extensions(right, right_target)):
+                        key = (row[1], other[1])
                         refined[key] = refined.get(key, 0) + c
             if any(refined.values()):
                 return False
@@ -411,7 +409,7 @@ class SplitEmbedding:
 
     def __init__(self, result: SplitResult):
         if result.original.k >= 3 and result.original.degree_sinks(result.color):
-            raise UnpairedError(
+            raise SplitError(
                 f"rank {result.original.k} inputs must have no sinks in color {result.color}"
             )
         if not result.paired:

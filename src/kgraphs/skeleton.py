@@ -38,9 +38,9 @@ Conventions used throughout the package:
   (:meth:`KGraph.paths_with_range`).
 * :meth:`KGraph.normal_form` caches the normal form of each edge tuple as
   a :class:`Path`: a repeated call allocates nothing, and a path that is
-  already normal comes back as the same object.  :meth:`KGraph.extend`
-  normalizes the composite of a normal form with a path; extending by a
-  vertex returns the normal form itself without touching the cache.
+  already normal comes back as the same object.  :meth:`KGraph.extend` is
+  the normal form of a composite, and :func:`factor` at a zero tail degree
+  is the normal form of the whole path.
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
 """
@@ -535,13 +535,7 @@ class KGraph:
         return Path(right.edges + left.edges, right.source, left.range, degree)
 
     def extend(self, path: Path, alpha: Path) -> Path:
-        """``normal_form(compose(path, alpha))``, for a ``path`` in normal form.
-
-        Extending by a vertex returns ``path`` itself, which is only right
-        because ``path`` is already normal; callers guarantee that.
-        """
-        if not alpha.edges and path.source == alpha.range:
-            return path
+        """``normal_form(compose(path, alpha))``: the normal form of ``path`` extended by ``alpha``."""
         return self.normal_form(self.compose(path, alpha))
 
     # -- squares and normal forms ---------------------------------------------
@@ -655,11 +649,14 @@ def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path
     """Split as ``head∘tail`` with ``tail`` traversed first at the given degree.
 
     Both parts come back in normal form; uniqueness is the factorization
-    property of a validated graph.
+    property of a validated graph.  At a zero tail degree the head is the
+    cached normal form of ``path`` and the tail the vertex ``s(path)``.
     """
     if not dominates(path.degree, source_degree):
         raise ValueError(f"cannot factor degree {format_degree(path.degree)} "
                          f"with first part {format_degree(source_degree)}")
+    if not any(source_degree):
+        return graph.normal_form(path), Path((), path.source, path.source, source_degree)
     head_degree = difference(path.degree, source_degree)
     word = tuple(c for d in (source_degree, head_degree)
                  for c, n in enumerate(d, start=1) for _ in range(n))

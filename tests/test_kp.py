@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from kgraphs import (
     BasisTerm,
     Edge,
+    KGraph,
     KPElement,
     KumjianPask,
     Skeleton,
     SplitEmbedding,
+    SplitError,
     SquareSet,
     UnpairedError,
     VerificationReport,
@@ -285,17 +287,48 @@ class TestEquality:
 class TestRefinementTable:
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "rank3_split"])
     def test_table_matches_direct_extension(self, source):
+        # refining p by every α of degree d is the head column of
+        # extensions(p, d(p) + d), and every tail there is the vertex s(α)
         graph = _refinement_graph(source)
+        # a second graph keeps its own normal-form cache, shared with no table
+        reference = KGraph(graph.skeleton, graph.squares)
         alg = KumjianPask(graph)
         paths = [graph.vertex_path(v) for v in graph.vertices]
         paths += [graph.make_path((e.name,)) for e in graph.edges]
         degrees = [d for total in range(3) for d in degrees_with_total(graph.k, total)]
         for p in paths:
+            i = alg.intern(p)
             for d in degrees:
-                direct = tuple(graph.extend(p, alpha) for alpha in graph.paths_with_range(p.source, d))
-                i = alg.intern(p)
-                assert tuple(alg.paths[j] for j in alg.refinement(i, d)) == direct
-                assert tuple(alg.paths[j] for j in alg.refinement(i, d)) == direct  # cached
+                alphas = graph.paths_with_range(p.source, d)
+                target = tuple(a + b for a, b in zip(p.degree, d))
+                rows = alg.extensions(i, target)
+                assert alg.extensions(i, target) is rows  # cached
+                assert [alg.paths[alpha] for alpha, _, _ in rows] == list(alphas)
+                assert [alg.paths[head] for _, head, _ in rows] == [
+                    reference.normal_form(reference.compose(p, alpha)) for alpha in alphas]
+                assert [alg.paths[beta] for _, _, beta in rows] == [
+                    graph.vertex_path(alpha.source) for alpha in alphas]
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "rank3_split"])
+    def test_vertex_paths_are_the_first_ids(self, source):
+        graph = _refinement_graph(source)
+        alg = KumjianPask(graph)
+        vertices = [graph.vertex_path(v) for v in graph.vertices]
+        assert alg.paths == vertices
+        assert [alg.intern(p) for p in vertices] == list(range(len(vertices)))
+        edge = graph.make_path((graph.edges[0].name,))
+        i = alg.intern(edge)
+        assert alg.extend(i, alg.intern(graph.vertex_path(edge.source))) == i
+        assert not alg._extended
+
+    def test_extend_stores_no_vertex(self):
+        # the six kp-verify sweeps at --max-len 2, verify_family(max_paths=2) among them
+        emb = SplitEmbedding(_rank_three_split())
+        alg = emb.algebra
+        assert all(report.ok for report in _all_sweeps(lambda: emb, max_len=2))
+        assert alg._extended
+        assert not [key for key in alg._extended if alg.paths[key[1]].is_vertex]
+        assert len(alg.paths) == 1588
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_warm_table_changes_no_answer(self, source):
@@ -593,8 +626,9 @@ class TestInducedFamily:
         loops = [Skeleton.create(1, [v], [Edge(f"{v}{v}", 1, v, v)]) for v in "rs"]
         original = product_graph([sink, *loops])
         assert original.degree_sinks(1)
-        with pytest.raises(UnpairedError) as exc:
+        with pytest.raises(SplitError) as exc:
             SplitEmbedding(dataclasses.replace(split_one, original=original))
+        assert not isinstance(exc.value, UnpairedError)
         assert str(exc.value) == "rank 3 inputs must have no sinks in color 1"
 
     def test_path_image_shape(self, split_one):

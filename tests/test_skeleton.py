@@ -514,6 +514,25 @@ class TestNormalForm:
                 with pytest.raises(StructureError, match="do not compose"):
                     graph.extend(edge, graph.vertex_path(v))
 
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
+    def test_factor_at_a_zero_tail_degree(self, source):
+        if source == "random_double":
+            graph, _ = random_double(random.Random(5), k=3, max_vertices=3)
+        else:
+            graph = parse((DATA / source).read_text(encoding="utf-8")).build()
+        reference = KGraph(graph.skeleton, graph.squares)
+        zero = (0,) * graph.k
+        # every path of total length at most 3, normal or not
+        layers = [[graph.vertex_path(v) for v in graph.vertices]]
+        for _ in range(3):
+            layers.append([graph.compose(graph.make_path((e.name,)), p)
+                           for p in layers[-1] for e in graph.skeleton.edges_from(p.range)])
+        paths = [p for layer in layers for p in layer]
+        assert len(layers[3]) > len(graph.edges)
+        assert any(reference.normal_form(p) != p for p in paths)
+        for p in paths:
+            assert factor(graph, p, zero) == (reference.normal_form(p), graph.vertex_path(p.source))
+
     def test_factor_needs_a_dominated_degree(self, lambda_one):
         with pytest.raises(ValueError) as exc:
             factor(lambda_one, lambda_one.make_path(("h",)), (0, 1))
