@@ -73,7 +73,7 @@ class GraphDocument:
 def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """``(line number, raw line, tokens)`` for each line that is not blank or a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if tokens:
             yield lineno, raw, tokens
 
@@ -94,9 +94,13 @@ def parse(text: str) -> GraphDocument:
     """Parse a document, validating names, square well-formedness and, per
     declaration, the rules of ``Skeleton.create``, so the skeleton is built
     directly from the checked data: the two rule sets must stay in step.
+
+    Every id is stored as one string: an edge's endpoints are the strings of
+    their ``vertex`` lines, and a square side holds its edges' ``Edge.name``.
     """
     header: tuple[str, int, tuple[str, ...]] | None = None
-    vertices: set[str] = set()
+    color_index: dict[str, int] = {}
+    vertices: dict[str, str] = {}  # each vertex id mapped to itself, the one string kept
     edges: dict[str, Edge] = {}
     squares: list[tuple[Side, Side, int]] = []
     split_header: tuple[int, str] | None = None
@@ -104,7 +108,42 @@ def parse(text: str) -> GraphDocument:
 
     for lineno, raw, tokens in _declarations(text):
         keyword = tokens[0]
-        if keyword == "kgraph":
+        if keyword == "square":
+            if len(tokens) != 6 or tokens[3] != "=":
+                raise ParseError(lineno, 1, "expected: square <a> <b> = <c> <d>")
+            try:
+                f, e, g, h = (edges[tokens[1]].name, edges[tokens[2]].name,
+                              edges[tokens[4]].name, edges[tokens[5]].name)
+            except KeyError:
+                i = next(i for i in (1, 2, 4, 5) if tokens[i] not in edges)
+                raise ParseError(lineno, _column(raw, i), f"unknown edge {tokens[i]!r}") from None
+            squares.append(((f, e), (g, h), lineno))
+        elif keyword == "edge":
+            if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
+                raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
+            name = _check_id(tokens[1], "edge", lineno, raw, 1)
+            if name in edges or name in vertices:
+                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
+            if header is None:
+                raise ParseError(lineno, 1, "edge before header line")
+            color = color_index.get(tokens[3])
+            if color is None:
+                raise ParseError(lineno, _column(raw, 3), f"unknown color {tokens[3]!r}")
+            try:
+                edges[name] = Edge(name, color, vertices[tokens[4]], vertices[tokens[6]])
+            except KeyError:
+                i = 4 if tokens[4] not in vertices else 6
+                raise ParseError(lineno, _column(raw, i), f"unknown vertex {tokens[i]!r}") from None
+        elif keyword == "vertex":
+            if len(tokens) != 2:
+                raise ParseError(lineno, 1, "expected: vertex <id>")
+            name = _check_id(tokens[1], "vertex", lineno, raw, 1)
+            if name in vertices:
+                raise ParseError(lineno, _column(raw, 1), f"duplicate vertex id {name!r}")
+            if name in edges:
+                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
+            vertices[name] = name
+        elif keyword == "kgraph":
             if header is not None:
                 raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 4 or not tokens[2].startswith("k=") or not tokens[3].startswith("colors="):
@@ -121,38 +160,7 @@ def parse(text: str) -> GraphDocument:
                 _check_id(c, "color", lineno, raw, 3, skip)
                 skip += len(c) + 1
             header = (tokens[1], k, colors)
-        elif keyword == "vertex":
-            if len(tokens) != 2:
-                raise ParseError(lineno, 1, "expected: vertex <id>")
-            name = _check_id(tokens[1], "vertex", lineno, raw, 1)
-            if name in vertices:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate vertex id {name!r}")
-            if name in edges:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
-            vertices.add(name)
-        elif keyword == "edge":
-            if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
-                raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
-            name = _check_id(tokens[1], "edge", lineno, raw, 1)
-            if name in edges or name in vertices:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
-            if header is None:
-                raise ParseError(lineno, 1, "edge before header line")
-            try:
-                color = header[2].index(tokens[3]) + 1
-            except ValueError:
-                raise ParseError(lineno, _column(raw, 3), f"unknown color {tokens[3]!r}") from None
-            for i in (4, 6):
-                if tokens[i] not in vertices:
-                    raise ParseError(lineno, _column(raw, i), f"unknown vertex {tokens[i]!r}")
-            edges[name] = Edge(name, color, tokens[4], tokens[6])
-        elif keyword == "square":
-            if len(tokens) != 6 or tokens[3] != "=":
-                raise ParseError(lineno, 1, "expected: square <a> <b> = <c> <d>")
-            for i in (1, 2, 4, 5):
-                if tokens[i] not in edges:
-                    raise ParseError(lineno, _column(raw, i), f"unknown edge {tokens[i]!r}")
-            squares.append(((tokens[1], tokens[2]), (tokens[4], tokens[5]), lineno))
+            color_index = {c: i for i, c in enumerate(colors, start=1)}
         elif keyword == "split":
             if split_header is not None:
                 raise ParseError(lineno, 1, "duplicate split line")

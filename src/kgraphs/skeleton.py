@@ -43,6 +43,11 @@ Conventions used throughout the package:
   is the normal form of the whole path.
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
+* Each id is one shared string.  ``fileformat.parse`` stores an edge's
+  endpoints as the strings of their ``vertex`` lines, :meth:`SquareSet.create`
+  rebuilds every side from the skeleton's ``Edge.name`` strings, and
+  ``splitting.outsplit`` formats each copy name once; so the tuple-keyed
+  lookups on sides and endpoints compare strings by identity.
 """
 
 from __future__ import annotations
@@ -236,45 +241,45 @@ class SquareSet:
 
     A pair ``((f, e), (g, h))`` declares ``fe ~ gh`` where ``e`` and ``h``
     are traversed first.  :meth:`create` checks each pair structurally
-    (composability, swapped colors, equal endpoints and degree);
-    completeness and uniqueness across pairs are the job of ``validate``.
-    The swap map is built in one pass over the pairs, and the partner
-    table only when asked for, which ``validate`` does only when a side
-    lacks a unique partner.
+    (composability, swapped colors, equal endpoints and degree), orders and
+    dedupes it in the same loop, and stores the skeleton's own ``Edge.name``
+    strings in every side; completeness and uniqueness across pairs are the
+    job of ``validate``.  The swap map is built in one pass over the pairs,
+    and the partner table only when asked for, which ``validate`` does only
+    when a side lacks a unique partner.
     """
 
     pairs: tuple[tuple[Side, Side], ...]
 
     @staticmethod
     def create(skeleton: Skeleton, pairs: Iterable[tuple[Side, Side]]) -> "SquareSet":
-        # a dict keeps the first-seen order, so canonical input sorts in linear time
-        unique = dict.fromkeys(SquareSet._check_pair(skeleton, s1, s2) for s1, s2 in pairs)
-        return SquareSet(tuple(sorted(unique)))
-
-    @staticmethod
-    def _check_pair(skeleton: Skeleton, side1: Side, side2: Side) -> tuple[Side, Side]:
-        """The pair with its smaller side first, once it passes the structural checks."""
-        (f, e), (g, h) = side1, side2
+        """Check each pair, put its smaller side first and drop repeats."""
         edges = skeleton.edge_map
-        try:
-            ef, ee, eg, eh = edges[f], edges[e], edges[g], edges[h]
-        except KeyError:
-            ef, ee, eg, eh = map(skeleton.edge, (f, e, g, h))  # raises "unknown edge"
-        if (f, e) == (g, h):
-            problem = "a side cannot pair with itself"
-        elif ee.color == ef.color or eh.color == eg.color:
-            problem = "sides must be bicolored"
-        elif ef.color != eh.color or ee.color != eg.color:
-            problem = "degree not preserved (colors must swap)"
-        elif ef.source != ee.range:
-            problem = f"{f} after {e} is not composable"
-        elif eg.source != eh.range:
-            problem = f"{g} after {h} is not composable"
-        elif ee.source != eh.source or ef.range != eg.range:
-            problem = "the two sides have different endpoints"
-        else:
-            return ((f, e), (g, h)) if (f, e) <= (g, h) else ((g, h), (f, e))
-        raise StructureError(f"square {f} {e} = {g} {h}: {problem}")
+        # a dict keeps the first-seen order, so canonical input sorts in linear time
+        unique: dict[tuple[Side, Side], None] = {}
+        for (f, e), (g, h) in pairs:
+            try:
+                ef, ee, eg, eh = edges[f], edges[e], edges[g], edges[h]
+            except KeyError:
+                ef, ee, eg, eh = map(skeleton.edge, (f, e, g, h))  # raises "unknown edge"
+            if f == g and e == h:
+                problem = "a side cannot pair with itself"
+            elif ee.color == ef.color or eh.color == eg.color:
+                problem = "sides must be bicolored"
+            elif ef.color != eh.color or ee.color != eg.color:
+                problem = "degree not preserved (colors must swap)"
+            elif ef.source != ee.range:
+                problem = f"{f} after {e} is not composable"
+            elif eg.source != eh.range:
+                problem = f"{g} after {h} is not composable"
+            elif ee.source != eh.source or ef.range != eg.range:
+                problem = "the two sides have different endpoints"
+            else:
+                side1, side2 = (ef.name, ee.name), (eg.name, eh.name)
+                unique[(side1, side2) if side1 <= side2 else (side2, side1)] = None
+                continue
+            raise StructureError(f"square {f} {e} = {g} {h}: {problem}")
+        return SquareSet(tuple(sorted(unique)))
 
     @cached_property
     def _partners(self) -> tuple[dict[Side, Side], dict[Side, list[Side]]]:

@@ -241,47 +241,48 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     counts = validate_spec(graph, spec)
     color = spec.color
     swap = graph.squares.swap_map
-    edge_map = graph.skeleton.edge_map
     # 1-based index of the block holding each split-color edge (edge ids are unique)
     block = {name: j for blocks in spec.partitions.values()
              for j, names in enumerate(blocks, start=1) for name in names}
-
-    parent = {_copy_name(v, i): v for v in graph.vertices for i in range(1, counts[v] + 1)}
+    # the copy names of every vertex and edge, formatted once: the split's
+    # edges, ``parent`` and the lifted squares all hold these strings
+    copies = {v: tuple(_copy_name(v, i) for i in range(1, counts[v] + 1)) for v in graph.vertices}
+    parent = {name: v for v, names in copies.items() for name in names}
     vertex_copies = list(parent)
 
-    def source_block(e: Edge, i: int) -> int:
-        """Block index j with source(e^i) = source(e)^j."""
-        if e.color == color:
-            return block[e.name]
-        blocks = spec.partitions.get(e.range)
-        if blocks is None:  # no outgoing split-color edge at the range
-            return 1
-        # The partner side of f·e starts with a split-color edge at source(e);
-        # every f in the block names the same block there.  On the region the
-        # blocks are singletons.  Off it, a block of two or more edges means
-        # r(e) has that many split-color edges, so r(e) would have joined the
-        # region if source(e) lay on it; source(e) therefore lies off it too,
-        # with a single block, and every f names block 1.
-        return block[swap[blocks[i - 1][0], e.name][1]]
-
     edges = []
-    source_index: dict[str, int] = {}  # copy index of each edge copy's source
+    source_index: dict[str, tuple[int, ...]] = {}  # per edge, its copies' source copies, 0-based
     for e in graph.edges:
-        for i in range(1, counts[e.range] + 1):
-            name = _copy_name(e.name, i)
-            j = source_index[name] = source_block(e, i)
-            edges.append(Edge(name, e.color, _copy_name(e.source, j), _copy_name(e.range, i)))
-            parent[name] = e.name
+        name, ranges = e.name, copies[e.range]
+        names = copies[name] = tuple(_copy_name(name, i) for i in range(1, len(ranges) + 1))
+        # js[i - 1] = j - 1 where source(e^i) = source(e)^j
+        if e.color == color:
+            js = (block[name] - 1,) * len(ranges)
+        elif (blocks := spec.partitions.get(e.range)) is None:
+            js = (0,) * len(ranges)  # no outgoing split-color edge at the range
+        else:
+            # The partner side of f·e starts with a split-color edge at
+            # source(e); every f in the block names the same block there.  On
+            # the region the blocks are singletons.  Off it, a block of two
+            # or more edges means r(e) has that many split-color edges, so
+            # r(e) would have joined the region if source(e) lay on it;
+            # source(e) therefore lies off it too, with a single block, and
+            # every f names block 1.
+            js = tuple(block[swap[members[0], name][1]] - 1 for members in blocks)
+        source_index[name] = js
+        sources = copies[e.source]
+        for copy, j, r in zip(names, js, ranges):
+            edges.append(Edge(copy, e.color, sources[j], r))
+            parent[copy] = name
 
     skeleton = Skeleton.create(graph.k, vertex_copies, edges)
 
     pairs = []
     for (a, b), (g, h) in graph.squares.pairs:
-        for p in range(1, counts[edge_map[a].range] + 1):
-            # each inner edge lifts to its copy whose range is the outer copy's source
-            a_p, g_p = _copy_name(a, p), _copy_name(g, p)
-            pairs.append(((a_p, _copy_name(b, source_index[a_p])),
-                          (g_p, _copy_name(h, source_index[g_p]))))
+        # each inner edge lifts to its copy whose range is the outer copy's source
+        bs, hs = copies[b], copies[h]
+        for a_p, j, g_p, l in zip(copies[a], source_index[a], copies[g], source_index[g]):
+            pairs.append(((a_p, bs[j]), (g_p, hs[l])))
 
     try:
         split_graph = build_kgraph(skeleton, SquareSet.create(skeleton, pairs))
@@ -392,18 +393,31 @@ class PairingReport(NamedTuple):
 def pairing_report(graph: KGraph, color: int) -> PairingReport:
     """Whether every non-``color`` edge has at most one sibling.
 
-    Edges whose range has no outgoing ``color``-edge have an empty sibling
-    set and never obstruct pairing; what matters downstream is that all
-    copies of an edge share a source, which holds in both cases.
+    One pass over the squares finds them: a side whose outer edge has
+    ``color`` names a sibling of its inner edge, its partner's inner edge,
+    and an edge is crowded once two of its sides name different siblings.
+    The witness is the first crowded edge in edge order, with its sorted
+    :func:`sibling_set`.  Edges whose range has no outgoing ``color``-edge
+    have an empty sibling set and never obstruct pairing; what matters
+    downstream is that all copies of an edge share a source, which holds in
+    both cases.
     """
     if not 1 <= color <= graph.k:
         raise SplitError(f"color {color} out of range 1..{graph.k}")
+    ours = {e.name for e in graph.edges if e.color == color}
+    first: dict[str, str] = {}  # each edge's first sibling found
+    crowded: set[str] = set()
+    for (a, b), (g, h) in graph.squares.pairs:
+        # the sides swap colors, so at most one outer edge has ``color``
+        if a in ours:
+            if first.setdefault(b, h) != h:
+                crowded.add(b)
+        elif g in ours:
+            if first.setdefault(h, b) != b:
+                crowded.add(h)
     for e in graph.edges:
-        if e.color == color:
-            continue
-        sibs = sibling_set(graph, e.name, color)
-        if len(sibs) > 1:
-            return PairingReport(False, color, (e.name, sibs))
+        if e.name in crowded:
+            return PairingReport(False, color, (e.name, sibling_set(graph, e.name, color)))
     return PairingReport(True, color, None)
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kgraphs import Skeleton, SplitSpec, StructureError, product_graph, outsplit
+from kgraphs import Skeleton, SplitSpec, SquareSet, StructureError, default_spec, outsplit, product_graph
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
@@ -36,6 +36,15 @@ square r a = a r
 """
 
 
+def _assert_shared_ids(skeleton: Skeleton, squares: SquareSet) -> None:
+    """Every endpoint is its vertex's string and every side holds its edges' ``Edge.name``."""
+    vertices = {v: v for v in skeleton.vertices}
+    assert all(vertices[e.source] is e.source and vertices[e.range] is e.range
+               for e in skeleton.edges)
+    edges = skeleton.edge_map
+    assert all(edges[name].name is name for pair in squares.pairs for side in pair for name in side)
+
+
 class TestParse:
     def test_worked_example(self, lambda_one_doc):
         doc = lambda_one_doc
@@ -62,6 +71,26 @@ class TestParse:
             text = (DATA / source).read_text(encoding="utf-8")
         doc = parse(text)
         assert doc.skeleton == Skeleton.create(doc.k, doc.skeleton.vertices, doc.skeleton.edges)
+
+    @pytest.mark.parametrize("source", sorted(p.name for p in DATA.glob("*.kg")) + ["product"])
+    def test_ids_are_shared_strings(self, source):
+        # parse and outsplit store one string per id: square sides hold the
+        # Edge.name objects, endpoints the vertex objects, parent keys the copies'
+        if source == "product":
+            graph = product_graph([random_one_skeleton(random.Random(7), "f"),
+                                   random_one_skeleton(random.Random(8), "g")])
+            text = serialize(document_for_graph(graph, ["blue", "red"]))
+        else:
+            text = (DATA / source).read_text(encoding="utf-8")
+        graph = parse(text).build()
+        _assert_shared_ids(graph.skeleton, graph.squares)
+        color, base = next((c, v) for c in range(1, graph.k + 1) for v in graph.vertices
+                           if len(graph.skeleton.edges_from(v, c)) >= 2)
+        result = outsplit(graph, default_spec(graph, color, base))
+        _assert_shared_ids(result.graph.skeleton, result.graph.squares)
+        own = {v: v for v in result.graph.vertices} | {e.name: e.name for e in result.graph.edges}
+        assert len(own) == len(result.parent)
+        assert all(own[key] is key for key in result.parent)
 
     def test_color_indexing(self, lambda_one_doc):
         assert lambda_one_doc.color_index("blue") == 1
