@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TypeVar
 from . import fileformat, kp, splitting
 from .fileformat import GraphDocument
 from .skeleton import KGraph, KGraphError, KGraphInvalid, UsageError, validate
-from .splitting import SplitError, SplitSpec, UnpairedError
+from .splitting import SplitError, SplitSpec
 
 T = TypeVar("T")
 
@@ -135,9 +135,9 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
         result = splitting.reconstruct_split(graph, split_graph, color, base, parents)
     except SplitError as exc:
         raise SplitError(f"inconsistent split data: {exc}") from exc
-    if not result.paired:
-        witness = splitting.pairing_report(graph, color).describe()
-        raise UnpairedError(f"input graph is not paired in {color_name}: {witness}")
+    pairing = splitting.pairing_report(graph, color)
+    if not pairing.ok:
+        raise SplitError(f"input graph is not paired in {color_name}: {pairing.describe()}")
     emb = kp.SplitEmbedding(result)
     reports = [
         kp.verify_universal_family(emb.algebra),

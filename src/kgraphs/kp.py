@@ -42,13 +42,14 @@ Source-freeness keeps those cylinders nonempty, so the algebra context
 refuses graphs with sources.
 
 The second half of the module verifies the algebraic consequences of an
-outsplit of a paired graph: the induced family over the split graph
-(vertex generators map to first-copy idempotents, path generators to sums
-over rainbow extensions), its defining relations, the swap identities that
-move between copies, preservation of the diagonal, the corner determined
-by first copies, the grading, and the saturation of the first-copy vertex
-set.  One :class:`SplitEmbedding` serves all sweeps of a verification run:
-its algebra context and image cache depend only on the immutable split, so
+outsplit: the induced family over the split graph (vertex generators map
+to first-copy idempotents, path generators to sums over rainbow
+extensions), its defining relations, the swap identities that move between
+copies, preservation of the diagonal, the corner determined by first
+copies, the grading, and the saturation of the first-copy vertex set.  The
+family is built for any split; only the swap identities need pairing.  One
+:class:`SplitEmbedding` serves all sweeps of a verification run: its
+algebra context and image cache depend only on the immutable split, so
 sharing them changes no answer and builds each extension table once per
 run.
 """
@@ -60,7 +61,7 @@ from typing import Iterable, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
                        difference, factor, format_degree, join)
-from .splitting import SplitError, SplitResult, UnpairedError, copy_path, parent_path
+from .splitting import SplitError, SplitResult, copy_path, parent_path
 
 
 class BasisTerm(NamedTuple):
@@ -403,18 +404,15 @@ class SplitEmbedding:
     A vertex generator maps to the idempotent of its first copy.  A path
     generator ``λ`` maps to the sum over rainbow paths ``f`` into ``s(λ)``
     of ``t_{λ¹ f^j} t_{f¹}*`` where ``j`` names the copy of ``s(λ)`` at the
-    source of ``λ¹``; ghost generators map to the adjoints.  Requires a
-    paired input so that path copies are well defined.
+    source of ``λ¹``; ghost generators map to the adjoints.  Built for every
+    split, paired or not, since path copies are (:func:`copy_path`); only
+    :func:`verify_swap_identities` needs a paired input.
     """
 
     def __init__(self, result: SplitResult):
         if result.original.k >= 3 and result.original.degree_sinks(result.color):
             raise SplitError(
                 f"rank {result.original.k} inputs must have no sinks in color {result.color}"
-            )
-        if not result.paired:
-            raise UnpairedError(
-                f"the induced family needs an input paired in color {result.color}"
             )
         self.result = result
         self.algebra = KumjianPask(result.graph)
@@ -574,7 +572,8 @@ def verify_swap_identities(emb: SplitEmbedding) -> VerificationReport:
 
     For every edge ``x`` and copy index ``j``, the sum over rainbow paths
     ``f`` into ``r(x)`` of ``t_{f^j} t_{f¹}*`` times ``t_{x¹}`` equals
-    ``t_{x^j}``, and the adjoint identity carries the ghosts.
+    ``t_{x^j}``, and the adjoint identity carries the ghosts.  Only these
+    identities need a paired input; on an unpaired split they can fail.
     """
     result = emb.result
     alg = emb.algebra

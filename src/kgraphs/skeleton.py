@@ -308,11 +308,15 @@ class SquareSet:
 
 
 class HexagonFailure(NamedTuple):
+    """A 3-path whose routes disagree, with each route's six swap results.
+
+    Route 1 swaps ``a b ~ d e``, ``e c ~ f g``, ``d f ~ h j`` and route 2
+    ``b c ~ k m``, ``a k ~ n p``, ``p m ~ r q``, so ``h j g != n r q``.
+    """
+
     triple: tuple[str, str, str]  # (a, b, c): c traversed first
-    route1: tuple[str, str, str]
-    route2: tuple[str, str, str]
-    route1_steps: tuple[str, ...]
-    route2_steps: tuple[str, ...]
+    route1: tuple[str, ...]  # (d, e, f, g, h, j)
+    route2: tuple[str, ...]  # (k, m, n, p, r, q)
 
 
 @dataclass
@@ -339,12 +343,11 @@ class ValidationReport:
         for (f, e), partners in self.ambiguous:
             alts = ", ".join(f"{g} {h}" for g, h in partners)
             out.append(f"uniqueness: 2-path {f} {e} has {len(partners)} partners: {alts}")
-        for fail in self.hexagon_failures:
-            a, b, c = fail.triple
+        for (a, b, c), (d, e, f, g, h, j), (k, m, n, p, r, q) in self.hexagon_failures:
             out.append(
                 f"hexagon: 3-path {a} {b} {c} disagrees: "
-                f"route 1 [{'; '.join(fail.route1_steps)}] gives {' '.join(fail.route1)}, "
-                f"route 2 [{'; '.join(fail.route2_steps)}] gives {' '.join(fail.route2)}"
+                f"route 1 [{a} {b} ~ {d} {e}; {e} {c} ~ {f} {g}; {d} {f} ~ {h} {j}] gives {h} {j} {g}, "
+                f"route 2 [{b} {c} ~ {k} {m}; {a} {k} ~ {n} {p}; {p} {m} ~ {r} {q}] gives {n} {r} {q}"
             )
         return out
 
@@ -467,11 +470,7 @@ def _hexagon_failure(swap: Mapping[Side, Side], a: str, b: str, c: str) -> Hexag
         return None
     if (h, j, g) == (n, r, q):
         return None
-    return HexagonFailure(
-        (a, b, c), (h, j, g), (n, r, q),
-        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
-        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
-    )
+    return HexagonFailure((a, b, c), (d, e, f, g, h, j), (k, m, n, p, r, q))
 
 
 class SourceFreeness(NamedTuple):

@@ -24,8 +24,9 @@ returned; it is source-free by construction.
 
 A graph is *paired* in color ``B`` when no edge has two distinct sibling
 ``B``-edges (see :func:`sibling_set`); splits of paired graphs give all
-copies of an edge a common source, which is what makes the path-copy
-operation and the algebra embedding in :mod:`kgraphs.kp` well behaved.
+copies of an edge a common source.  Path copies and the induced family in
+:mod:`kgraphs.kp` are defined for every split; only the swap identities
+need pairing, so ``kgraphs kp-verify`` refuses unpaired input.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ from .skeleton import (
 
 class SplitError(KGraphError):
     """A split precondition or specification is violated."""
-
-
-class UnpairedError(SplitError):
-    """An operation that requires a paired input got an unpaired one."""
 
 
 def split_region(graph: KGraph, color: int, base: str) -> frozenset[str]:
@@ -129,10 +126,12 @@ def block_problem(vertex: str, blocks: tuple[tuple[str, ...], ...], out: set[str
     for block in blocks:
         if not block:
             return f"empty block at vertex {vertex!r}"
-        for name in block:
+        for i, name in enumerate(block):
+            if name in block[:i]:
+                return f"edge {name!r} appears twice in one block at {vertex!r}"
             if name in listed:
                 return f"edge {name!r} appears in two blocks at {vertex!r}"
-            listed.add(name)
+        listed.update(block)
     if listed == out:
         return None
     detail = []
@@ -195,10 +194,10 @@ class SplitResult:
 
     The stored fields are what ``split`` writes to its two files; ``base`` is
     ``None`` when none was recorded, and ``parent`` maps every copy, vertex
-    or edge, to its original (their ids never clash).  ``copy_index``,
-    ``counts`` and ``paired`` are derived on first use.  The i-th copy of an
-    item is named ``item.i``, and an edge's copy ``e.i`` has range
-    ``r(e).i``: :func:`outsplit` builds names this way,
+    or edge, to its original (their ids never clash).  ``copy_index`` and
+    ``counts`` are derived on first use.  The i-th copy of an item is named
+    ``item.i``, and an edge's copy ``e.i`` has range ``r(e).i``:
+    :func:`outsplit` builds names this way,
     :func:`reconstruct_split` rejects a split that breaks the rule, and
     :meth:`copy_of` relies on it.
     """
@@ -220,10 +219,6 @@ class SplitResult:
             if origin in counts:
                 counts[origin] += 1
         return counts
-
-    @cached_property
-    def paired(self) -> bool:
-        return pairing_report(self.original, self.color).ok
 
     def copy_of(self, item: str, index: int) -> str:
         """The ``index``-th copy of a vertex or edge of the original graph."""
@@ -380,7 +375,6 @@ def sibling_set(graph: KGraph, edge: str, color: int) -> tuple[str, ...]:
 
 class PairingReport(NamedTuple):
     ok: bool
-    color: int
     witness: tuple[str, tuple[str, ...]] | None  # first edge with two or more siblings
 
     def describe(self) -> str:
@@ -398,9 +392,7 @@ def pairing_report(graph: KGraph, color: int) -> PairingReport:
     and an edge is crowded once two of its sides name different siblings.
     The witness is the first crowded edge in edge order, with its sorted
     :func:`sibling_set`.  Edges whose range has no outgoing ``color``-edge
-    have an empty sibling set and never obstruct pairing; what matters
-    downstream is that all copies of an edge share a source, which holds in
-    both cases.
+    have an empty sibling set and never obstruct pairing.
     """
     if not 1 <= color <= graph.k:
         raise SplitError(f"color {color} out of range 1..{graph.k}")
@@ -417,8 +409,8 @@ def pairing_report(graph: KGraph, color: int) -> PairingReport:
                 crowded.add(h)
     for e in graph.edges:
         if e.name in crowded:
-            return PairingReport(False, color, (e.name, sibling_set(graph, e.name, color)))
-    return PairingReport(True, color, None)
+            return PairingReport(False, (e.name, sibling_set(graph, e.name, color)))
+    return PairingReport(True, None)
 
 
 def copy_path(result: SplitResult, path: Path, index: int) -> Path:
@@ -426,13 +418,17 @@ def copy_path(result: SplitResult, path: Path, index: int) -> Path:
 
     Built edgewise from the range end: each edge lifts to its copy whose
     range is the current vertex, so the lifted edges compose and keep their
-    parents' colors.  Requires a paired input so that the copies of a path
-    differ only in the last-composed edge.
+    parents' colors.
+
+    The lift is defined for every split, paired or not: each edge ``e`` has
+    a copy ``e.i`` with range ``r(e).i`` for every ``i ≤ counts[r(e)]``.  It
+    commutes with normal forms: :func:`outsplit` lifts each square
+    ``fe ~ gh`` once per copy of its range, to the edgewise lifts of ``fe``
+    and ``gh`` there, so lifting commutes with a swap (the edges above the
+    pair lift alike, and below it too, as the lifted sides share a source).
+    Normal forms are reached by swaps and the lift keeps colors, so the
+    split graph's normal form of a lift is the lift of the normal form.
     """
-    if not result.paired:
-        raise UnpairedError(
-            f"path copies need an input paired in color {result.color}"
-        )
     n = result.counts[path.range]
     if not 1 <= index <= n:
         raise SplitError(f"copy index {index} out of range 1..{n} for range {path.range!r}")

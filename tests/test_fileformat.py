@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from kgraphs import Skeleton, SplitSpec, SquareSet, StructureError, default_spec, outsplit, product_graph
+from kgraphs import (Edge, Skeleton, SplitSpec, SquareSet, StructureError, default_spec, outsplit,
+                     product_graph)
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
@@ -71,6 +72,27 @@ class TestParse:
             text = (DATA / source).read_text(encoding="utf-8")
         doc = parse(text)
         assert doc.skeleton == Skeleton.create(doc.k, doc.skeleton.vertices, doc.skeleton.edges)
+
+    @pytest.mark.parametrize(
+        "extra", ["vertex p\n", "edge a : red p -> p\n", "vertex a\n", "edge p : blue p -> p\n",
+                  "edge z : blue p -> q\n"],
+        ids=["duplicate-vertex", "duplicate-edge", "vertex-named-as-an-edge",
+             "edge-named-as-a-vertex", "undeclared-endpoint"])
+    def test_rejects_what_the_checked_constructor_rejects(self, extra):
+        # the rejecting half of the parity above: each Skeleton.create rule
+        # that a document can break fails in both, on the same declarations
+        text = MINIMAL + extra
+        with pytest.raises(ParseError):
+            parse(text)
+        vertices, edges = [], []
+        for tokens in map(str.split, text.splitlines()):
+            if tokens[0] == "vertex":
+                vertices.append(tokens[1])
+            elif tokens[0] == "edge":
+                color = ("blue", "red").index(tokens[3]) + 1
+                edges.append(Edge(tokens[1], color, tokens[4], tokens[6]))
+        with pytest.raises(StructureError):
+            Skeleton.create(2, vertices, edges)
 
     @pytest.mark.parametrize("source", sorted(p.name for p in DATA.glob("*.kg")) + ["product"])
     def test_ids_are_shared_strings(self, source):
@@ -280,11 +302,13 @@ class TestPartitionFile:
         ("partition", "split color=blue base=v\nsplit color=blue base=v\n",
          2, 1, "duplicate split line"),
         ("partition", "split color=blue base=v\n  widget w\n", 2, 3, "unknown declaration 'widget'"),
+        ("partition", "split color=blue base=v\npartition v : {α,α} {h} {i}\n",
+         2, 1, "edge 'α' appears twice in one block at 'v'"),
         ("sidecar", "split color=blue base=v\nparent a.1 a\n", 2, 1, "expected: parent <item> = <item>"),
         ("sidecar", "split color=blue base=v\n  widget w\n", 2, 3, "unknown declaration 'widget'"),
     ],
-    ids=["partition-duplicate-split", "partition-unknown-declaration", "sidecar-malformed-parent",
-         "sidecar-unknown-declaration"],
+    ids=["partition-duplicate-split", "partition-unknown-declaration", "partition-repeat-in-one-block",
+         "sidecar-malformed-parent", "sidecar-unknown-declaration"],
 )
 def test_fragment_error_positions(lambda_one_doc, reader, text, line, column, message):
     with pytest.raises(ParseError) as err:

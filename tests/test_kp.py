@@ -19,7 +19,6 @@ from kgraphs import (
     SplitEmbedding,
     SplitError,
     SquareSet,
-    UnpairedError,
     VerificationReport,
     build_kgraph,
     copy_path,
@@ -616,9 +615,22 @@ class TestInducedFamily:
         emb = SplitEmbedding(split_one)
         assert emb.vertex_image("v") == emb.algebra.vertex("v.1")
 
-    def test_unpaired_input_rejected(self, split_two):
-        with pytest.raises(UnpairedError):
-            SplitEmbedding(split_two)
+    def test_unpaired_split_fails_only_the_swap_identities(self, split_two):
+        # the family is built for any split; at the CLI's default bounds only
+        # carrying b, whose two copies start at different copies of v, fails
+        emb = SplitEmbedding(split_two)
+        reports = [
+            verify_universal_family(emb.algebra),
+            verify_family(emb, max_paths=3),
+            verify_swap_identities(emb),
+            verify_diagonal(emb, max_len=3),
+            verify_corner(emb, max_len=2),
+            verify_grading(emb, max_len=3),
+        ]
+        assert [r.checked for r in reports] == [180, 1_324, 36, 80, 342, 160]
+        assert [r.name for r in reports if not r.ok] == ["swap-identities"]
+        assert [f.partition(":")[0] for f in reports[2].failures] == [
+            "carry t[b] to copy 2", "carry t*[b] to copy 2"]
 
     def test_rank_three_sinks_rejected(self, split_one):
         # outsplit refuses such an input, so graft one onto a real split
@@ -628,7 +640,6 @@ class TestInducedFamily:
         assert original.degree_sinks(1)
         with pytest.raises(SplitError) as exc:
             SplitEmbedding(dataclasses.replace(split_one, original=original))
-        assert not isinstance(exc.value, UnpairedError)
         assert str(exc.value) == "rank 3 inputs must have no sinks in color 1"
 
     def test_path_image_shape(self, split_one):
@@ -718,13 +729,13 @@ class TestVerifiers:
     def test_rank_three_split_verifies(self):
         # a sink-free rank-3 input exercises length-3 rainbows end to end
         from conftest import diagonal_double
-        from kgraphs import default_spec, outsplit, saturation
+        from kgraphs import default_spec, outsplit, pairing_report, saturation
 
         vertices = ["u0", "u1"]
         arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"), ("d", "u1", "u0")]
         graph = diagonal_double(vertices, arrows, 3)
         result = outsplit(graph, default_spec(graph, 1, "u0"))
-        assert result.paired
+        assert pairing_report(graph, 1).ok
         emb = SplitEmbedding(result)
         assert verify_swap_identities(emb).ok
         assert verify_diagonal(emb, max_len=2).ok

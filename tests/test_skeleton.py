@@ -323,11 +323,8 @@ def _reference_report(skeleton: Skeleton, squares: SquareSet) -> ValidationRepor
                 except KeyError:
                     continue
                 if (h, j, g) != (n, r, q):
-                    report.hexagon_failures.append(HexagonFailure(
-                        (a, b, c), (h, j, g), (n, r, q),
-                        (f"{a} {b} ~ {d} {e}", f"{e} {c} ~ {f} {g}", f"{d} {f} ~ {h} {j}"),
-                        (f"{b} {c} ~ {k} {m}", f"{a} {k} ~ {n} {p}", f"{p} {m} ~ {r} {q}"),
-                    ))
+                    report.hexagon_failures.append(
+                        HexagonFailure((a, b, c), (d, e, f, g, h, j), (k, m, n, p, r, q)))
     return report
 
 

@@ -14,7 +14,6 @@ from kgraphs import (
     SplitSpec,
     SquareSet,
     StructureError,
-    UnpairedError,
     build_kgraph,
     copy_counts,
     copy_path,
@@ -168,6 +167,10 @@ class TestSplitSpec:
                 {"v": (("α",), ("h", "i"), ()), "x": (("k",), ("ℓ",)), "z": (("n",),)},
                 "empty block at vertex 'v'",
             ),
+            (
+                {"v": (("α", "α"), ("h",), ("i",)), "x": (("k",), ("ℓ",)), "z": (("n",),)},
+                "edge 'α' appears twice in one block at 'v'",
+            ),
         ],
     )
     def test_invalid_partitions(self, lambda_one, partitions, message):
@@ -194,7 +197,6 @@ class TestGoldenSplits:
         assert split_one.parent["v.3"] == "v"
         assert split_one.copy_index["α.3"] == 3
         assert split_one.counts == {"v": 3, "x": 2, "y": 1, "z": 1}
-        assert split_one.paired
 
     def test_size_formulas(self, lambda_one, split_one):
         counts = split_one.counts
@@ -343,10 +345,24 @@ class TestCopyPath:
         v = split_one.original.vertex_path("v")
         assert copy_path(split_one, v, 3).source == "v.3"
 
-    def test_unpaired_input_rejected(self, split_two):
-        path = split_two.original.make_path(("b",))
-        with pytest.raises(UnpairedError):
-            copy_path(split_two, path, 1)
+    def test_unpaired_lift_commutes_with_normal_forms(self, split_two):
+        # every path of length 1-3, normal or not, lifts at every copy of its
+        # range, and lifting commutes with taking normal forms
+        lam, gamma = split_two.original, split_two.graph
+        assert not pairing_report(lam, BLUE).ok
+        level = [(e.name,) for e in lam.edges]
+        cases = 0
+        for _ in range(3):
+            for names in level:
+                path = lam.make_path(names)
+                normal = lam.normal_form(path)
+                for i in range(1, split_two.counts[path.range] + 1):
+                    lifted = copy_path(split_two, path, i)
+                    assert gamma.normal_form(lifted) == copy_path(split_two, normal, i), (names, i)
+                    cases += 1
+            level = [names + (e.name,) for names in level
+                     for e in lam.skeleton.edges_from(lam.edge(names[-1]).range)]
+        assert cases == 166
 
     def test_copies_agree_except_last_edge(self, split_one):
         rng = random.Random(3)
@@ -573,8 +589,7 @@ class TestReconstruction:
         rebuilt = reconstruct_split(split_one.original, split_one.graph, BLUE, None,
                                     dict(split_one.parent))
         assert rebuilt.base is None
-        assert (rebuilt.copy_index, rebuilt.counts, rebuilt.paired) == (
-            split_one.copy_index, split_one.counts, split_one.paired)
+        assert (rebuilt.copy_index, rebuilt.counts) == (split_one.copy_index, split_one.counts)
 
     def test_unknown_base_rejected(self, split_one):
         with pytest.raises(SplitError) as exc:
