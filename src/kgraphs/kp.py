@@ -22,8 +22,10 @@ paths.  A fixed left element joins a whole group of right operands at once
 and ``KumjianPask.sum`` accumulates every sum, ``+`` included, in one term
 map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
 ``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  The context interns the
-vertex paths first, as ids ``0..|V|−1``, so extending by a vertex is an id
-comparison and stores nothing.
+vertex paths first, as ids ``0..|V|−1``, so extending a path by a vertex, or
+a vertex by a path, is an id comparison and stores nothing.  Two kinds of row
+are read off without factoring: at ``d(ν) = 0`` the one row of ``μ`` is
+``(s(μ), r(μ), μ)``, and at a vertex ``μ`` the rows are ``(α, α, s(α))``.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -49,9 +51,9 @@ copies, preservation of the diagonal, the corner determined by first
 copies, the grading, and the saturation of the first-copy vertex set.  The
 family is built for any split; only the swap identities need pairing.  One
 :class:`SplitEmbedding` serves all sweeps of a verification run: its
-algebra context and image cache depend only on the immutable split, so
-sharing them changes no answer and builds each extension table once per
-run.
+algebra context, image cache and rainbow lifts (id pairs ``(f^j, f¹)``
+per vertex and copy ``j``, lifted once) depend only on the immutable split,
+so sharing them changes no answer and builds each table once per run.
 """
 
 from __future__ import annotations
@@ -104,8 +106,7 @@ class KumjianPask:
         self.paths: list[Path] = []
         self.degree: list[Degree] = []
         self._ids: dict[Path, int] = {}
-        for v in graph.vertices:
-            self.intern(graph.vertex_path(v))
+        self._vertex = {v: self.intern(graph.vertex_path(v)) for v in graph.vertices}
         self._vertex_ids = len(self.paths)
         self._extended: dict[tuple[int, int], int] = {}
         self._extensions: dict[tuple[int, Degree], tuple[tuple[int, int, int], ...]] = {}
@@ -124,10 +125,12 @@ class KumjianPask:
 
         ``paths[alpha]`` must end at the source of ``paths[i]``, which every
         caller guarantees; then a vertex ``alpha`` (an id below ``|V|``) gives
-        ``i`` itself, with no table entry.
+        ``i`` itself and a vertex ``i`` gives ``alpha``, with no table entry.
         """
         if alpha < self._vertex_ids:
             return i
+        if i < self._vertex_ids:
+            return alpha
         key = (i, alpha)
         j = self._extended.get(key)
         if j is None:
@@ -173,18 +176,25 @@ class KumjianPask:
         ``α`` runs over the paths of degree ``(d(μ) ∨ d) − d(μ)`` into
         ``s(μ)``, in sorted order, and ``head`` and ``β`` are normal forms.
         By unique factorization ``t_μ* t_ν`` is the sum of ``t_α t_β*`` over
-        the rows whose head is ``ν``.
+        the rows whose head is ``ν``.  At ``d = 0`` and at a vertex ``μ`` the
+        rows are written from ids, without factoring.
         """
         key = (mu, d)
         rows = self._extensions.get(key)
         if rows is None:
-            graph, intern, path = self.graph, self.intern, self.paths[mu]
-            top = join(path.degree, d)
-            tail_degree = difference(top, d)
-            rows = self._extensions[key] = tuple(
-                (intern(alpha), *map(intern, factor(graph, graph.compose(path, alpha), tail_degree)))
-                for alpha in graph.paths_with_range(path.source, difference(top, path.degree))
-            )
+            graph, intern, path, vertex = self.graph, self.intern, self.paths[mu], self._vertex
+            if not any(d):
+                rows = ((vertex[path.source], vertex[path.range], mu),)
+            elif mu < self._vertex_ids:
+                rows = tuple((a, a, vertex[self.paths[a].source])
+                             for a in map(intern, graph.paths_with_range(path.source, d)))
+            else:
+                top = join(path.degree, d)
+                tail_degree = difference(top, d)
+                rows = tuple(
+                    (intern(alpha), *map(intern, factor(graph, graph.compose(path, alpha), tail_degree)))
+                    for alpha in graph.paths_with_range(path.source, difference(top, path.degree)))
+            self._extensions[key] = rows
         return rows
 
     def minimal_common_extensions(self, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
@@ -406,7 +416,9 @@ class SplitEmbedding:
     of ``t_{λ¹ f^j} t_{f¹}*`` where ``j`` names the copy of ``s(λ)`` at the
     source of ``λ¹``; ghost generators map to the adjoints.  Built for every
     split, paired or not, since path copies are (:func:`copy_path`); only
-    :func:`verify_swap_identities` needs a paired input.
+    :func:`verify_swap_identities` needs a paired input.  The rainbow lifts
+    are cached per ``(s(λ), copy j)`` as the id pairs ``(f^j, f¹)``, and the
+    swap carriers sum the same pairs.
     """
 
     def __init__(self, result: SplitResult):
@@ -418,6 +430,11 @@ class SplitEmbedding:
         self.algebra = KumjianPask(result.graph)
         self._path_cache: dict[Path, KPElement] = {}
         self._ghost_cache: dict[Path, KPElement] = {}
+        term, original = self.algebra.term, result.original
+        self._rainbows = {
+            (v, j): [next(iter(term(copy_path(result, f, j), copy_path(result, f, 1))._terms))
+                     for f in original.rainbow_paths_into(v)]
+            for v in original.vertices for j in range(1, result.counts[v] + 1)}
 
     def vertex_image(self, v: str) -> KPElement:
         return self.algebra.vertex(self.result.copy_of(v, 1))
@@ -428,16 +445,12 @@ class SplitEmbedding:
         hit = self._path_cache.get(path)
         if hit is not None:
             return hit
-        result = self.result
-        graph = result.graph
-        first = copy_path(result, path, 1)
-        j = result.copy_index[first.source]
-        total = self.algebra.sum(
-            self.algebra.term(graph.compose(first, copy_path(result, f, j)),
-                              copy_path(result, f, 1))
-            for f in result.original.rainbow_paths_into(path.source))
-        self._path_cache[path] = total
-        return total
+        alg, first = self.algebra, copy_path(self.result, path, 1)
+        extend, intern, paths = alg.graph.extend, alg.intern, alg.paths
+        hit = self._path_cache[path] = KPElement(alg, {
+            (intern(extend(first, paths[fj])), f1): 1
+            for fj, f1 in self._rainbows[path.source, self.result.copy_index[first.source]]})
+        return hit
 
     def ghost_image(self, path: Path) -> KPElement:
         hit = self._ghost_cache.get(path)
@@ -450,14 +463,9 @@ class SplitEmbedding:
 
 
 def _paths_up_to(graph: KGraph, max_total: int, include_vertices: bool = False) -> list[Path]:
-    out: list[Path] = []
-    if include_vertices:
-        out.extend(graph.vertex_path(v) for v in graph.vertices)
-    for total in range(1, max_total + 1):
-        for degree in degrees_with_total(graph.k, total):
-            for v in graph.vertices:
-                out.extend(graph.paths_with_range(v, degree))
-    return out
+    return [p for total in range(0 if include_vertices else 1, max_total + 1)
+            for degree in degrees_with_total(graph.k, total)
+            for v in graph.vertices for p in graph.paths_with_range(v, degree)]
 
 
 def _kp4_degrees(k: int, max_total: int) -> list[Degree]:
@@ -534,9 +542,14 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
         rep.expect_equal(f"unit q[s]s*[{p}]", images_q[p.source] * images_g[p], images_g[p])
         rep.expect_equal(f"unit s*[{p}]q[r]", images_g[p] * images_q[p.range], images_g[p])
 
+    by_range: dict[str, list[Path]] = {}
+    by_degree: dict[Degree, list[Path]] = {}
+    for p in paths:
+        by_range.setdefault(p.range, []).append(p)
+        by_degree.setdefault(p.degree, []).append(p)
     for lam_path in paths:
-        mus = [mu for mu in paths
-               if lam_path.source == mu.range and len(lam_path.edges) + len(mu.edges) <= max_paths]
+        mus = [mu for mu in by_range.get(lam_path.source, ())
+               if len(lam_path.edges) + len(mu.edges) <= max_paths]
         products = images_s[lam_path].products([images_s[mu] for mu in mus])
         for mu, product in zip(mus, products):
             composite = lam.normal_form(lam.compose(lam_path, mu))
@@ -549,9 +562,6 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
                 emb.ghost_image(composite),
             )
 
-    by_degree: dict[Degree, list[Path]] = {}
-    for p in paths:
-        by_degree.setdefault(p.degree, []).append(p)
     for group in by_degree.values():
         group_s = [images_s[b] for b in group]
         for a in group:
@@ -581,10 +591,8 @@ def verify_swap_identities(emb: SplitEmbedding) -> VerificationReport:
     rep = VerificationReport("swap-identities")
     for e in lam.edges:
         x = lam.make_path((e.name,))
-        rainbows = lam.rainbow_paths_into(e.range)
         for j in range(1, result.counts[e.range] + 1):
-            carrier = alg.sum(alg.term(copy_path(result, f, j), copy_path(result, f, 1))
-                              for f in rainbows)
+            carrier = KPElement(alg, dict.fromkeys(emb._rainbows[e.range, j], 1))
             x_1 = alg.path(copy_path(result, x, 1))
             x_j = alg.path(copy_path(result, x, j))
             rep.expect_equal(f"carry t[{e.name}] to copy {j}", carrier * x_1, x_j)

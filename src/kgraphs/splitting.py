@@ -304,7 +304,9 @@ def reconstruct_split(
     range ``r(e).i``, and the map is re-checked against colors, sources, the
     original graph and the split color: a vertex with several copies has one
     per outgoing split-color edge.  These are the naming rules
-    :class:`SplitResult` states.
+    :class:`SplitResult` states.  Last, the split's squares must be exactly
+    the edgewise lifts (:func:`copy_path`) of the original's squares at
+    every copy of their range, as :func:`outsplit` builds them.
     """
     if base is not None and not original.skeleton.has_vertex(base):
         raise SplitError(f"unknown base vertex {base!r}")
@@ -349,7 +351,18 @@ def reconstruct_split(
         for i in range(1, counts[e.range] + 1):
             if parent.get(_copy_name(e.name, i)) != e.name:
                 raise SplitError(f"missing copy {e.name}.{i}")
-    return SplitResult(original, graph, color, base, dict(parent))
+    result = SplitResult(original, graph, color, base, dict(parent))
+    lifts = set()
+    for (a, b), (g, h) in original.squares.pairs:
+        sides = original.make_path((b, a)), original.make_path((h, g))
+        for i in range(1, counts[sides[0].range] + 1):
+            lifts.add(tuple(sorted(copy_path(result, p, i).edges[::-1] for p in sides)))
+    squares = set(graph.squares.pairs)
+    if wrong := sorted(squares ^ lifts):
+        (f, e), (g, h) = wrong[0]
+        state = "is not a lift of" if wrong[0] in squares else "is missing but lifts"
+        raise SplitError(f"square {f} {e} = {g} {h} {state} a square of the input")
+    return result
 
 
 def _parse_copy_index(name: str) -> int:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from kgraphs.kp import KPElement
+from kgraphs.kp import KPElement, KumjianPask, SplitEmbedding
 from kgraphs.skeleton import Degree, KGraph, Path, difference, dominates, factor, join
+from kgraphs.splitting import copy_path
 
 
 def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:
@@ -50,3 +51,38 @@ def action(element: KPElement, degree: Degree) -> dict[Path, dict[Path, int]]:
     graph = element.algebra.graph
     return {x: act(element, {x: 1})
             for v in graph.vertices for x in graph.paths_with_range(v, degree)}
+
+
+def extension_rows(alg: KumjianPask, reference: KGraph, mu: int,
+                   d: Degree) -> tuple[tuple[int, int, int], ...]:
+    """``alg.extensions(mu, d)`` with every row factored as ``μα = head·β`` in ``reference``.
+
+    ``reference`` is a second graph over the same skeleton and squares, so
+    its normal forms come from its own cache.
+    """
+    path = alg.paths[mu]
+    top = join(path.degree, d)
+    rows = []
+    for alpha in reference.paths_with_range(path.source, difference(top, path.degree)):
+        head, beta = factor(reference, reference.compose(path, alpha), difference(top, d))
+        rows.append((alg.intern(alpha), alg.intern(head), alg.intern(beta)))
+    return tuple(rows)
+
+
+def path_image(emb: SplitEmbedding, path: Path) -> KPElement:
+    """``emb.path_image(path)`` as the sum of ``term(λ¹ f^j, f¹)`` over rainbow paths ``f``."""
+    result, alg = emb.result, emb.algebra
+    if path.is_vertex:
+        return alg.vertex(result.copy_of(path.source, 1))
+    first = copy_path(result, path, 1)
+    j = result.copy_index[first.source]
+    return alg.sum(alg.term(result.graph.compose(first, copy_path(result, f, j)),
+                            copy_path(result, f, 1))
+                   for f in result.original.rainbow_paths_into(path.source))
+
+
+def swap_carrier(emb: SplitEmbedding, v: str, j: int) -> KPElement:
+    """The swap identities' carrier: the sum of ``term(f^j, f¹)`` over rainbow paths ``f`` into ``v``."""
+    result, alg = emb.result, emb.algebra
+    return alg.sum(alg.term(copy_path(result, f, j), copy_path(result, f, 1))
+                   for f in result.original.rainbow_paths_into(v))

@@ -329,8 +329,9 @@ class TestKpVerify:
         assert "grading: pass" in out
 
     def test_mismatched_split_fails(self, capsys, workdir):
-        # the second example's split is not a split of the first example
-        code, out, _ = run(
+        # the second example's split is not a split of the first example:
+        # its square f.1 h.2 = n.1 c.1 lifts the second example's f h = n c
+        code, out, err = run(
             capsys,
             "kp-verify",
             str(workdir / "lambda1.kg"),
@@ -341,11 +342,22 @@ class TestKpVerify:
             "--max-len",
             "2",
         )
-        assert code == 1
-        assert "FAIL" in out
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: square f.1 h.2 = n.1 c.1 "
+                       "is not a lift of a square of the input\n")
+
+    def test_first_split_of_second_example_is_inconsistent(self, capsys, workdir):
+        # the reverse graft: the first example's split lacks that lift; the
+        # split data is refused before the pairing gate
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda2.kg"),
+                             "--split-output", str(workdir / "gamma1.kg"),
+                             "--parents", str(workdir / "gamma1.parents"))
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: square f.1 h.2 = n.1 c.1 "
+                       "is missing but lifts a square of the input\n")
 
     def test_unpaired_input_fails(self, capsys, workdir):
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "kp-verify",
             str(workdir / "lambda2.kg"),
@@ -356,9 +368,8 @@ class TestKpVerify:
             "--max-len",
             "2",
         )
-        assert code == 1
-        assert "not paired" in err
-        assert "b : {h, i}" in err
+        assert (code, out) == (1, "")
+        assert err == "input graph is not paired in blue: b : {h, i}\n"
 
     @pytest.mark.parametrize("parent", ["nosuch", "v"])
     def test_bad_edge_parent_is_inconsistent(self, capsys, workdir, parent):

@@ -36,7 +36,7 @@ from kgraphs.fileformat import parse
 from kgraphs.skeleton import dominates, join
 
 from conftest import DATA, random_double
-from oracle import act, action, mce_bruteforce
+from oracle import act, action, extension_rows, mce_bruteforce, path_image, swap_carrier
 
 
 @pytest.fixture(scope="module")
@@ -326,8 +326,31 @@ class TestRefinementTable:
         alg = emb.algebra
         assert all(report.ok for report in _all_sweeps(lambda: emb, max_len=2))
         assert alg._extended
-        assert not [key for key in alg._extended if alg.paths[key[1]].is_vertex]
+        assert not [key for key in alg._extended
+                    if alg.paths[key[0]].is_vertex or alg.paths[key[1]].is_vertex]
         assert len(alg.paths) == 1588
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "rank3_split"])
+    def test_forced_rows_match_factoring(self, source):
+        # rows at d = 0 and the rows of a vertex are written from ids; a
+        # second graph factors every μα the generic way
+        graph = _refinement_graph(source)
+        reference = KGraph(graph.skeleton, graph.squares)
+        alg = KumjianPask(graph)
+        degrees = [d for total in range(3) for d in degrees_with_total(graph.k, total)]
+        for d in degrees:
+            for v in graph.vertices:
+                for p in graph.paths_with_range(v, d):
+                    alg.intern(p)
+        interned = len(alg.paths)
+        zero = degrees[0]
+        for mu in range(interned):
+            assert alg.extensions(mu, zero) == extension_rows(alg, reference, mu, zero)
+        for v in range(len(graph.vertices)):
+            for d in degrees:
+                assert alg.extensions(v, d) == extension_rows(alg, reference, v, d)
+        assert len(alg.paths) == interned
+        assert not alg._extended
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_warm_table_changes_no_answer(self, source):
@@ -662,6 +685,22 @@ class TestInducedFamily:
             got = emb.path_image(p) * emb.ghost_image(p)
             assert got == emb.algebra.term(first, first)
 
+    @pytest.mark.parametrize("split", ["split_one", "split_two", "rank3"])
+    def test_images_match_term_sums(self, split, request):
+        # the rainbow lifts are cached as id pairs; summing one term per
+        # rainbow path, split_two unpaired, gives the same term maps
+        result = _rank_three_split() if split == "rank3" else request.getfixturevalue(split)
+        emb = SplitEmbedding(result)
+        lam = result.original
+        paths = [p for total in range(4) for d in degrees_with_total(lam.k, total)
+                 for v in lam.vertices for p in lam.paths_with_range(v, d)]
+        assert len(paths) > 40
+        for p in paths:
+            assert emb.path_image(p)._terms == path_image(emb, p)._terms
+        for v in lam.vertices:
+            for j in range(1, result.counts[v] + 1):
+                assert dict.fromkeys(emb._rainbows[v, j], 1) == swap_carrier(emb, v, j)._terms
+
     def test_ghost_image_is_adjoint(self, split_one):
         emb = SplitEmbedding(split_one)
         p = split_one.original.make_path(("b",))
@@ -754,6 +793,30 @@ class TestVerifiers:
         assert verify_swap_identities(SplitEmbedding(result)).ok
         assert verify_diagonal(SplitEmbedding(result), max_len=2).ok
         assert verify_family(SplitEmbedding(result), max_paths=2).ok
+
+    def test_composition_checks_keep_the_scan_order(self, split_one, monkeypatch):
+        # the partners μ of each λ come from a by-range index; the checks
+        # run in the order of a scan over every path
+        labels = []
+        expect_equal = VerificationReport.expect_equal
+
+        def recording(self, label, lhs, rhs):
+            labels.append(label)
+            expect_equal(self, label, lhs, rhs)
+
+        monkeypatch.setattr(VerificationReport, "expect_equal", recording)
+        verify_family(SplitEmbedding(split_one), max_paths=3)
+        lam = split_one.original
+        paths = [p for total in range(1, 4) for d in degrees_with_total(lam.k, total)
+                 for v in lam.vertices for p in lam.paths_with_range(v, d)]
+        expected = []
+        for lam_path in paths:
+            for mu in paths:
+                if lam_path.source == mu.range and len(lam_path.edges) + len(mu.edges) <= 3:
+                    expected += [f"composition s[{lam_path}]s[{mu}]",
+                                 f"composition s*[{mu}]s*[{lam_path}]"]
+        assert [label for label in labels if label.startswith("composition")] == expected
+        assert len(expected) == 304
 
     def test_corrupted_split_fails(self, split_one, split_two):
         # graft the second example's split graph onto the first example's

@@ -583,6 +583,16 @@ class TestReconstruction:
         for r in results:
             assert reconstruct_split(r.original, r.graph, r.color, r.base, dict(r.parent)) == r
 
+    def test_squares_must_be_the_lifts(self, split_one, split_two):
+        # each example's split under the other's original: f h = n c of the
+        # second example lifts to f.1 h.2 = n.1 c.1, which the first lacks
+        cases = [(split_one.original, split_two, "is not a lift of"),
+                 (split_two.original, split_one, "is missing but lifts")]
+        for original, split, state in cases:
+            with pytest.raises(SplitError) as exc:
+                reconstruct_split(original, split.graph, BLUE, "v", dict(split.parent))
+            assert str(exc.value) == f"square f.1 h.2 = n.1 c.1 {state} a square of the input"
+
     def test_stored_and_derived_fields(self, split_one):
         assert [f.name for f in dataclasses.fields(split_one)] == [
             "original", "graph", "color", "base", "parent"]
