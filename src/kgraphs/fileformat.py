@@ -164,7 +164,9 @@ def parse(text: str) -> GraphDocument:
         elif keyword == "split":
             if split_header is not None:
                 raise ParseError(lineno, 1, "duplicate split line")
-            split_header = _split_line(tokens, lineno, raw, header[2] if header else (), vertices)
+            if header is None:
+                raise ParseError(lineno, 1, "split before header line")
+            split_header = _split_line(tokens, lineno, raw, header[2], vertices)
         elif keyword == "partition":
             _partition_line(tokens, lineno, raw, vertices, edges, partitions)
         else:
@@ -300,14 +302,13 @@ def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1")
 def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:
     """Parent-map sidecar: split header plus one ``parent`` line per item."""
     colors = tuple(colors)
-    base = result.base if result.base is not None else "-"
-    lines = [f"split color={colors[result.color - 1]} base={base}"]
+    lines = [f"split color={colors[result.color - 1]} base={result.base}"]
     lines.extend(f"parent {child} = {parent}" for child, parent in sorted(result.parent.items()))
     return "\n".join(lines) + "\n"
 
 
-def parse_sidecar(text: str) -> tuple[str, str | None, dict[str, str]]:
-    """Returns (color name, base vertex or ``None`` for ``base=-``, child-to-parent map)."""
+def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:
+    """Returns (color name, base vertex, child-to-parent map)."""
     color = base = None
     parents: dict[str, str] = {}
     for lineno, raw, tokens in _declarations(text):
@@ -324,9 +325,9 @@ def parse_sidecar(text: str) -> tuple[str, str | None, dict[str, str]]:
             parents[tokens[1]] = tokens[3]
         else:
             raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
-    if color is None or base is None:
+    if color is None:
         raise ParseError(1, 1, "missing split line in parent sidecar")
-    return color, None if base == "-" else base, parents
+    return color, base, parents
 
 
 _DOT_STYLES = ("solid", "dashed", "dotted")

@@ -20,7 +20,10 @@ Every Λ-square lifts to one square per copy of its range, which realizes
 the equivalence "parents commute and endpoints agree".
 :func:`validate_spec` checks every precondition of the move, in one order,
 before anything is built, and the output is re-validated before it is
-returned; it is source-free by construction.
+returned; it is source-free by construction.  :func:`reconstruct_split`
+reads a split back from its two files by replaying :func:`outsplit` on the
+partition they encode, so the move is defined in this one place for
+``kgraphs split`` and ``kgraphs kp-verify`` alike.
 
 A graph is *paired* in color ``B`` when no edge has two distinct sibling
 ``B``-edges (see :func:`sibling_set`); splits of paired graphs give all
@@ -192,20 +195,19 @@ def _copy_name(item: str, index: int) -> str:
 class SplitResult:
     """A split graph together with its bookkeeping back to the original.
 
-    The stored fields are what ``split`` writes to its two files; ``base`` is
-    ``None`` when none was recorded, and ``parent`` maps every copy, vertex
-    or edge, to its original (their ids never clash).  ``copy_index`` and
-    ``counts`` are derived on first use.  The i-th copy of an item is named
-    ``item.i``, and an edge's copy ``e.i`` has range ``r(e).i``:
-    :func:`outsplit` builds names this way,
-    :func:`reconstruct_split` rejects a split that breaks the rule, and
+    The stored fields are what ``split`` writes to its two files, and
+    ``parent`` maps every copy, vertex or edge, to its original (their ids
+    never clash).  ``copy_index`` and ``counts`` are derived on first use.
+    The i-th copy of an item is named ``item.i``, and an edge's copy ``e.i``
+    has range ``r(e).i``: :func:`outsplit` builds names this way,
+    :func:`reconstruct_split` accepts only what it builds, and
     :meth:`copy_of` relies on it.
     """
 
     original: KGraph
     graph: KGraph
     color: int
-    base: str | None
+    base: str
     parent: Mapping[str, str] = field(repr=False)
 
     @cached_property
@@ -288,80 +290,47 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     return SplitResult(graph, split_graph, color, spec.base, parent)
 
 
-def reconstruct_split(
-    original: KGraph,
-    graph: KGraph,
-    color: int,
-    base: str | None,
-    parent: Mapping[str, str],
-) -> SplitResult:
-    """Rebuild the record :func:`outsplit` returned from a split's two files.
+def reconstruct_split(original: KGraph, graph: KGraph, color: int, base: str,
+                      parent: Mapping[str, str]) -> SplitResult:
+    """Replay the split that a split's two files encode; return it if they hold exactly it.
 
-    ``base``, unless ``None``, must be a vertex of ``original``.  ``parent``
-    is the sidecar's map from every vertex and edge of ``graph`` to its
-    original, and each of its keys must name such an item.  The copies of a
-    vertex must be named ``v.1 .. v.n``, an edge copy ``e.i`` must have
-    range ``r(e).i``, and the map is re-checked against colors, sources, the
-    original graph and the split color: a vertex with several copies has one
-    per outgoing split-color edge.  These are the naming rules
-    :class:`SplitResult` states.  Last, the split's squares must be exactly
-    the edgewise lifts (:func:`copy_path`) of the original's squares at
-    every copy of their range, as :func:`outsplit` builds them.
+    The files encode a partition: a ``color``-edge ``e`` out of ``v`` lies
+    in block ``j`` when its copy ``e.1`` starts at ``v.j``, and the blocks
+    are ordered by ``j``.  :func:`outsplit` replays that spec, so
+    :func:`validate_spec` checks its preconditions.  Then ``graph``'s
+    vertices, edges and squares and the sidecar's ``parent`` map must equal
+    the replay's, compared in that order; the first difference raises
+    :class:`SplitError`, which names the item and the side that has it.
     """
-    if base is not None and not original.skeleton.has_vertex(base):
+    if not original.skeleton.has_vertex(base):
         raise SplitError(f"unknown base vertex {base!r}")
-    unknown = [c for c in parent
-               if not graph.skeleton.has_vertex(c) and c not in graph.skeleton.edge_map]
-    if unknown:
-        raise SplitError(f"parent line for unknown item {min(unknown)!r}")
-    counts: dict[str, int] = {v: 0 for v in original.vertices}
-    for v in graph.vertices:
-        origin = parent.get(v)
-        if origin is None or origin not in counts:
-            raise SplitError(f"vertex {v!r} has no valid parent")
-        _parse_copy_index(v)
-        counts[origin] += 1
-    for v, n in counts.items():
-        if n == 0:
-            raise SplitError(f"original vertex {v!r} has no copies")
-        for i in range(1, n + 1):
-            if parent.get(_copy_name(v, i)) != v:
-                raise SplitError(f"copies of {v!r} are not named {v}.1 .. {v}.{n}")
-        out = len(original.skeleton.edges_from(v, color))
-        if n > 1 and n != out:
-            raise SplitError(f"vertex {v!r} has {n} copies but {out} outgoing edge(s) "
-                             f"in the split color")
-    for e in graph.edges:
-        origin = parent.get(e.name)
-        if origin is None:
-            raise SplitError(f"edge {e.name!r} has no parent")
-        pe = original.skeleton.edge_map.get(origin)
-        if pe is None:
-            raise SplitError(f"edge {e.name!r} has no valid parent")
-        idx = _parse_copy_index(e.name)
-        if e.name != _copy_name(origin, idx):
-            raise SplitError(f"edge {e.name!r} is not named {origin}.<copy index>")
-        if pe.color != e.color:
-            raise SplitError(f"edge {e.name!r} changed color relative to {origin!r}")
-        if e.range != _copy_name(pe.range, idx):
-            raise SplitError(f"edge {e.name!r} should have range {pe.range}.{idx}")
-        if parent[e.source] != pe.source:
-            raise SplitError(f"edge {e.name!r} has a source that is not a copy of {pe.source!r}")
+    edges = graph.skeleton.edge_map
+    blocks: dict[str, dict[int, list[str]]] = {}  # vertex -> block index -> its edges
     for e in original.edges:
-        for i in range(1, counts[e.range] + 1):
-            if parent.get(_copy_name(e.name, i)) != e.name:
-                raise SplitError(f"missing copy {e.name}.{i}")
-    result = SplitResult(original, graph, color, base, dict(parent))
-    lifts = set()
-    for (a, b), (g, h) in original.squares.pairs:
-        sides = original.make_path((b, a)), original.make_path((h, g))
-        for i in range(1, counts[sides[0].range] + 1):
-            lifts.add(tuple(sorted(copy_path(result, p, i).edges[::-1] for p in sides)))
-    squares = set(graph.squares.pairs)
-    if wrong := sorted(squares ^ lifts):
-        (f, e), (g, h) = wrong[0]
-        state = "is not a lift of" if wrong[0] in squares else "is missing but lifts"
-        raise SplitError(f"square {f} {e} = {g} {h} {state} a square of the input")
+        if e.color == color:
+            name = _copy_name(e.name, 1)
+            if name not in edges:
+                raise SplitError(f"missing copy {name}")
+            j = _parse_copy_index(edges[name].source)
+            blocks.setdefault(e.source, {}).setdefault(j, []).append(e.name)
+    partitions = {v: tuple(tuple(by_index[j]) for j in sorted(by_index))
+                  for v, by_index in blocks.items()}
+    result = outsplit(original, SplitSpec(color, base, partitions))
+    split = result.graph
+    for line, files, replayed in (
+        ("vertex {}".format, graph.vertices, split.vertices),
+        (lambda e: f"edge {e.name} : color {e.color} {e.source} -> {e.range}",
+         graph.edges, split.edges),
+        (lambda p: "square {} {} = {} {}".format(*p[0], *p[1]),
+         graph.squares.pairs, split.squares.pairs),
+        (lambda p: "parent {} = {}".format(*p), parent.items(), result.parent.items()),
+    ):
+        files, replayed = set(files), set(replayed)
+        if differ := files ^ replayed:
+            item = min(differ)
+            side = ("is in the files but not in the split of the input" if item in files
+                    else "is in the split of the input but not in the files")
+            raise SplitError(f"{line(item)} {side}")
     return result
 
 

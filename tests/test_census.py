@@ -30,6 +30,7 @@ from kgraphs import (
     outsplit,
     pairing_report,
     product_graph,
+    reconstruct_split,
     sibling_set,
     validate,
     verify_corner,
@@ -39,6 +40,7 @@ from kgraphs import (
     verify_swap_identities,
     verify_universal_family,
 )
+from kgraphs.fileformat import document_for_graph, parse, parse_sidecar, serialize, sidecar_text
 
 from conftest import BLUE, RED, random_one_skeleton
 from test_skeleton import _reference_report
@@ -95,6 +97,20 @@ def test_census_splits_and_pairing(m, n, paired):
         graphs += 1
         paired_graphs += pairing_report(graph, BLUE).ok
     assert (graphs, paired_graphs) == (math.factorial(m * n), paired)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2)])
+def test_census_splits_round_trip_through_their_files(m, n):
+    """Each split, written and read back as ``kp-verify`` reads it, rebuilds to itself."""
+    colors = ("blue", "red")
+    for skeleton, squares in single_vertex_graphs(m, n):
+        graph = build_kgraph(skeleton, squares)
+        result = outsplit(graph, default_spec(graph, BLUE, "v"))
+        original = parse(serialize(document_for_graph(graph, colors))).build()
+        doc = parse(serialize(document_for_graph(result.graph, colors)))
+        color, base, parents = parse_sidecar(sidecar_text(result, colors))
+        rebuilt = reconstruct_split(original, doc.build(), doc.color_index(color), base, parents)
+        assert rebuilt == result
 
 
 def test_paired_census_graphs_verify():

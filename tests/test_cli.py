@@ -330,7 +330,8 @@ class TestKpVerify:
 
     def test_mismatched_split_fails(self, capsys, workdir):
         # the second example's split is not a split of the first example:
-        # its square f.1 h.2 = n.1 c.1 lifts the second example's f h = n c
+        # replaying its partition on the first gives the first's split, whose
+        # b.2 starts at v.2, not v.3
         code, out, err = run(
             capsys,
             "kp-verify",
@@ -343,18 +344,18 @@ class TestKpVerify:
             "2",
         )
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: square f.1 h.2 = n.1 c.1 "
-                       "is not a lift of a square of the input\n")
+        assert err == ("inconsistent split data: edge b.2 : color 2 v.2 -> x.2 "
+                       "is in the split of the input but not in the files\n")
 
     def test_first_split_of_second_example_is_inconsistent(self, capsys, workdir):
-        # the reverse graft: the first example's split lacks that lift; the
-        # split data is refused before the pairing gate
+        # the reverse graft: the first example's split is not the second's;
+        # the split data is refused before the pairing gate
         code, out, err = run(capsys, "kp-verify", str(workdir / "lambda2.kg"),
                              "--split-output", str(workdir / "gamma1.kg"),
                              "--parents", str(workdir / "gamma1.parents"))
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: square f.1 h.2 = n.1 c.1 "
-                       "is missing but lifts a square of the input\n")
+        assert err == ("inconsistent split data: edge b.2 : color 2 v.2 -> x.2 "
+                       "is in the files but not in the split of the input\n")
 
     def test_unpaired_input_fails(self, capsys, workdir):
         code, out, err = run(
@@ -389,7 +390,8 @@ class TestKpVerify:
         )
         assert code == 1
         assert out == ""
-        assert err == "inconsistent split data: edge 'b.1' has no valid parent\n"
+        assert err == ("inconsistent split data: parent b.1 = b "
+                       "is in the split of the input but not in the files\n")
 
     def test_parent_line_for_unknown_item_is_inconsistent(self, capsys, workdir):
         sidecar = workdir / "gamma1.parents"
@@ -406,11 +408,12 @@ class TestKpVerify:
         )
         assert code == 1
         assert out == ""
-        assert err == "inconsistent split data: parent line for unknown item 'nosuch.1'\n"
+        assert err == ("inconsistent split data: parent nosuch.1 = e "
+                       "is in the files but not in the split of the input\n")
 
     @pytest.mark.parametrize("base", ["nosuch", "-"])
     def test_sidecar_base_must_be_a_vertex(self, capsys, workdir, base):
-        # "-" is what sidecar_text writes for a split without a recorded base
+        # "-" is a reserved id, so no vertex has it
         sidecar = workdir / "gamma1.parents"
         text = sidecar.read_text(encoding="utf-8")
         sidecar.write_text(text.replace("base=v\n", f"base={base}\n", 1), encoding="utf-8")
@@ -425,12 +428,9 @@ class TestKpVerify:
             "--max-len",
             "1",
         )
-        if base == "-":
-            assert (code, err) == (0, "")
-            return
         assert code == 1
         assert out == ""
-        assert err == "inconsistent split data: unknown base vertex 'nosuch'\n"
+        assert err == f"inconsistent split data: unknown base vertex {base!r}\n"
 
     def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
         # blue loops x, y and a red loop z commuting with both: the blue split
@@ -455,8 +455,8 @@ class TestKpVerify:
         sidecar.write_text(text.replace("color=blue", "color=red"), encoding="utf-8")
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: vertex 'v' has 2 copies but 1 outgoing "
-                       "edge(s) in the split color\n")
+        assert err == ("inconsistent split data: vertex 'v' has fewer than two outgoing "
+                       "edges of color 2\n")
 
     def test_edge_copy_names_must_match_their_parent(self, capsys, tmp_path):
         # a.01 parses as copy 1 of a but is not named a.1, next to the real a.1
@@ -476,7 +476,8 @@ class TestKpVerify:
         code, out, err = run(capsys, "kp-verify", str(tmp_path / "loops.kg"),
                              "--split-output", str(split), "--parents", str(sidecar))
         assert (code, out) == (1, "")
-        assert err == "inconsistent split data: edge 'a.01' is not named a.<copy index>\n"
+        assert err == ("inconsistent split data: edge a.01 : color 1 v.1 -> v.1 "
+                       "is in the files but not in the split of the input\n")
 
     def test_non_ascii_copy_index_is_inconsistent(self, capsys, workdir):
         # "²" passes str.isdigit but is no copy index
@@ -490,6 +491,36 @@ class TestKpVerify:
         assert (code, out) == (1, "")
         assert err == "inconsistent split data: name 'v.²' does not end in a copy index\n"
         assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_moved_copies_are_inconsistent(self, capsys, tmp_path):
+        # e1.1 and f1.1 moved to start at v.1, their two copy-1 squares lifted
+        # again: a valid 2-graph that puts both blue edges in block 1
+        source = tmp_path / "loops.kg"
+        source.write_text(
+            "kgraph 1 k=2 colors=blue,red\nvertex v\n"
+            "edge e0 : blue v -> v\nedge e1 : blue v -> v\n"
+            "edge f0 : red v -> v\nedge f1 : red v -> v\n"
+            "square e0 f0 = f0 e0\nsquare e0 f1 = f0 e1\n"
+            "square e1 f0 = f1 e0\nsquare e1 f1 = f1 e1\n",
+            encoding="utf-8",
+        )
+        split = tmp_path / "split.kg"
+        code, _, _ = run(capsys, "split", str(source), "--color", "blue", "--base", "v",
+                         "-o", str(split))
+        assert code == 0
+        text = split.read_text(encoding="utf-8")
+        for old, new in [("edge e1.1 : blue v.2 -> v.1", "edge e1.1 : blue v.1 -> v.1"),
+                         ("edge f1.1 : red v.2 -> v.1", "edge f1.1 : red v.1 -> v.1"),
+                         ("square e1.1 f0.2 = f1.1 e0.2", "square e1.1 f0.1 = f1.1 e0.1"),
+                         ("square e1.1 f1.2 = f1.1 e1.2", "square e1.1 f1.1 = f1.1 e1.1")]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        split.write_text(text, encoding="utf-8")
+        assert run(capsys, "validate", str(split))[0] == 0
+        code, out, err = run(capsys, "kp-verify", str(source), "--split-output", str(split),
+                             "--parents", str(tmp_path / "split.kg.parents"))
+        assert (code, out) == (1, "")
+        assert err == "inconsistent split data: vertex 'v' needs 2 block(s), got 1\n"
 
     def test_max_len_not_an_integer_is_usage_error(self, capsys, workdir):
         code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
@@ -516,7 +547,8 @@ class TestKpVerify:
         assert f"argument --max-len: must be at least 1, got {max_len}" in err
 
     def test_source_in_input_is_check_failure(self, capsys, tmp_path):
-        # z is a source; the hand-written split copies every item once
+        # z is a source; the hand-written split copies every item once, and
+        # replaying it refuses the input first
         edges = [("a", "v", "v"), ("b", "v", "x"), ("c", "z", "v")]
         for suffix, name in (("", "src.kg"), (".1", "src1.kg")):
             lines = ["kgraph 1 k=1 colors=blue"]
@@ -538,9 +570,7 @@ class TestKpVerify:
         )
         assert code == 1
         assert out == ""
-        assert err == (
-            "the Kumjian-Pask calculus needs a source-free graph; missing ('z.1', 1)\n"
-        )
+        assert err == "inconsistent split data: graph is not source-free, e.g. ('z', 1)\n"
 
     def test_one_algebra_context_per_run(self, capsys, workdir, monkeypatch):
         built = []

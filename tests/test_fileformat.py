@@ -192,6 +192,7 @@ class TestParse:
             (MINIMAL + "split color=blue base=p\nsplit color=blue base=p\n",
              7, 1, "duplicate split line"),
             (MINIMAL + "split color=blue\n", 6, 1, "expected: split color=<color> base=<vertex>"),
+            ("split color=blue base=v\n", 1, 1, "split before header line"),
             (MINIMAL + "split color=blue base=p\npartition p {a}\n",
              7, 1, "expected: partition <vertex> : {<e>,...} ..."),
             (MINIMAL + "split color=blue base=p\npartition q : {a}\n", 7, 11, "unknown vertex 'q'"),
@@ -204,7 +205,7 @@ class TestParse:
              "reserved-vertex", "bad-rank",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
-             "duplicate-split", "malformed-split", "malformed-partition",
+             "duplicate-split", "malformed-split", "split-before-header", "malformed-partition",
              "partition-unknown-vertex", "duplicate-partition", "empty-block"],
     )
     def test_error_columns_point_at_the_token(self, text, line, column, message):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from kgraphs import (
     Edge,
+    KGraph,
     Skeleton,
     SplitError,
     SplitSpec,
@@ -37,6 +39,7 @@ from conftest import (
     random_double,
     shuffled_spec,
 )
+from test_census import single_vertex_graphs
 
 # the split of the first worked example, straight from its figure
 GAMMA_ONE_VERTICES = ("v.1", "v.2", "v.3", "x.1", "x.2", "y.1", "z.1")
@@ -494,25 +497,54 @@ class TestOutsplitProofs:
         assert multi_edge_blocks > 0
 
 
-# Λ for the rejection table: blue loops a and c at u, a red loop d at w and a
-# blue loop g at x.  No two edges of different colors compose, here or in any
-# variant below, so each is a 2-graph without squares.
-LOOPS = {"a": (BLUE, "u", "u"), "c": (BLUE, "u", "u"), "d": (RED, "w", "w"), "g": (BLUE, "x", "x")}
-# a consistent split of it at u in blue, named as outsplit names copies
+# Λ for the rejection table: blue loops a and c and a red loop b at u, and a
+# red loop d and a blue loop g at w; loops of different colors at one vertex
+# commute, so Λ is a source-free 2-graph
+LOOPS = {"a": (BLUE, "u", "u"), "b": (RED, "u", "u"), "c": (BLUE, "u", "u"),
+         "d": (RED, "w", "w"), "g": (BLUE, "w", "w")}
+# its split at u in blue, named as outsplit names copies
 LOOPS_SPLIT = {
     "a.1": (BLUE, "u.1", "u.1"),
     "a.2": (BLUE, "u.1", "u.2"),
+    "b.1": (RED, "u.1", "u.1"),
+    "b.2": (RED, "u.2", "u.2"),
     "c.1": (BLUE, "u.2", "u.1"),
     "c.2": (BLUE, "u.2", "u.2"),
     "d.1": (RED, "w.1", "w.1"),
-    "g.1": (BLUE, "x.1", "x.1"),
+    "g.1": (BLUE, "w.1", "w.1"),
 }
 
 
-def _two_graph(edges):
-    vertices = {v for _, source, target in edges.values() for v in (source, target)}
-    skeleton = Skeleton.create(2, vertices, [Edge(name, *rest) for name, rest in edges.items()])
-    return build_kgraph(skeleton, SquareSet(()))
+def _loops_graph(edges):
+    """The 2-graph of blue and red loops in which the loops at each vertex commute."""
+    skeleton = Skeleton.create(2, {source for _, source, _ in edges.values()},
+                               [Edge(name, *rest) for name, rest in edges.items()])
+    squares = [((red, blue), (blue, red))
+               for blue, (c, v, _) in edges.items() if c == BLUE
+               for red, (d, w, _) in edges.items() if d == RED and w == v]
+    return build_kgraph(skeleton, SquareSet.create(skeleton, squares))
+
+
+def _split_file(original, edges):
+    """The graph of a split file with these edges, the squares lifted edgewise.
+
+    Each square ``f e = g h`` of ``original`` lifts at every copy ``f.i``
+    whose partner ``g.i`` exists, to ``f.i e.j = g.i h.l`` where ``f.i``
+    starts at a vertex ``*.j`` and ``g.i`` at ``*.l``; the lifts are not
+    checked, as a split file's squares need not be consistent.
+    """
+    skeleton = Skeleton.create(original.k, {v for _, s, r in edges.values() for v in (s, r)},
+                               [Edge(name, *rest) for name, rest in edges.items()])
+    def lift(outer, inner, i):
+        top = f"{outer}.{i}"
+        return top, f"{inner}.{edges[top][1].rpartition('.')[2]}"
+    pairs = set()
+    for (f, e), (g, h) in original.squares.pairs:
+        for name in edges:
+            stem, _, i = name.rpartition(".")
+            if stem == f and f"{g}.{i}" in edges:
+                pairs.add(tuple(sorted((lift(f, e, i), lift(g, h, i)))))
+    return KGraph(skeleton, SquareSet(tuple(sorted(pairs))))
 
 
 def _named_parents(graph):
@@ -524,31 +556,37 @@ def _named_parents(graph):
 class TestReconstruction:
     def test_loops_split_is_consistent(self):
         # the unchanged table passes, so each case below fails on its one change
-        graph = _two_graph(LOOPS_SPLIT)
-        result = reconstruct_split(_two_graph(LOOPS), graph, BLUE, "u", _named_parents(graph))
-        assert result.counts == {"u": 2, "w": 1, "x": 1}
+        original = _loops_graph(LOOPS)
+        graph = _split_file(original, LOOPS_SPLIT)
+        result = reconstruct_split(original, graph, BLUE, "u", _named_parents(graph))
+        assert result.counts == {"u": 2, "w": 1}
         assert result.copy_of("a", 2) == "a.2"
+        assert result == outsplit(original, default_spec(original, BLUE, "u"))
 
     @pytest.mark.parametrize("original_extra, split_changes, parent_changes, message", [
-        ({"e": (RED, "y", "y")}, {}, {}, "original vertex 'y' has no copies"),
-        ({}, {}, {"u.2": "w"}, "copies of 'w' are not named w.1 .. w.2"),
-        ({}, {"g.2": (BLUE, "x.1", "x.2")}, {},
-         "vertex 'x' has 2 copies but 1 outgoing edge(s) in the split color"),
-        ({}, {}, {"w.1": "d"}, "vertex 'w.1' has no valid parent"),
-        ({}, {}, {"d.1": "w"}, "edge 'd.1' has no valid parent"),
-        ({}, {"d.1": (BLUE, "w.1", "w.1")}, {}, "edge 'd.1' changed color relative to 'd'"),
-        ({}, {"a.2": (BLUE, "u.1", "u.1")}, {}, "edge 'a.2' should have range u.2"),
-        ({}, {"g.1": (BLUE, "u.1", "x.1")}, {},
-         "edge 'g.1' has a source that is not a copy of 'x'"),
-        ({}, {"c.2": None}, {}, "missing copy c.2"),
-        ({}, {"d.1": (RED, "w.one", "w.one")}, {}, "name 'w.one' does not end in a copy index"),
-        ({}, {"d.1": (RED, "w.²", "w.²")}, {}, "name 'w.²' does not end in a copy index"),
+        ({"o": (BLUE, "y", "y"), "e": (RED, "y", "y")}, {}, {}, "missing copy o.1"),
+        ({}, {}, {"u.2": "w"}, "parent u.2 = u is in the split of the input but not in the files"),
+        ({}, {"g.2": (BLUE, "w.1", "w.2")}, {},
+         "vertex w.2 is in the files but not in the split of the input"),
+        ({}, {}, {"w.1": "d"}, "parent w.1 = d is in the files but not in the split of the input"),
+        ({}, {}, {"d.1": "w"}, "parent d.1 = d is in the split of the input but not in the files"),
+        ({}, {"d.1": (BLUE, "w.1", "w.1")}, {},
+         "edge d.1 : color 1 w.1 -> w.1 is in the files but not in the split of the input"),
+        ({}, {"a.2": (BLUE, "u.1", "u.1")}, {},
+         "edge a.2 : color 1 u.1 -> u.1 is in the files but not in the split of the input"),
+        ({}, {"c.2": (BLUE, "u.1", "u.2")}, {},
+         "edge c.2 : color 1 u.1 -> u.2 is in the files but not in the split of the input"),
+        ({}, {"c.2": None}, {},
+         "edge c.2 : color 1 u.2 -> u.2 is in the split of the input but not in the files"),
+        ({}, {"g.1": (BLUE, "w.one", "w.1")}, {}, "name 'w.one' does not end in a copy index"),
+        ({}, {"g.1": (BLUE, "w.²", "w.1")}, {}, "name 'w.²' does not end in a copy index"),
     ], ids=["no-copies", "copy-names", "copy-count", "vertex-parent", "edge-parent", "color",
             "range", "source", "missing-copy", "copy-index", "non-ascii-copy-index"])
     def test_each_rejection(self, original_extra, split_changes, parent_changes, message):
-        original = _two_graph({**LOOPS, **original_extra})
+        original = _loops_graph({**LOOPS, **original_extra})
         split_edges = {**LOOPS_SPLIT, **split_changes}
-        graph = _two_graph({name: rest for name, rest in split_edges.items() if rest is not None})
+        graph = _split_file(original, {name: rest for name, rest in split_edges.items()
+                                       if rest is not None})
         with pytest.raises(SplitError) as exc:
             reconstruct_split(original, graph, BLUE, "u", _named_parents(graph) | parent_changes)
         assert str(exc.value) == message
@@ -583,22 +621,45 @@ class TestReconstruction:
         for r in results:
             assert reconstruct_split(r.original, r.graph, r.color, r.base, dict(r.parent)) == r
 
-    def test_squares_must_be_the_lifts(self, split_one, split_two):
-        # each example's split under the other's original: f h = n c of the
-        # second example lifts to f.1 h.2 = n.1 c.1, which the first lacks
-        cases = [(split_one.original, split_two, "is not a lift of"),
-                 (split_two.original, split_one, "is missing but lifts")]
-        for original, split, state in cases:
+    def test_squares_must_be_the_lifts(self):
+        # two census graphs whose splits share every vertex and edge: each
+        # split under the other's original differs first in a square
+        first, second = (build_kgraph(*census)
+                         for census in itertools.islice(single_vertex_graphs(2, 2), 2, 4))
+        splits = [outsplit(g, default_spec(g, BLUE, "v")) for g in (first, second)]
+        assert splits[0].graph.edges == splits[1].graph.edges
+        cases = [(first, splits[1], "is in the split of the input but not in the files"),
+                 (second, splits[0], "is in the files but not in the split of the input")]
+        for original, split, side in cases:
             with pytest.raises(SplitError) as exc:
                 reconstruct_split(original, split.graph, BLUE, "v", dict(split.parent))
-            assert str(exc.value) == f"square f.1 h.2 = n.1 c.1 {state} a square of the input"
+            assert str(exc.value) == f"square e0.1 f1.1 = f0.1 e1.1 {side}"
+
+    def test_only_outsplits_are_accepted(self):
+        # every way to reassign the sources of a (2, 2) census split's eight
+        # edge copies, squares lifted edgewise, for an unpaired and a paired
+        # graph: only the two block orders of outsplit pass
+        graphs = [build_kgraph(*census) for census in itertools.islice(single_vertex_graphs(2, 2), 3)]
+        for graph in (graphs[0], graphs[2]):
+            splits = [outsplit(graph, SplitSpec(BLUE, "v", {"v": blocks}))
+                      for blocks in ((("e0",), ("e1",)), (("e1",), ("e0",)))]
+            edges, parents = splits[0].graph.edges, dict(splits[0].parent)
+            accepted = []
+            for sources in itertools.product(("v.1", "v.2"), repeat=len(edges)):
+                split = _split_file(graph, {e.name: (e.color, source, e.range)
+                                            for e, source in zip(edges, sources)})
+                try:
+                    accepted.append(reconstruct_split(graph, split, BLUE, "v", parents))
+                except SplitError:
+                    pass
+            assert sorted(splits.index(result) for result in accepted) == [0, 1]
+        assert [pairing_report(g, BLUE).ok for g in (graphs[0], graphs[2])] == [False, True]
 
     def test_stored_and_derived_fields(self, split_one):
         assert [f.name for f in dataclasses.fields(split_one)] == [
             "original", "graph", "color", "base", "parent"]
-        rebuilt = reconstruct_split(split_one.original, split_one.graph, BLUE, None,
+        rebuilt = reconstruct_split(split_one.original, split_one.graph, BLUE, "v",
                                     dict(split_one.parent))
-        assert rebuilt.base is None
         assert (rebuilt.copy_index, rebuilt.counts) == (split_one.copy_index, split_one.counts)
 
     def test_unknown_base_rejected(self, split_one):
@@ -614,8 +675,9 @@ class TestReconstruction:
             reconstruct_split(split_one.original, split_one.graph, BLUE, "v", broken)
         missing = dict(split_one.parent)
         del missing["b.2"]
-        with pytest.raises(SplitError, match="no parent"):
+        with pytest.raises(SplitError) as exc:
             reconstruct_split(split_one.original, split_one.graph, BLUE, "v", missing)
+        assert str(exc.value) == "parent b.2 = b is in the split of the input but not in the files"
 
     @pytest.mark.parametrize("extra, unknown", [
         ({"nosuch.1": "e"}, "nosuch.1"),
@@ -625,7 +687,8 @@ class TestReconstruction:
         with pytest.raises(SplitError) as exc:
             reconstruct_split(split_one.original, split_one.graph, BLUE, "v",
                               {**split_one.parent, **extra})
-        assert str(exc.value) == f"parent line for unknown item {unknown!r}"
+        assert str(exc.value) == (f"parent {unknown} = {extra[unknown]} "
+                                  f"is in the files but not in the split of the input")
 
     def test_edge_named_off_its_parent_rejected(self):
         skeleton = Skeleton.create(1, ["v"], [Edge("a", BLUE, "v", "v"), Edge("b", BLUE, "v", "v")])
@@ -636,5 +699,7 @@ class TestReconstruction:
         graph = build_kgraph(Skeleton.create(1, split.graph.vertices, split.graph.edges + (extra,)),
                              SquareSet(()))
         parents = {**split.parent, "a.01": "a"}
-        with pytest.raises(SplitError, match=r"edge 'a\.01' is not named a\.<copy index>"):
+        with pytest.raises(SplitError) as exc:
             reconstruct_split(original, graph, BLUE, "v", parents)
+        assert str(exc.value) == ("edge a.01 : color 1 v.1 -> v.1 "
+                                  "is in the files but not in the split of the input")
