@@ -19,7 +19,7 @@ from typing import Callable, Sequence, TypeVar
 
 from . import fileformat, kp, splitting
 from .fileformat import GraphDocument
-from .skeleton import KGraph, KGraphError, KGraphInvalid, UsageError, validate
+from .skeleton import KGraph, KGraphError, KGraphInvalid, StructureError, UsageError, validate
 from .splitting import SplitError, SplitSpec
 
 T = TypeVar("T")
@@ -128,14 +128,14 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 def _cmd_kp_verify(args: argparse.Namespace) -> int:
     doc, graph = _load(args.file)
-    _, split_graph = _load(args.split_output)
+    split = _read(args.split_output, fileformat.parse)  # validated by the replay alone
     color_name, base, parents = _read(args.parents, fileformat.parse_sidecar)
-    color = doc.color_index(color_name)
     try:
-        result = splitting.reconstruct_split(graph, split_graph, color, base, parents)
-    except SplitError as exc:
+        result = splitting.reconstruct_split(graph, split.skeleton, split.squares,
+                                             doc.color_index(color_name), base, parents)
+    except (SplitError, StructureError) as exc:
         raise SplitError(f"inconsistent split data: {exc}") from exc
-    pairing = splitting.pairing_report(graph, color)
+    pairing = splitting.pairing_report(graph, result.color)
     if not pairing.ok:
         raise SplitError(f"input graph is not paired in {color_name}: {pairing.describe()}")
     emb = kp.SplitEmbedding(result)

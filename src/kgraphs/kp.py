@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
                        difference, factor, format_degree, join)
-from .splitting import SplitError, SplitResult, copy_path, parent_path
+from .splitting import SplitResult, copy_path, parent_path
 
 
 class BasisTerm(NamedTuple):
@@ -99,9 +99,9 @@ class KumjianPask:
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
         if not free.ok:
-            raise KGraphError(
-                f"the Kumjian-Pask calculus needs a source-free graph; missing {free.witnesses[0]}"
-            )
+            v, c = free.witnesses[0]
+            raise KGraphError(f"the Kumjian-Pask calculus needs a source-free graph; "
+                              f"vertex {v!r} receives no edge of color {c}")
         self.graph = graph
         self.paths: list[Path] = []
         self.degree: list[Degree] = []
@@ -416,16 +416,13 @@ class SplitEmbedding:
     of ``t_{λ¹ f^j} t_{f¹}*`` where ``j`` names the copy of ``s(λ)`` at the
     source of ``λ¹``; ghost generators map to the adjoints.  Built for every
     split, paired or not, since path copies are (:func:`copy_path`); only
-    :func:`verify_swap_identities` needs a paired input.  The rainbow lifts
-    are cached per ``(s(λ), copy j)`` as the id pairs ``(f^j, f¹)``, and the
-    swap carriers sum the same pairs.
+    :func:`verify_swap_identities` needs a paired input.  Every
+    ``SplitResult`` passed ``outsplit``'s ``validate_spec``, so it checks no
+    precondition.  The rainbow lifts are cached per ``(s(λ), copy j)`` as
+    the id pairs ``(f^j, f¹)``, and the swap carriers sum the same pairs.
     """
 
     def __init__(self, result: SplitResult):
-        if result.original.k >= 3 and result.original.degree_sinks(result.color):
-            raise SplitError(
-                f"rank {result.original.k} inputs must have no sinks in color {result.color}"
-            )
         self.result = result
         self.algebra = KumjianPask(result.graph)
         self._path_cache: dict[Path, KPElement] = {}

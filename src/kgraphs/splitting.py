@@ -21,9 +21,9 @@ the equivalence "parents commute and endpoints agree".
 :func:`validate_spec` checks every precondition of the move, in one order,
 before anything is built, and the output is re-validated before it is
 returned; it is source-free by construction.  :func:`reconstruct_split`
-reads a split back from its two files by replaying :func:`outsplit` on the
-partition they encode, so the move is defined in this one place for
-``kgraphs split`` and ``kgraphs kp-verify`` alike.
+reads a split back from its two files by replaying :func:`outsplit`, so the
+move and its one gate serve ``kgraphs split`` and ``kgraphs kp-verify``
+alike, and the replay is the only validation a split file gets.
 
 A graph is *paired* in color ``B`` when no edge has two distinct sibling
 ``B``-edges (see :func:`sibling_set`); splits of paired graphs give all
@@ -157,7 +157,8 @@ def validate_spec(graph: KGraph, spec: SplitSpec) -> dict[str, int]:
     """
     free = graph.is_source_free()
     if not free.ok:
-        raise SplitError(f"graph is not source-free, e.g. {free.witnesses[0]}")
+        v, c = free.witnesses[0]
+        raise SplitError(f"graph is not source-free: vertex {v!r} receives no edge of color {c}")
     region = split_region(graph, spec.color, spec.base)
     if graph.k >= 3 and (sinks := graph.degree_sinks(spec.color)):
         raise SplitError(
@@ -290,21 +291,23 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     return SplitResult(graph, split_graph, color, spec.base, parent)
 
 
-def reconstruct_split(original: KGraph, graph: KGraph, color: int, base: str,
-                      parent: Mapping[str, str]) -> SplitResult:
+def reconstruct_split(original: KGraph, skeleton: Skeleton, squares: SquareSet, color: int,
+                      base: str, parent: Mapping[str, str]) -> SplitResult:
     """Replay the split that a split's two files encode; return it if they hold exactly it.
 
     The files encode a partition: a ``color``-edge ``e`` out of ``v`` lies
     in block ``j`` when its copy ``e.1`` starts at ``v.j``, and the blocks
     are ordered by ``j``.  :func:`outsplit` replays that spec, so
-    :func:`validate_spec` checks its preconditions.  Then ``graph``'s
+    :func:`validate_spec` checks its preconditions.  Then the file's
     vertices, edges and squares and the sidecar's ``parent`` map must equal
     the replay's, compared in that order; the first difference raises
     :class:`SplitError`, which names the item and the side that has it.
+    So the file needs no validation of its own: validity depends only on
+    skeleton and squares, the replay passed :func:`build_kgraph`, and a file
+    is accepted only when its three sets equal the replay's.  Every accepted
+    file is a valid k-graph; an invalid one is refused with its first difference.
     """
-    if not original.skeleton.has_vertex(base):
-        raise SplitError(f"unknown base vertex {base!r}")
-    edges = graph.skeleton.edge_map
+    edges = skeleton.edge_map
     blocks: dict[str, dict[int, list[str]]] = {}  # vertex -> block index -> its edges
     for e in original.edges:
         if e.color == color:
@@ -318,11 +321,10 @@ def reconstruct_split(original: KGraph, graph: KGraph, color: int, base: str,
     result = outsplit(original, SplitSpec(color, base, partitions))
     split = result.graph
     for line, files, replayed in (
-        ("vertex {}".format, graph.vertices, split.vertices),
+        ("vertex {}".format, skeleton.vertices, split.vertices),
         (lambda e: f"edge {e.name} : color {e.color} {e.source} -> {e.range}",
-         graph.edges, split.edges),
-        (lambda p: "square {} {} = {} {}".format(*p[0], *p[1]),
-         graph.squares.pairs, split.squares.pairs),
+         skeleton.edges, split.edges),
+        (lambda p: "square {} {} = {} {}".format(*p[0], *p[1]), squares.pairs, split.squares.pairs),
         (lambda p: "parent {} = {}".format(*p), parent.items(), result.parent.items()),
     ):
         files, replayed = set(files), set(replayed)

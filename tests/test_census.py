@@ -109,7 +109,8 @@ def test_census_splits_round_trip_through_their_files(m, n):
         original = parse(serialize(document_for_graph(graph, colors))).build()
         doc = parse(serialize(document_for_graph(result.graph, colors)))
         color, base, parents = parse_sidecar(sidecar_text(result, colors))
-        rebuilt = reconstruct_split(original, doc.build(), doc.color_index(color), base, parents)
+        rebuilt = reconstruct_split(original, doc.skeleton, doc.squares, doc.color_index(color),
+                                    base, parents)
         assert rebuilt == result
 
 

@@ -49,6 +49,20 @@ class TestValidate:
         assert code == 1
         assert "f h" in out and "ℓ b" in out
 
+    @pytest.mark.parametrize("command", ["props", "split"])
+    def test_invalid_graph_is_refused_before_use(self, capsys, workdir, command):
+        text = (workdir / "lambda1.kg").read_text(encoding="utf-8")
+        target = workdir / "broken.kg"
+        target.write_text(text.replace("square f h = ℓ b\n", ""), encoding="utf-8")
+        options = {"props": [], "split": ["--color", "blue", "--base", "v", "-o",
+                                          str(workdir / "out.kg")]}[command]
+        code, out, err = run(capsys, command, str(target), *options)
+        assert (code, out) == (1, "")
+        assert err == (f"{target}: not a valid k-graph\n"
+                       "completeness: 2-path ℓ b has no square partner\n"
+                       "completeness: 2-path f h has no square partner\n")
+        assert not (workdir / "out.kg").exists()
+
     def test_parse_error_is_usage_error(self, capsys, workdir):
         target = workdir / "bad.kg"
         target.write_text("kgraph 1 k=2 colors=blue,red\nvertex v\nvertex v\n")
@@ -432,6 +446,56 @@ class TestKpVerify:
         assert out == ""
         assert err == f"inconsistent split data: unknown base vertex {base!r}\n"
 
+    def test_unknown_sidecar_color_is_inconsistent(self, capsys, workdir):
+        sidecar = workdir / "gamma1.parents"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("color=blue", "color=green"), encoding="utf-8")
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(workdir / "gamma1.kg"),
+                             "--parents", str(sidecar))
+        assert (code, out) == (1, "")
+        assert err == "inconsistent split data: unknown color 'green'; have blue, red\n"
+
+    def test_split_file_missing_a_square_is_inconsistent(self, capsys, workdir):
+        # the replay is the split file's only validation, so an invalid file
+        # is refused with its first difference from the split of the input
+        split = workdir / "gamma1.kg"
+        text = split.read_text(encoding="utf-8")
+        assert text.count("square b.1 α.2 = h.1 β.2\n") == 1
+        split.write_text(text.replace("square b.1 α.2 = h.1 β.2\n", ""), encoding="utf-8")
+        assert run(capsys, "validate", str(split))[0] == 1
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(split),
+                             "--parents", str(workdir / "gamma1.parents"))
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: square b.1 α.2 = h.1 β.2 "
+                       "is in the split of the input but not in the files\n")
+
+    def test_rank_three_sink_is_refused_by_the_split_gate(self, capsys, tmp_path):
+        # q is a blue sink of a valid source-free 3-graph; the replay's
+        # validate_spec refuses the input before any file comparison
+        (tmp_path / "sink.kg").write_text(
+            "kgraph 1 k=3 colors=blue,red,green\nvertex p\nvertex q\n"
+            "edge a : blue p -> p\nedge b : blue p -> q\nedge r : red p -> p\n"
+            "edge s : red q -> q\nedge g : green p -> p\nedge h : green q -> q\n"
+            "square r a = a r\nsquare s b = b r\nsquare g a = a g\nsquare h b = b g\n"
+            "square g r = r g\nsquare h s = s h\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "split.kg").write_text(
+            "kgraph 1 k=3 colors=blue,red,green\nvertex p.1\nvertex p.2\nvertex q.1\n"
+            "edge a.1 : blue p.1 -> p.1\nedge b.1 : blue p.2 -> q.1\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "split.parents").write_text("split color=blue base=p\n", encoding="utf-8")
+        assert run(capsys, "validate", str(tmp_path / "sink.kg"))[0] == 0
+        code, out, err = run(capsys, "kp-verify", str(tmp_path / "sink.kg"),
+                             "--split-output", str(tmp_path / "split.kg"),
+                             "--parents", str(tmp_path / "split.parents"))
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: rank 3 split needs no sinks in color 1; "
+                       "found ['q']\n")
+
     def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
         # blue loops x, y and a red loop z commuting with both: the blue split
         # makes two copies of v, which a red split (one red edge) cannot
@@ -570,7 +634,8 @@ class TestKpVerify:
         )
         assert code == 1
         assert out == ""
-        assert err == "inconsistent split data: graph is not source-free, e.g. ('z', 1)\n"
+        assert err == ("inconsistent split data: graph is not source-free: "
+                       "vertex 'z' receives no edge of color 1\n")
 
     def test_one_algebra_context_per_run(self, capsys, workdir, monkeypatch):
         built = []

@@ -17,13 +17,11 @@ from kgraphs import (
     KumjianPask,
     Skeleton,
     SplitEmbedding,
-    SplitError,
     SquareSet,
     VerificationReport,
     build_kgraph,
     copy_path,
     degrees_with_total,
-    product_graph,
     saturation,
     verify_corner,
     verify_diagonal,
@@ -69,8 +67,10 @@ class TestTermConstruction:
     def test_source_free_graph_required(self):
         sk = Skeleton.create(1, ["v", "w"], [Edge("a", 1, "w", "v")])
         graph = build_kgraph(sk, SquareSet(()))
-        with pytest.raises(ValueError, match="source-free"):
+        with pytest.raises(ValueError) as exc:
             KumjianPask(graph)
+        assert str(exc.value) == ("the Kumjian-Pask calculus needs a source-free graph; "
+                                  "vertex 'w' receives no edge of color 1")
 
     def test_terms_are_normalized(self, lambda_one, alg):
         kb = path(lambda_one, "b", "k")
@@ -654,16 +654,6 @@ class TestInducedFamily:
         assert [r.name for r in reports if not r.ok] == ["swap-identities"]
         assert [f.partition(":")[0] for f in reports[2].failures] == [
             "carry t[b] to copy 2", "carry t*[b] to copy 2"]
-
-    def test_rank_three_sinks_rejected(self, split_one):
-        # outsplit refuses such an input, so graft one onto a real split
-        sink = Skeleton.create(1, ["p", "q"], [Edge("a", 1, "p", "p"), Edge("b", 1, "p", "q")])
-        loops = [Skeleton.create(1, [v], [Edge(f"{v}{v}", 1, v, v)]) for v in "rs"]
-        original = product_graph([sink, *loops])
-        assert original.degree_sinks(1)
-        with pytest.raises(SplitError) as exc:
-            SplitEmbedding(dataclasses.replace(split_one, original=original))
-        assert str(exc.value) == "rank 3 inputs must have no sinks in color 1"
 
     def test_path_image_shape(self, split_one):
         # one summand per rainbow path into the source vertex

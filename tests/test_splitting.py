@@ -558,7 +558,8 @@ class TestReconstruction:
         # the unchanged table passes, so each case below fails on its one change
         original = _loops_graph(LOOPS)
         graph = _split_file(original, LOOPS_SPLIT)
-        result = reconstruct_split(original, graph, BLUE, "u", _named_parents(graph))
+        result = reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "u",
+                                   _named_parents(graph))
         assert result.counts == {"u": 2, "w": 1}
         assert result.copy_of("a", 2) == "a.2"
         assert result == outsplit(original, default_spec(original, BLUE, "u"))
@@ -588,7 +589,8 @@ class TestReconstruction:
         graph = _split_file(original, {name: rest for name, rest in split_edges.items()
                                        if rest is not None})
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(original, graph, BLUE, "u", _named_parents(graph) | parent_changes)
+            reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "u",
+                              _named_parents(graph) | parent_changes)
         assert str(exc.value) == message
 
     def test_copy_of(self, split_one):
@@ -602,7 +604,8 @@ class TestReconstruction:
     def test_round_trip(self, split_one):
         rebuilt = reconstruct_split(
             split_one.original,
-            split_one.graph,
+            split_one.graph.skeleton,
+            split_one.graph.squares,
             split_one.color,
             split_one.base,
             dict(split_one.parent),
@@ -619,7 +622,8 @@ class TestReconstruction:
             graph, base = random_double(rng, k=rng.choice([2, 3]))
             results.append(outsplit(graph, shuffled_spec(graph, 1, base, rng)))
         for r in results:
-            assert reconstruct_split(r.original, r.graph, r.color, r.base, dict(r.parent)) == r
+            assert reconstruct_split(r.original, r.graph.skeleton, r.graph.squares, r.color,
+                                     r.base, dict(r.parent)) == r
 
     def test_squares_must_be_the_lifts(self):
         # two census graphs whose splits share every vertex and edge: each
@@ -632,7 +636,8 @@ class TestReconstruction:
                  (second, splits[0], "is in the files but not in the split of the input")]
         for original, split, side in cases:
             with pytest.raises(SplitError) as exc:
-                reconstruct_split(original, split.graph, BLUE, "v", dict(split.parent))
+                reconstruct_split(original, split.graph.skeleton, split.graph.squares, BLUE, "v",
+                                  dict(split.parent))
             assert str(exc.value) == f"square e0.1 f1.1 = f0.1 e1.1 {side}"
 
     def test_only_outsplits_are_accepted(self):
@@ -649,7 +654,8 @@ class TestReconstruction:
                 split = _split_file(graph, {e.name: (e.color, source, e.range)
                                             for e, source in zip(edges, sources)})
                 try:
-                    accepted.append(reconstruct_split(graph, split, BLUE, "v", parents))
+                    accepted.append(reconstruct_split(graph, split.skeleton, split.squares,
+                                                      BLUE, "v", parents))
                 except SplitError:
                     pass
             assert sorted(splits.index(result) for result in accepted) == [0, 1]
@@ -658,25 +664,27 @@ class TestReconstruction:
     def test_stored_and_derived_fields(self, split_one):
         assert [f.name for f in dataclasses.fields(split_one)] == [
             "original", "graph", "color", "base", "parent"]
-        rebuilt = reconstruct_split(split_one.original, split_one.graph, BLUE, "v",
-                                    dict(split_one.parent))
+        rebuilt = reconstruct_split(split_one.original, split_one.graph.skeleton,
+                                    split_one.graph.squares, BLUE, "v", dict(split_one.parent))
         assert (rebuilt.copy_index, rebuilt.counts) == (split_one.copy_index, split_one.counts)
 
     def test_unknown_base_rejected(self, split_one):
-        with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph, BLUE, "nosuch",
-                              dict(split_one.parent))
+        with pytest.raises(StructureError) as exc:
+            reconstruct_split(split_one.original, split_one.graph.skeleton,
+                              split_one.graph.squares, BLUE, "nosuch", dict(split_one.parent))
         assert str(exc.value) == "unknown base vertex 'nosuch'"
 
     def test_inconsistencies_rejected(self, split_one):
         broken = dict(split_one.parent)
         broken["b.2"] = "c"
         with pytest.raises(SplitError):
-            reconstruct_split(split_one.original, split_one.graph, BLUE, "v", broken)
+            reconstruct_split(split_one.original, split_one.graph.skeleton,
+                              split_one.graph.squares, BLUE, "v", broken)
         missing = dict(split_one.parent)
         del missing["b.2"]
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph, BLUE, "v", missing)
+            reconstruct_split(split_one.original, split_one.graph.skeleton,
+                              split_one.graph.squares, BLUE, "v", missing)
         assert str(exc.value) == "parent b.2 = b is in the split of the input but not in the files"
 
     @pytest.mark.parametrize("extra, unknown", [
@@ -685,8 +693,8 @@ class TestReconstruction:
     ])
     def test_parent_for_unknown_item_rejected(self, split_one, extra, unknown):
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph, BLUE, "v",
-                              {**split_one.parent, **extra})
+            reconstruct_split(split_one.original, split_one.graph.skeleton,
+                              split_one.graph.squares, BLUE, "v", {**split_one.parent, **extra})
         assert str(exc.value) == (f"parent {unknown} = {extra[unknown]} "
                                   f"is in the files but not in the split of the input")
 
@@ -700,6 +708,6 @@ class TestReconstruction:
                              SquareSet(()))
         parents = {**split.parent, "a.01": "a"}
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(original, graph, BLUE, "v", parents)
+            reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "v", parents)
         assert str(exc.value) == ("edge a.01 : color 1 v.1 -> v.1 "
                                   "is in the files but not in the split of the input")
