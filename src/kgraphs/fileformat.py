@@ -71,8 +71,9 @@ class GraphDocument:
 
 
 def _declarations(text: str) -> Iterator[tuple[int, str, list[str]]]:
-    """``(line number, raw line, tokens)`` for each line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """``(line number, raw line, tokens)`` per declaration line; lines end only at LF, CRLF or CR."""
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if tokens:
             yield lineno, raw, tokens

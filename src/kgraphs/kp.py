@@ -1,17 +1,19 @@
 """Exact symbolic Kumjian-Pask algebra over a finite source-free k-graph.
 
 Elements are finite linear combinations of spanning terms ``t_λ t_μ*`` with
-``s(λ) = s(μ)`` and integer coefficients; the ``KPElement`` constructor is
-the one place that drops zero coefficients.  The algebra is defined over any
-commutative ring, and every identity checked here has integer coefficients,
-so the integers serve.  The algebra context numbers each normal-form path
-once (``paths``, ``intern``) and a term is a pair of those ids, local to the
-context, so the engine hashes small ints; ``terms()`` decodes them to
-``BasisTerm`` named tuples for output.  Multiplication expands the
-middle product by one rule for every pair of degrees:
-``t_μ* t_ν = Σ t_α t_β*`` over the minimal common extensions of ``μ`` and
-``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree ``d(μ) ∨ d(ν)``),
-which is the defining relation calculus for row-finite source-free graphs.
+``s(λ) = s(μ)`` and integer coefficients.  The ``KPElement`` constructor
+owns the fresh dict each caller builds for it and is the one place that
+drops zero coefficients, copying the dict only when one is 0.  The algebra
+is defined over any commutative ring, and every identity checked here has
+integer coefficients, so the integers serve.  The algebra context numbers
+each normal-form path once (``paths``, ``intern``) and a term is a pair of
+those ids, local to the context, so the engine hashes small ints;
+``terms()`` decodes them to ``BasisTerm`` named tuples for output.
+Multiplication expands the middle product by one rule for every pair of
+degrees: ``t_μ* t_ν = Σ t_α t_β*`` over the minimal common extensions of
+``μ`` and ``ν`` (the pairs ``(α, β)`` with ``μα = νβ`` at degree
+``d(μ) ∨ d(ν)``), which is the defining relation calculus for row-finite
+source-free graphs.
 By unique factorization each such ``(α, β)`` is found by extending ``μ``
 by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα`` at
 ``d(ν)`` into ``head·β``: it is an extension exactly when ``head = ν``.
@@ -187,13 +189,13 @@ class KumjianPask:
                 rows = ((vertex[path.source], vertex[path.range], mu),)
             elif mu < self._vertex_ids:
                 rows = tuple((a, a, vertex[self.paths[a].source])
-                             for a in map(intern, graph.paths_with_range(path.source, d)))
+                             for a in map(intern, graph._paths_with_range(path.source, d)))
             else:
                 top = join(path.degree, d)
                 tail_degree = difference(top, d)
                 rows = tuple(
                     (intern(alpha), *map(intern, factor(graph, graph.compose(path, alpha), tail_degree)))
-                    for alpha in graph.paths_with_range(path.source, difference(top, path.degree)))
+                    for alpha in graph._paths_with_range(path.source, difference(top, path.degree)))
             self._extensions[key] = rows
         return rows
 
@@ -216,18 +218,20 @@ class KPElement:
 
     A term is a pair of ids in the context's path table, so both paths are
     normal forms: ``KumjianPask.term`` interns normal forms, and ``*`` and
-    ``adjoint`` only build terms from ids.  Only the constructor drops zero
-    coefficients.  ``*`` multiplies two elements of one context,
-    :meth:`products` one element by each of a group, :meth:`scale` by an
-    integer.  ``==`` is equality in the algebra: a fast term-map comparison
-    first, then a refinement of the difference to a common degree.
+    ``adjoint`` only build terms from ids.  The constructor owns ``terms``,
+    a fresh dict no one else holds, and is the only place that drops zero
+    coefficients; it copies the dict only when a coefficient is 0.  ``*``
+    multiplies two elements of one context, :meth:`products` one element by
+    each of a group, :meth:`scale` by an integer.  ``==`` is equality in the
+    algebra: a fast term-map comparison first, then a refinement of the
+    difference to a common degree.
     """
 
     __slots__ = ("algebra", "_terms")
 
     def __init__(self, algebra: KumjianPask, terms: dict[tuple[int, int], int]):
         self.algebra = algebra
-        self._terms = {t: c for t, c in terms.items() if c}
+        self._terms = {t: c for t, c in terms.items() if c} if 0 in terms.values() else terms
 
     def terms(self) -> tuple[tuple[BasisTerm, int], ...]:
         paths = self.algebra.paths

@@ -38,9 +38,12 @@ Conventions used throughout the package:
   (:meth:`KGraph.paths_with_range`).
 * :meth:`KGraph.normal_form` caches the normal form of each edge tuple as
   a :class:`Path`: a repeated call allocates nothing, and a path that is
-  already normal comes back as the same object.  :meth:`KGraph.extend` is
-  the normal form of a composite, and :func:`factor` at a zero tail degree
-  is the normal form of the whole path.
+  already normal comes back as the same object.  :meth:`KGraph.extend`
+  looks the composite's edge tuple up in the same cache before it builds
+  anything, and on a miss both make the one construction: the edges
+  bubble through the graph's ``{edge id: color}`` table and the swap map
+  straight into a new :class:`Path`.  :func:`factor` reads the same table,
+  and at a zero tail degree it is the normal form of the whole path.
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
 * Each id is one shared string.  ``fileformat.parse`` stores an edge's
@@ -539,8 +542,12 @@ class KGraph:
         return Path(right.edges + left.edges, right.source, left.range, degree)
 
     def extend(self, path: Path, alpha: Path) -> Path:
-        """``normal_form(compose(path, alpha))``: the normal form of ``path`` extended by ``alpha``."""
-        return self.normal_form(self.compose(path, alpha))
+        """``normal_form(compose(path, alpha))``, built only when the composite's edges miss the cache."""
+        if path.source != alpha.range or not (path.edges and alpha.edges):
+            return self.normal_form(self.compose(path, alpha))
+        edges = alpha.edges + path.edges
+        return self._nf_cache.get(edges) or self._normal(
+            edges, alpha.source, path.range, tuple(map(operator.add, alpha.degree, path.degree)))
 
     # -- squares and normal forms ---------------------------------------------
 
@@ -552,6 +559,10 @@ class KGraph:
         if eo.source != ei.range:
             raise StructureError(f"{outer} after {inner} is not a path")
         return self.squares.swap_map[(outer, inner)]
+
+    @cached_property
+    def _color(self) -> dict[str, int]:
+        return {e.name: e.color for e in self.skeleton.edges}
 
     @cached_property
     def _nf_cache(self) -> dict[tuple[str, ...], Path]:
@@ -566,27 +577,26 @@ class KGraph:
         """
         if len(path.edges) < 2:
             return path
-        key = path.edges
-        normal = self._nf_cache.get(key)
-        if normal is None:
-            word = tuple(sorted(self.skeleton.edge(n).color for n in key))
-            edges = self._rearrange_edges(key, word)
-            normal = self._nf_cache[key] = path if edges == key else path._replace(edges=edges)
-        return normal
+        return self._nf_cache.get(path.edges) or self._normal(
+            path.edges, path.source, path.range, path.degree, path)
 
-    def _rearrange_edges(self, edges: tuple[str, ...], word: tuple[int, ...]) -> tuple[str, ...]:
-        out = list(edges)
-        color = self.skeleton.edge_map
-        swap = self.squares.swap_map
-        for pos, target in enumerate(word):
-            at = pos
-            while color[out[at]].color != target:
-                at += 1
-            # bubble the edge left; every neighbor passed has a different color
-            while at > pos:
-                first, second = out[at - 1], out[at]
-                swapped_outer, swapped_inner = swap[(second, first)]
-                out[at - 1], out[at] = swapped_inner, swapped_outer
+    def _normal(self, edges: tuple[str, ...], source: str, range_: str, degree: Degree,
+                path: Path | None = None) -> Path:
+        """Cache the normal form of the path with these edges, two or more; keep ``path`` if normal."""
+        arranged = self._rearrange_edges(edges, list(map(self._color.__getitem__, edges)))
+        if path is None or arranged != edges:
+            path = Path(arranged, source, range_, degree)
+        self._nf_cache[edges] = path
+        return path
+
+    def _rearrange_edges(self, edges: tuple[str, ...], ranks: list[int]) -> tuple[str, ...]:
+        """The equivalent edges in ``ranks`` order, one rank per edge; one color's ranks must not descend."""
+        out, swap = list(edges), self.squares.swap_map
+        for at in range(1, len(out)):
+            # bubble the edge left past every neighbor of a larger rank
+            while at and ranks[at - 1] > ranks[at]:
+                out[at], out[at - 1] = swap[out[at], out[at - 1]]
+                ranks[at - 1], ranks[at] = ranks[at], ranks[at - 1]
                 at -= 1
         return tuple(out)
 
@@ -662,12 +672,16 @@ def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path
     if not any(source_degree):
         return graph.normal_form(path), Path((), path.source, path.source, source_degree)
     head_degree = difference(path.degree, source_degree)
-    word = tuple(c for d in (source_degree, head_degree)
-                 for c, n in enumerate(d, start=1) for _ in range(n))
-    arranged = graph._rearrange_edges(path.edges, word)
+    # the first source_degree[c - 1] edges of color c rank c, the rest c + k: tail first
+    left, color, k = list(source_degree), graph._color, graph.k
+    ranks = []
+    for c in map(color.__getitem__, path.edges):
+        left[c - 1] -= 1
+        ranks.append(c if left[c - 1] >= 0 else c + k)
+    arranged = graph._rearrange_edges(path.edges, ranks)
     cut = sum(source_degree)
     tail_edges, head_edges = arranged[:cut], arranged[cut:]
-    mid = path.source if not tail_edges else graph.edge(tail_edges[-1]).range
+    mid = graph.skeleton.edge_map[tail_edges[-1]].range
     tail = Path(tail_edges, path.source, mid, source_degree)
     head = Path(head_edges, mid, path.range, head_degree)
     # both parts ascend already; interning makes equal normal forms one object

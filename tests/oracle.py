@@ -2,9 +2,43 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 from kgraphs.kp import KPElement, KumjianPask, SplitEmbedding
 from kgraphs.skeleton import Degree, KGraph, Path, difference, dominates, factor, join
 from kgraphs.splitting import copy_path
+
+
+def swap_class(graph: KGraph, edges: tuple[str, ...]) -> set[tuple[str, ...]]:
+    """Every edge tuple reached from ``edges`` by swapping adjacent bicolored pairs, breadth first."""
+    color = {e.name: e.color for e in graph.edges}
+    swap = graph.squares.swap_map
+    seen, queue = {edges}, deque([edges])
+    while queue:
+        current = queue.popleft()
+        for i in range(len(current) - 1):
+            inner, outer = current[i], current[i + 1]
+            if color[inner] == color[outer]:
+                continue
+            new_outer, new_inner = swap[outer, inner]
+            other = current[:i] + (new_inner, new_outer) + current[i + 2:]
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return seen
+
+
+def ascends(graph: KGraph, edges: tuple[str, ...]) -> bool:
+    """Whether the colors of ``edges`` ascend in traversal order."""
+    colors = [graph.skeleton.edge_map[name].color for name in edges]
+    return colors == sorted(colors)
+
+
+def ascending_member(graph: KGraph, path: Path) -> Path:
+    """The normal form of ``path`` found by search: the one member of its swap class whose colors ascend."""
+    found = [edges for edges in swap_class(graph, path.edges) if ascends(graph, edges)]
+    assert len(found) == 1, (path, found)
+    return Path(found[0], path.source, path.range, path.degree)
 
 
 def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path], ...]:

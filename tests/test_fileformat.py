@@ -238,6 +238,31 @@ class TestParse:
         doc = parse(text)
         assert doc.skeleton.vertices == ("p",)
 
+    # str.splitlines breaks at each of these; a line of the format does not
+    OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in OTHER_BREAKS])
+    def test_a_comment_ends_only_at_a_line_break(self, char):
+        text = MINIMAL.replace("vertex p", f"# note{char} see below\nvertex p")
+        assert parse(text) == parse(MINIMAL)
+        with pytest.raises(ParseError) as err:
+            parse(text + "vertex -\n")
+        assert (err.value.line, err.value.column) == (7, 8)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_crlf_and_cr_end_lines(self, newline):
+        assert parse(MINIMAL.replace("\n", newline)) == parse(MINIMAL)
+        with pytest.raises(ParseError) as err:
+            parse((MINIMAL + "# note\x85 see\nedge z : green p -> p\n").replace("\n", newline))
+        assert (err.value.line, err.value.column, err.value.message) == (7, 10, "unknown color 'green'")
+
+    def test_fragments_break_lines_alike(self, lambda_one_doc):
+        text = "# one\x85 two\n" + (DATA / "paper.part").read_text(encoding="utf-8")
+        assert parse_partition_file(text.replace("\n", "\r\n"), lambda_one_doc) == paper_spec()
+        with pytest.raises(ParseError) as err:
+            parse_sidecar("# a\u2028b\r\nsplit color=blue base=v\rparent a.1 a\n")
+        assert (err.value.line, err.value.column) == (3, 1)
+
 
 class TestRoundTrip:
     def test_worked_example(self, lambda_one_doc):

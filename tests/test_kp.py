@@ -195,6 +195,53 @@ class TestZeroFreeTerms:
         assert len(x.scale(0)) == 0
 
 
+class TestTermOwnership:
+    """The constructor owns the dict it is given; no operation may share or change an operand's."""
+
+    @staticmethod
+    def _operations(alg, x, y, ys):
+        yield "+", x + y
+        yield "-", x - y
+        yield "a - a", x - x
+        yield "scale", x.scale(-3)
+        yield "scale(0)", x.scale(0)
+        yield "adjoint", x.adjoint()
+        yield "*", x * y
+        yield from (("products", p) for p in x.products(ys))
+        yield "sum", alg.sum([x, y, *ys])
+        yield from (("graded_components", c) for c in x.graded_components().values())
+        yield "==", x == y
+        yield "== itself", x == x
+
+    def test_operations_keep_their_operands_and_store_no_zero(self, lambda_one, alg):
+        terms = _basis_terms(lambda_one, alg, max_total=2, coeffs=(1, -1, 2))
+        rng = random.Random(31)
+        for _ in range(60):
+            x, y = (alg.sum(rng.sample(terms, rng.randrange(1, 6))) for _ in range(2))
+            ys = [alg.sum(rng.sample(terms, rng.randrange(1, 4))) for _ in range(3)] + [x]
+            operands = [x, y, *ys]
+            snapshot = [dict(e._terms) for e in operands]
+            for name, result in self._operations(alg, x, y, ys):
+                assert [e._terms for e in operands] == snapshot, name
+                if isinstance(result, KPElement):
+                    assert 0 not in result._terms.values(), name
+                    assert all(result._terms is not e._terms for e in operands), name
+            assert len(x - x) == len(x.scale(0)) == 0
+
+    def test_a_product_whose_terms_cancel_stores_nothing(self, lambda_one, alg):
+        terms = _basis_terms(lambda_one, alg, max_total=1)
+        # t1 * y and t2 * y land on the same nonzero terms, so (t1 - t2) * y cancels
+        t1, t2, y = next((t1, t2, y) for t1 in terms for t2 in terms for y in terms
+                         if t1.terms() != t2.terms() and len(t1 * y) > 0
+                         and (t1 * y).terms() == (t2 * y).terms())
+        x = t1 - t2
+        snapshot = dict(x._terms), dict(y._terms)
+        product = x * y
+        assert product._terms == {} and product.is_zero()
+        assert x.products([y, y])[1]._terms == {}
+        assert (dict(x._terms), dict(y._terms)) == snapshot
+
+
 class TestRendering:
     def test_coefficients_other_than_one(self, lambda_one, alg):
         el = (

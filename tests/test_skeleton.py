@@ -32,6 +32,7 @@ from kgraphs.skeleton import (
 )
 
 from conftest import BLUE, DATA, RED, SQUARES_ONE, lambda_skeleton, random_double
+from oracle import ascending_member, ascends, swap_class
 
 
 class TestDegree:
@@ -493,15 +494,14 @@ class TestNormalForm:
             graph, _ = random_double(random.Random(5), k=3, max_vertices=3)
         else:
             graph = parse((DATA / source).read_text(encoding="utf-8")).build()
-        # a second graph keeps its own normal-form cache, shared with no call of extend
-        reference = KGraph(graph.skeleton, graph.squares)
         normal = [p for total in range(4) for d in degrees_with_total(graph.k, total)
                   for v in graph.vertices for p in graph.paths_with_range(v, d)]
         pairs = 0
         for p in normal:
             for alpha in normal:
                 if alpha.range == p.source and len(p.edges) + len(alpha.edges) <= 3:
-                    expected = reference.normal_form(reference.compose(p, alpha))
+                    # the reference searches the swap class; it shares no code with extend
+                    expected = ascending_member(graph, graph.compose(p, alpha))
                     assert graph.extend(p, alpha) == expected
                     pairs += 1
         assert pairs > len(graph.vertices)
@@ -519,16 +519,48 @@ class TestNormalForm:
             graph = parse((DATA / source).read_text(encoding="utf-8")).build()
         reference = KGraph(graph.skeleton, graph.squares)
         zero = (0,) * graph.k
-        # every path of total length at most 3, normal or not
-        layers = [[graph.vertex_path(v) for v in graph.vertices]]
-        for _ in range(3):
-            layers.append([graph.compose(graph.make_path((e.name,)), p)
-                           for p in layers[-1] for e in graph.skeleton.edges_from(p.range)])
-        paths = [p for layer in layers for p in layer]
-        assert len(layers[3]) > len(graph.edges)
+        paths = _every_path(graph, 3)
+        assert sum(len(p.edges) == 3 for p in paths) > len(graph.edges)
         assert any(reference.normal_form(p) != p for p in paths)
         for p in paths:
             assert factor(graph, p, zero) == (reference.normal_form(p), graph.vertex_path(p.source))
+
+    @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double-3",
+                                        "random_double-5", "random_double-8"])
+    def test_normal_forms_match_the_search_oracle(self, source):
+        if source.startswith("random_double"):
+            rng = random.Random(int(source.split("-")[1]))
+            graph, _ = random_double(rng, k=3, max_vertices=3)
+        else:
+            graph = parse((DATA / source).read_text(encoding="utf-8")).build()
+        graph = KGraph(graph.skeleton, graph.squares)  # empty caches: every first call misses
+        paths = _every_path(graph, 3)
+        assert any(not ascends(graph, p.edges) for p in paths)
+        for p in paths:
+            assert graph.normal_form(p) == ascending_member(graph, p)
+        extended = 0
+        for p in paths:
+            for alpha in paths:
+                if alpha.range == p.source and 0 < len(p.edges) + len(alpha.edges) <= 3:
+                    expected = ascending_member(graph, graph.compose(p, alpha))
+                    assert graph.extend(p, alpha) == expected  # a miss or a hit
+                    assert graph.extend(p, alpha) == expected  # a hit
+                    extended += 1
+        assert extended > len(paths)
+        factored = 0
+        for p in paths:
+            for tail_degree in itertools.product(*(range(n + 1) for n in p.degree)):
+                head, tail = factor(graph, p, tail_degree)
+                assert tail.degree == tail_degree
+                assert head.degree == difference(p.degree, tail_degree)
+                assert (tail.source, tail.range, head.range) == (p.source, head.source, p.range)
+                if tail.edges:
+                    assert graph.edge(tail.edges[-1]).range == tail.range
+                assert ascends(graph, head.edges) and ascends(graph, tail.edges)
+                # head·tail recomposes to the path: both lie in one swap class
+                assert tail.edges + head.edges in swap_class(graph, p.edges)
+                factored += 1
+        assert factored > len(paths)
 
     def test_factor_needs_a_dominated_degree(self, lambda_one):
         with pytest.raises(ValueError) as exc:
@@ -545,6 +577,15 @@ class TestNormalForm:
             assert (tail.source, head.range) == (path.source, path.range)
             recombined = lambda_one.normal_form(lambda_one.compose(head, tail))
             assert recombined == path
+
+
+def _every_path(graph, max_len):
+    """Every path of total length at most ``max_len``, normal or not, vertices first."""
+    layers = [[graph.vertex_path(v) for v in graph.vertices]]
+    for _ in range(max_len):
+        layers.append([graph.compose(graph.make_path((e.name,)), p)
+                       for p in layers[-1] for e in graph.skeleton.edges_from(p.range)])
+    return [p for layer in layers for p in layer]
 
 
 def _random_path(graph, rng, max_len):
