@@ -96,12 +96,12 @@ def _resolve_spec(args: argparse.Namespace, doc: GraphDocument, graph: KGraph) -
 def _cmd_split(args: argparse.Namespace) -> int:
     doc, graph = _load(args.file)
     result = splitting.outsplit(graph, _resolve_spec(args, doc, graph))
-    out_doc = fileformat.document_for_graph(result.graph, doc.colors, doc.version)
+    split_text, parents_text = fileformat.split_texts(doc, result)
     out_path = FilePath(args.output)
-    _write(out_path, fileformat.serialize(out_doc))
+    _write(out_path, split_text)
     sidecar = out_path.with_name(out_path.name + ".parents")
     try:
-        _write(sidecar, fileformat.sidecar_text(result, doc.colors))
+        _write(sidecar, parents_text)
     except UsageError:
         out_path.unlink()  # no split document without its sidecar
         raise
@@ -128,11 +128,12 @@ def _cmd_saturate(args: argparse.Namespace) -> int:
 
 def _cmd_kp_verify(args: argparse.Namespace) -> int:
     doc, graph = _load(args.file)
-    split = _read(args.split_output, fileformat.parse)  # validated by the replay alone
-    color_name, base, parents = _read(args.parents, fileformat.parse_sidecar)
+    split = _read(args.split_output, fileformat.parse)  # checked only against the replay
+    sidecar = _read(args.parents, fileformat.parse_sidecar)
+    color_name, base, _ = sidecar
     try:
-        result = splitting.reconstruct_split(graph, split.skeleton, split.squares,
-                                             doc.color_index(color_name), base, parents)
+        result = splitting.reconstruct_split(graph, split.skeleton, doc.color_index(color_name), base)
+        fileformat.check_split(doc, result, split, sidecar)
     except (SplitError, StructureError) as exc:
         raise SplitError(f"inconsistent split data: {exc}") from exc
     pairing = splitting.pairing_report(graph, result.color)

@@ -16,17 +16,19 @@ is meaningful.  A split block, like a standalone partition file (see
 :func:`parse_partition_file`), parses into a ``splitting.SplitSpec`` with
 the color index resolved against the header.  Serialization is canonical:
 declarations are sorted, so ``parse(serialize(x)) == x`` and equal
-documents serialize byte-for-byte equally.
+documents serialize byte-for-byte equally.  No other module writes the
+syntax, and :func:`check_split` accepts a split's files only when their
+canonical text is :func:`split_texts`, what ``kgraphs split`` writes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph
-from .splitting import SplitResult, SplitSpec, block_problem
+from .splitting import SplitError, SplitResult, SplitSpec, block_problem
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
 _TOKEN = re.compile(r"\S+")
@@ -149,10 +151,10 @@ def parse(text: str) -> GraphDocument:
                 raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 4 or not tokens[2].startswith("k=") or not tokens[3].startswith("colors="):
                 raise ParseError(lineno, 1, "expected: kgraph <version> k=<int> colors=<name,...>")
-            try:
-                k = int(tokens[2][2:])
-            except ValueError:
-                raise ParseError(lineno, _column(raw, 2), f"bad rank {tokens[2][2:]!r}") from None
+            rank = tokens[2][2:]
+            if not (rank.isascii() and rank.isdigit()):
+                raise ParseError(lineno, _column(raw, 2), f"bad rank {rank!r}")
+            k = int(rank)
             colors = tuple(tokens[3][len("colors="):].split(","))
             if k < 1 or len(colors) != k or len(set(colors)) != k or any(not c for c in colors):
                 raise ParseError(lineno, 1, f"need {k} distinct color names, got {colors}")
@@ -282,9 +284,7 @@ def serialize(doc: GraphDocument) -> str:
         f"edge {e.name} : {doc.color_name(e.color)} {e.source} -> {e.range}"
         for e in doc.skeleton.edges
     )
-    lines.extend(
-        f"square {s1[0]} {s1[1]} = {s2[0]} {s2[1]}" for s1, s2 in doc.squares.pairs
-    )
+    lines.extend(f"square {a} {b} = {c} {d}" for (a, b), (c, d) in doc.squares.pairs)
     if doc.split is not None:
         lines.append(f"split color={doc.color_name(doc.split.color)} base={doc.split.base}")
         for v, blocks in sorted(doc.split.partitions.items()):
@@ -300,12 +300,37 @@ def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1")
     return GraphDocument(version, colors, graph.skeleton, graph.squares)
 
 
-def sidecar_text(result: SplitResult, colors: Iterable[str]) -> str:
+def sidecar_text(color: str, base: str, parent: Mapping[str, str]) -> str:
     """Parent-map sidecar: split header plus one ``parent`` line per item."""
-    colors = tuple(colors)
-    lines = [f"split color={colors[result.color - 1]} base={result.base}"]
-    lines.extend(f"parent {child} = {parent}" for child, parent in sorted(result.parent.items()))
-    return "\n".join(lines) + "\n"
+    return f"split color={color} base={base}\n" + "".join(
+        f"parent {child} = {origin}\n" for child, origin in sorted(parent.items()))
+
+
+def split_texts(doc: GraphDocument, result: SplitResult) -> tuple[str, str]:
+    """The ``.kg`` and ``.parents`` texts ``kgraphs split`` writes for a split of ``doc``."""
+    return (serialize(document_for_graph(result.graph, doc.colors, doc.version)),
+            sidecar_text(doc.color_name(result.color), result.base, result.parent))
+
+
+def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,
+                sidecar: tuple[str, str, Mapping[str, str]]) -> None:
+    """Refuse parsed split files, ``sidecar`` as :func:`parse_sidecar` returns it, unless
+    their canonical text is :func:`split_texts` of the replay ``result``.
+
+    :class:`SplitError` names the first replay line the files lack, else
+    the first files line the replay lacks.  An accepted ``.kg`` file is the
+    replay's, which passed ``build_kgraph``, so it needs no validation.
+    """
+    replay = "".join(split_texts(doc, result)).splitlines()
+    files = (serialize(split) + sidecar_text(*sidecar)).splitlines()
+    present, unmatched = set(files), set(replay)
+    for line in replay:
+        if line not in present:
+            raise SplitError(f"{line} is in the split of the input but not in the files")
+    for line in files:
+        if line not in unmatched:
+            raise SplitError(f"{line} is in the files but not in the split of the input")
+        unmatched.remove(line)
 
 
 def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:

@@ -21,9 +21,9 @@ the equivalence "parents commute and endpoints agree".
 :func:`validate_spec` checks every precondition of the move, in one order,
 before anything is built, and the output is re-validated before it is
 returned; it is source-free by construction.  :func:`reconstruct_split`
-reads a split back from its two files by replaying :func:`outsplit`, so the
-move and its one gate serve ``kgraphs split`` and ``kgraphs kp-verify``
-alike, and the replay is the only validation a split file gets.
+replays :func:`outsplit` on the partition a split file encodes, so the move
+and its one gate serve ``kgraphs split`` and ``kgraphs kp-verify`` alike;
+:mod:`kgraphs.fileformat`, not this module, compares the files with it.
 
 A graph is *paired* in color ``B`` when no edge has two distinct sibling
 ``B``-edges (see :func:`sibling_set`); splits of paired graphs give all
@@ -200,8 +200,8 @@ class SplitResult:
     ``parent`` maps every copy, vertex or edge, to its original (their ids
     never clash).  ``copy_index`` and ``counts`` are derived on first use.
     The i-th copy of an item is named ``item.i``, and an edge's copy ``e.i``
-    has range ``r(e).i``: :func:`outsplit` builds names this way,
-    :func:`reconstruct_split` accepts only what it builds, and
+    has range ``r(e).i``: :func:`outsplit` builds names this way, a split
+    file is accepted only if it holds the names a replay builds, and
     :meth:`copy_of` relies on it.
     """
 
@@ -291,21 +291,10 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     return SplitResult(graph, split_graph, color, spec.base, parent)
 
 
-def reconstruct_split(original: KGraph, skeleton: Skeleton, squares: SquareSet, color: int,
-                      base: str, parent: Mapping[str, str]) -> SplitResult:
-    """Replay the split that a split's two files encode; return it if they hold exactly it.
-
-    The files encode a partition: a ``color``-edge ``e`` out of ``v`` lies
-    in block ``j`` when its copy ``e.1`` starts at ``v.j``, and the blocks
-    are ordered by ``j``.  :func:`outsplit` replays that spec, so
-    :func:`validate_spec` checks its preconditions.  Then the file's
-    vertices, edges and squares and the sidecar's ``parent`` map must equal
-    the replay's, compared in that order; the first difference raises
-    :class:`SplitError`, which names the item and the side that has it.
-    So the file needs no validation of its own: validity depends only on
-    skeleton and squares, the replay passed :func:`build_kgraph`, and a file
-    is accepted only when its three sets equal the replay's.  Every accepted
-    file is a valid k-graph; an invalid one is refused with its first difference.
+def reconstruct_split(original: KGraph, skeleton: Skeleton, color: int, base: str) -> SplitResult:
+    """:func:`outsplit` replayed on the partition that a split file with ``skeleton``
+    encodes: a ``color``-edge ``e`` out of ``v`` is in block ``j`` when its copy
+    ``e.1`` starts at ``v.j``.  :func:`kgraphs.fileformat.check_split` compares the files.
     """
     edges = skeleton.edge_map
     blocks: dict[str, dict[int, list[str]]] = {}  # vertex -> block index -> its edges
@@ -318,22 +307,7 @@ def reconstruct_split(original: KGraph, skeleton: Skeleton, squares: SquareSet, 
             blocks.setdefault(e.source, {}).setdefault(j, []).append(e.name)
     partitions = {v: tuple(tuple(by_index[j]) for j in sorted(by_index))
                   for v, by_index in blocks.items()}
-    result = outsplit(original, SplitSpec(color, base, partitions))
-    split = result.graph
-    for line, files, replayed in (
-        ("vertex {}".format, skeleton.vertices, split.vertices),
-        (lambda e: f"edge {e.name} : color {e.color} {e.source} -> {e.range}",
-         skeleton.edges, split.edges),
-        (lambda p: "square {} {} = {} {}".format(*p[0], *p[1]), squares.pairs, split.squares.pairs),
-        (lambda p: "parent {} = {}".format(*p), parent.items(), result.parent.items()),
-    ):
-        files, replayed = set(files), set(replayed)
-        if differ := files ^ replayed:
-            item = min(differ)
-            side = ("is in the files but not in the split of the input" if item in files
-                    else "is in the split of the input but not in the files")
-            raise SplitError(f"{line(item)} {side}")
-    return result
+    return outsplit(original, SplitSpec(color, base, partitions))
 
 
 def _parse_copy_index(name: str) -> int:

@@ -40,7 +40,8 @@ from kgraphs import (
     verify_swap_identities,
     verify_universal_family,
 )
-from kgraphs.fileformat import document_for_graph, parse, parse_sidecar, serialize, sidecar_text
+from kgraphs.fileformat import (check_split, document_for_graph, parse, parse_sidecar, serialize,
+                                split_texts)
 
 from conftest import BLUE, RED, random_one_skeleton
 from test_skeleton import _reference_report
@@ -102,15 +103,15 @@ def test_census_splits_and_pairing(m, n, paired):
 @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 2)])
 def test_census_splits_round_trip_through_their_files(m, n):
     """Each split, written and read back as ``kp-verify`` reads it, rebuilds to itself."""
-    colors = ("blue", "red")
     for skeleton, squares in single_vertex_graphs(m, n):
         graph = build_kgraph(skeleton, squares)
         result = outsplit(graph, default_spec(graph, BLUE, "v"))
-        original = parse(serialize(document_for_graph(graph, colors))).build()
-        doc = parse(serialize(document_for_graph(result.graph, colors)))
-        color, base, parents = parse_sidecar(sidecar_text(result, colors))
-        rebuilt = reconstruct_split(original, doc.skeleton, doc.squares, doc.color_index(color),
-                                    base, parents)
+        doc = parse(serialize(document_for_graph(graph, ("blue", "red"))))
+        split_text, parents_text = split_texts(doc, result)
+        split, sidecar = parse(split_text), parse_sidecar(parents_text)
+        rebuilt = reconstruct_split(doc.build(), split.skeleton, doc.color_index(sidecar[0]),
+                                    sidecar[1])
+        check_split(doc, rebuilt, split, sidecar)
         assert rebuilt == result
 
 

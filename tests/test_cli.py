@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,9 @@ from kgraphs import kp
 from kgraphs.cli import main
 
 from conftest import DATA
+
+
+SWEEPS = ("universal-family", "kp-family", "swap-identities", "diagonal", "corner", "grading")
 
 
 def run(capsys, *argv):
@@ -358,18 +362,19 @@ class TestKpVerify:
             "2",
         )
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: edge b.2 : color 2 v.2 -> x.2 "
+        assert err == ("inconsistent split data: edge b.2 : red v.2 -> x.2 "
                        "is in the split of the input but not in the files\n")
 
     def test_first_split_of_second_example_is_inconsistent(self, capsys, workdir):
         # the reverse graft: the first example's split is not the second's;
-        # the split data is refused before the pairing gate
+        # the split data is refused before the pairing gate, with the first
+        # line of the replay that the files lack
         code, out, err = run(capsys, "kp-verify", str(workdir / "lambda2.kg"),
                              "--split-output", str(workdir / "gamma1.kg"),
                              "--parents", str(workdir / "gamma1.parents"))
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: edge b.2 : color 2 v.2 -> x.2 "
-                       "is in the files but not in the split of the input\n")
+        assert err == ("inconsistent split data: edge b.2 : red v.3 -> x.2 "
+                       "is in the split of the input but not in the files\n")
 
     def test_unpaired_input_fails(self, capsys, workdir):
         code, out, err = run(
@@ -540,7 +545,7 @@ class TestKpVerify:
         code, out, err = run(capsys, "kp-verify", str(tmp_path / "loops.kg"),
                              "--split-output", str(split), "--parents", str(sidecar))
         assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: edge a.01 : color 1 v.1 -> v.1 "
+        assert err == ("inconsistent split data: edge a.01 : blue v.1 -> v.1 "
                        "is in the files but not in the split of the input\n")
 
     def test_non_ascii_copy_index_is_inconsistent(self, capsys, workdir):
@@ -660,6 +665,86 @@ class TestKpVerify:
         assert code == 0
         assert out.count(": pass,") == 6
         assert len(built) == 1
+
+    @pytest.mark.parametrize("max_len, counts", [
+        ("1", (180, 148, 36, 16, 70, 32)),
+        ("2", (180, 508, 36, 40, 334, 80)),
+        ("3", (180, 1324, 36, 80, 334, 160)),
+        ("4", (180, 2904, 36, 140, 334, 280)),
+    ])
+    def test_output_at_each_bound(self, capsys, workdir, max_len, counts):
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(workdir / "gamma1.kg"),
+                             "--parents", str(workdir / "gamma1.parents"), "--max-len", max_len)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{sweep}: pass, {n} checks\n" for sweep, n in zip(SWEEPS, counts))
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda t: t.replace("k=2 colors=blue,red", "k=3 colors=blue,red,green"), None),
+        (lambda t: t.replace("blue", "azul").replace("red", "rojo"), None),
+        (lambda t: t.replace("kgraph 1 ", "kgraph 7 "), None),
+        (lambda t: t + "split color=blue base=v.1\n",
+         "split color=blue base=v.1 is in the files but not in the split of the input"),
+        (lambda t: t.replace("colors=blue,red", "colors=red,blue"), None),
+    ], ids=["rank", "renamed-colors", "version", "split-block", "color-order"])
+    def test_header_and_split_block_are_compared(self, capsys, workdir, edit, line):
+        # the files must be what ``split`` writes for the replay, header included
+        split = workdir / "gamma1.kg"
+        text = split.read_text(encoding="utf-8")
+        assert edit(text) != text
+        split.write_text(edit(text), encoding="utf-8")
+        code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
+                             "--split-output", str(split),
+                             "--parents", str(workdir / "gamma1.parents"), "--max-len", "1")
+        assert (code, out) == (1, "")
+        line = line or "kgraph 1 k=2 colors=blue,red is in the split of the input but not in the files"
+        assert err == f"inconsistent split data: {line}\n"
+
+    def test_split_block_repeating_the_sidecar_line_is_refused(self, capsys, tmp_path):
+        # w.1 is both an input vertex and a copy of w, so the split file can
+        # embed the sidecar's own split line; every files line is then in
+        # the replay, and only the count tells the files apart
+        source = tmp_path / "in.kg"
+        source.write_text("kgraph 1 k=1 colors=blue\nvertex w\nvertex w.1\n"
+                          "edge a : blue w.1 -> w\nedge b : blue w.1 -> w.1\n", encoding="utf-8")
+        split = tmp_path / "s.kg"
+        assert run(capsys, "split", str(source), "--color", "blue", "--base", "w.1",
+                   "-o", str(split))[0] == 0
+        argv = ("kp-verify", str(source), "--split-output", str(split),
+                "--parents", str(tmp_path / "s.kg.parents"), "--max-len", "1")
+        assert run(capsys, *argv)[0] == 0
+        with split.open("a", encoding="utf-8") as f:
+            f.write("split color=blue base=w.1\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("inconsistent split data: split color=blue base=w.1 "
+                       "is in the files but not in the split of the input\n")
+
+    def test_files_are_compared_as_parsed(self, capsys, workdir):
+        # reordered declarations, comments and shuffled parent lines verify
+        # as the files ``split`` wrote; raw bytes would not
+        def verify(split, sidecar):
+            return run(capsys, "kp-verify", str(workdir / "lambda1.kg"), "--split-output", str(split),
+                       "--parents", str(sidecar), "--max-len", "2")
+
+        expected = verify(workdir / "gamma1.kg", workdir / "gamma1.parents")
+        assert expected[0] == 0
+        header, *lines = (workdir / "gamma1.kg").read_text(encoding="utf-8").splitlines()
+        sections = [[line for line in lines if line.startswith(keyword)]
+                    for keyword in ("vertex ", "edge ", "square ")]
+        assert sum(map(len, sections)) == len(lines)
+        edited = ["# the first split, rewritten", header, ""]
+        for section in sections:
+            edited += [f"  {line}  # {i}" if i % 3 else line
+                       for i, line in enumerate(reversed(section))]
+        split = workdir / "edited.kg"
+        split.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        first, *parents = (workdir / "gamma1.parents").read_text(encoding="utf-8").splitlines()
+        random.Random(0).shuffle(parents)
+        sidecar = workdir / "edited.parents"
+        sidecar.write_text("\n".join([*parents, first, "# shuffled"]) + "\n", encoding="utf-8")
+        assert split.read_bytes() != (workdir / "gamma1.kg").read_bytes()
+        assert verify(split, sidecar) == expected
 
 
 class TestDot:

@@ -18,6 +18,7 @@ from kgraphs.fileformat import (
     parse_sidecar,
     serialize,
     sidecar_text,
+    split_texts,
 )
 
 from conftest import DATA, paper_spec, random_one_skeleton
@@ -181,6 +182,10 @@ class TestParse:
             ("kgraph 1 k=2 colors=a,k=\n", 1, 23, "invalid color identifier 'k='"),
             (MINIMAL + "vertex -\n", 6, 8, "invalid vertex identifier '-'"),
             ("kgraph 1 k=x colors=a\n", 1, 10, "bad rank 'x'"),
+            ("kgraph 1 k=+2 colors=a,b\n", 1, 10, "bad rank '+2'"),
+            ("kgraph 1 k=0_2 colors=a,b\n", 1, 10, "bad rank '0_2'"),
+            ("kgraph 1 k=\uff12 colors=a,b\n", 1, 10, "bad rank '\uff12'"),
+            ("kgraph 1 k=-2 colors=a,b\n", 1, 10, "bad rank '-2'"),
             (MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
             (MINIMAL + "split color=blue base=s\n", 6, 23, "unknown vertex 's'"),
             (MINIMAL + "split color=red,x base=p\n", 6, 13, "unknown color 'red,x'"),
@@ -202,7 +207,8 @@ class TestParse:
              7, 19, "empty partition block"),
         ],
         ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color",
-             "reserved-vertex", "bad-rank",
+             "reserved-vertex", "bad-rank", "signed-rank", "underscored-rank",
+             "full-width-rank", "negative-rank",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
              "duplicate-split", "malformed-split", "split-before-header", "malformed-partition",
@@ -348,7 +354,8 @@ def test_fragment_error_positions(lambda_one_doc, reader, text, line, column, me
 class TestSidecar:
     def test_round_trip(self, lambda_one, lambda_one_doc):
         result = outsplit(lambda_one, paper_spec())
-        text = sidecar_text(result, lambda_one_doc.colors)
+        text = split_texts(lambda_one_doc, result)[1]
+        assert text == sidecar_text("blue", "v", result.parent)
         color, base, parents = parse_sidecar(text)
         assert color == "blue" and base == "v"
         assert parents == result.parent

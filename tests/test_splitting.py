@@ -30,6 +30,7 @@ from kgraphs import (
     validate,
     validate_spec,
 )
+from kgraphs.fileformat import check_split, document_for_graph
 
 from conftest import (
     BLUE,
@@ -547,6 +548,16 @@ def _split_file(original, edges):
     return KGraph(skeleton, SquareSet(tuple(sorted(pairs))))
 
 
+def _accepted(original, split, color, base, parents):
+    """The replay of a split file holding ``split`` and a sidecar holding ``parents``,
+    once :func:`check_split` accepts the two files."""
+    colors = ("blue", "red", "green")[:original.k]
+    result = reconstruct_split(original, split.skeleton, color, base)
+    check_split(document_for_graph(original, colors), result, document_for_graph(split, colors),
+                (colors[color - 1], base, parents))
+    return result
+
+
 def _named_parents(graph):
     """Each item's parent is its name without the copy index."""
     items = [*graph.vertices, *(e.name for e in graph.edges)]
@@ -558,8 +569,7 @@ class TestReconstruction:
         # the unchanged table passes, so each case below fails on its one change
         original = _loops_graph(LOOPS)
         graph = _split_file(original, LOOPS_SPLIT)
-        result = reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "u",
-                                   _named_parents(graph))
+        result = _accepted(original, graph, BLUE, "u", _named_parents(graph))
         assert result.counts == {"u": 2, "w": 1}
         assert result.copy_of("a", 2) == "a.2"
         assert result == outsplit(original, default_spec(original, BLUE, "u"))
@@ -569,16 +579,16 @@ class TestReconstruction:
         ({}, {}, {"u.2": "w"}, "parent u.2 = u is in the split of the input but not in the files"),
         ({}, {"g.2": (BLUE, "w.1", "w.2")}, {},
          "vertex w.2 is in the files but not in the split of the input"),
-        ({}, {}, {"w.1": "d"}, "parent w.1 = d is in the files but not in the split of the input"),
+        ({}, {}, {"w.1": "d"}, "parent w.1 = w is in the split of the input but not in the files"),
         ({}, {}, {"d.1": "w"}, "parent d.1 = d is in the split of the input but not in the files"),
         ({}, {"d.1": (BLUE, "w.1", "w.1")}, {},
-         "edge d.1 : color 1 w.1 -> w.1 is in the files but not in the split of the input"),
+         "edge d.1 : red w.1 -> w.1 is in the split of the input but not in the files"),
         ({}, {"a.2": (BLUE, "u.1", "u.1")}, {},
-         "edge a.2 : color 1 u.1 -> u.1 is in the files but not in the split of the input"),
+         "edge a.2 : blue u.1 -> u.2 is in the split of the input but not in the files"),
         ({}, {"c.2": (BLUE, "u.1", "u.2")}, {},
-         "edge c.2 : color 1 u.1 -> u.2 is in the files but not in the split of the input"),
+         "edge c.2 : blue u.2 -> u.2 is in the split of the input but not in the files"),
         ({}, {"c.2": None}, {},
-         "edge c.2 : color 1 u.2 -> u.2 is in the split of the input but not in the files"),
+         "edge c.2 : blue u.2 -> u.2 is in the split of the input but not in the files"),
         ({}, {"g.1": (BLUE, "w.one", "w.1")}, {}, "name 'w.one' does not end in a copy index"),
         ({}, {"g.1": (BLUE, "w.²", "w.1")}, {}, "name 'w.²' does not end in a copy index"),
     ], ids=["no-copies", "copy-names", "copy-count", "vertex-parent", "edge-parent", "color",
@@ -589,8 +599,7 @@ class TestReconstruction:
         graph = _split_file(original, {name: rest for name, rest in split_edges.items()
                                        if rest is not None})
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "u",
-                              _named_parents(graph) | parent_changes)
+            _accepted(original, graph, BLUE, "u", _named_parents(graph) | parent_changes)
         assert str(exc.value) == message
 
     def test_copy_of(self, split_one):
@@ -602,14 +611,8 @@ class TestReconstruction:
             assert str(exc.value) == f"no copy {index} of {item!r}"
 
     def test_round_trip(self, split_one):
-        rebuilt = reconstruct_split(
-            split_one.original,
-            split_one.graph.skeleton,
-            split_one.graph.squares,
-            split_one.color,
-            split_one.base,
-            dict(split_one.parent),
-        )
+        rebuilt = _accepted(split_one.original, split_one.graph, split_one.color,
+                            split_one.base, dict(split_one.parent))
         assert rebuilt == split_one
 
     def test_every_split_round_trips(self, split_one, split_two):
@@ -622,23 +625,22 @@ class TestReconstruction:
             graph, base = random_double(rng, k=rng.choice([2, 3]))
             results.append(outsplit(graph, shuffled_spec(graph, 1, base, rng)))
         for r in results:
-            assert reconstruct_split(r.original, r.graph.skeleton, r.graph.squares, r.color,
-                                     r.base, dict(r.parent)) == r
+            assert _accepted(r.original, r.graph, r.color, r.base, dict(r.parent)) == r
 
     def test_squares_must_be_the_lifts(self):
         # two census graphs whose splits share every vertex and edge: each
-        # split under the other's original differs first in a square
+        # split under the other's original differs first in a square, the
+        # first line of the replay that the files lack
         first, second = (build_kgraph(*census)
                          for census in itertools.islice(single_vertex_graphs(2, 2), 2, 4))
         splits = [outsplit(g, default_spec(g, BLUE, "v")) for g in (first, second)]
         assert splits[0].graph.edges == splits[1].graph.edges
-        cases = [(first, splits[1], "is in the split of the input but not in the files"),
-                 (second, splits[0], "is in the files but not in the split of the input")]
-        for original, split, side in cases:
+        cases = [(first, splits[1], "square e0.1 f1.1 = f0.1 e1.1"),
+                 (second, splits[0], "square e0.1 f1.1 = f1.1 e1.2")]
+        for original, split, square in cases:
             with pytest.raises(SplitError) as exc:
-                reconstruct_split(original, split.graph.skeleton, split.graph.squares, BLUE, "v",
-                                  dict(split.parent))
-            assert str(exc.value) == f"square e0.1 f1.1 = f0.1 e1.1 {side}"
+                _accepted(original, split.graph, BLUE, "v", dict(split.parent))
+            assert str(exc.value) == f"{square} is in the split of the input but not in the files"
 
     def test_only_outsplits_are_accepted(self):
         # every way to reassign the sources of a (2, 2) census split's eight
@@ -654,8 +656,7 @@ class TestReconstruction:
                 split = _split_file(graph, {e.name: (e.color, source, e.range)
                                             for e, source in zip(edges, sources)})
                 try:
-                    accepted.append(reconstruct_split(graph, split.skeleton, split.squares,
-                                                      BLUE, "v", parents))
+                    accepted.append(_accepted(graph, split, BLUE, "v", parents))
                 except SplitError:
                     pass
             assert sorted(splits.index(result) for result in accepted) == [0, 1]
@@ -664,27 +665,23 @@ class TestReconstruction:
     def test_stored_and_derived_fields(self, split_one):
         assert [f.name for f in dataclasses.fields(split_one)] == [
             "original", "graph", "color", "base", "parent"]
-        rebuilt = reconstruct_split(split_one.original, split_one.graph.skeleton,
-                                    split_one.graph.squares, BLUE, "v", dict(split_one.parent))
+        rebuilt = _accepted(split_one.original, split_one.graph, BLUE, "v", dict(split_one.parent))
         assert (rebuilt.copy_index, rebuilt.counts) == (split_one.copy_index, split_one.counts)
 
     def test_unknown_base_rejected(self, split_one):
         with pytest.raises(StructureError) as exc:
-            reconstruct_split(split_one.original, split_one.graph.skeleton,
-                              split_one.graph.squares, BLUE, "nosuch", dict(split_one.parent))
+            _accepted(split_one.original, split_one.graph, BLUE, "nosuch", dict(split_one.parent))
         assert str(exc.value) == "unknown base vertex 'nosuch'"
 
     def test_inconsistencies_rejected(self, split_one):
         broken = dict(split_one.parent)
         broken["b.2"] = "c"
         with pytest.raises(SplitError):
-            reconstruct_split(split_one.original, split_one.graph.skeleton,
-                              split_one.graph.squares, BLUE, "v", broken)
+            _accepted(split_one.original, split_one.graph, BLUE, "v", broken)
         missing = dict(split_one.parent)
         del missing["b.2"]
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph.skeleton,
-                              split_one.graph.squares, BLUE, "v", missing)
+            _accepted(split_one.original, split_one.graph, BLUE, "v", missing)
         assert str(exc.value) == "parent b.2 = b is in the split of the input but not in the files"
 
     @pytest.mark.parametrize("extra, unknown", [
@@ -693,8 +690,7 @@ class TestReconstruction:
     ])
     def test_parent_for_unknown_item_rejected(self, split_one, extra, unknown):
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(split_one.original, split_one.graph.skeleton,
-                              split_one.graph.squares, BLUE, "v", {**split_one.parent, **extra})
+            _accepted(split_one.original, split_one.graph, BLUE, "v", {**split_one.parent, **extra})
         assert str(exc.value) == (f"parent {unknown} = {extra[unknown]} "
                                   f"is in the files but not in the split of the input")
 
@@ -708,6 +704,6 @@ class TestReconstruction:
                              SquareSet(()))
         parents = {**split.parent, "a.01": "a"}
         with pytest.raises(SplitError) as exc:
-            reconstruct_split(original, graph.skeleton, graph.squares, BLUE, "v", parents)
-        assert str(exc.value) == ("edge a.01 : color 1 v.1 -> v.1 "
+            _accepted(original, graph, BLUE, "v", parents)
+        assert str(exc.value) == ("edge a.01 : blue v.1 -> v.1 "
                                   "is in the files but not in the split of the input")
