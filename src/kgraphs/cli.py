@@ -12,7 +12,6 @@ returns ``exit_code``.  All output is deterministic.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path as FilePath
 from typing import Callable, Sequence, TypeVar
@@ -81,16 +80,16 @@ def _cmd_props(args: argparse.Namespace) -> int:
 
 
 def _resolve_spec(args: argparse.Namespace, doc: GraphDocument, graph: KGraph) -> SplitSpec:
-    spec = doc.split
-    if args.partition_file:
+    """The split request: a partition file or ``--color``/``--base``, never
+    both.  Without ``partition`` lines the default partition is used."""
+    if args.partition_file is not None:
+        if args.color is not None or args.base is not None:
+            raise UsageError("give --partition-file or --color/--base, not both")
         spec = _read(args.partition_file, lambda text: fileformat.parse_partition_file(text, doc))
-    if spec is None and not (args.color and args.base):
-        raise UsageError("no split requested: give a split block, --partition-file, or --color/--base")
-    color = doc.color_index(args.color) if args.color else spec.color
-    base = args.base or spec.base
-    if args.default_partition or spec is None or not spec.partitions:
-        return splitting.default_spec(graph, color, base)
-    return dataclasses.replace(spec, color=color, base=base)
+        return spec if spec.partitions else splitting.default_spec(graph, spec.color, spec.base)
+    if args.color is None or args.base is None:
+        raise UsageError("no split requested: give --partition-file, or --color and --base")
+    return splitting.default_spec(graph, doc.color_index(args.color), args.base)
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
@@ -196,7 +195,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="outsplit the graph")
     p.add_argument("file")
     p.add_argument("--partition-file")
-    p.add_argument("--default-partition", action="store_true")
     p.add_argument("--color")
     p.add_argument("--base")
     p.add_argument("-o", "--output", required=True)

@@ -6,15 +6,17 @@ One declaration per line, ``#`` starts a comment::
     vertex v
     edge b : red v -> x
     square e h = k b
-    split color=blue base=v
-    partition v : {alpha} {h} {i}
 
 A square line ``square a b = c d`` declares the identification of the
 2-paths "b then a" and "d then c" (juxtaposition composes right to left).
+A split request lives in its own partition file, read only by
+:func:`parse_partition_file`::
+
+    split color=blue base=v
+    partition v : {alpha} {h} {i}
+
 Partition blocks list edge ids inside braces without spaces; block order
-is meaningful.  A split block, like a standalone partition file (see
-:func:`parse_partition_file`), parses into a ``splitting.SplitSpec`` with
-the color index resolved against the header.  Serialization is canonical:
+is meaningful.  Serialization is canonical:
 declarations are sorted, so ``parse(serialize(x)) == x`` and equal
 documents serialize byte-for-byte equally.  No other module writes the
 syntax, and :func:`check_split` accepts a split's files only when their
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph
 from .splitting import SplitError, SplitResult, SplitSpec, block_problem
@@ -33,9 +35,6 @@ from .splitting import SplitError, SplitResult, SplitSpec, block_problem
 _ID = re.compile(r"^[^\s{}#,=:]+$")
 _TOKEN = re.compile(r"\S+")
 _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
-
-# vertex -> (ordered blocks, line number of its partition line)
-Partitions = dict[str, tuple[tuple[tuple[str, ...], ...], int]]
 
 
 class ParseError(UsageError):
@@ -48,11 +47,13 @@ class ParseError(UsageError):
 
 @dataclass(frozen=True)
 class GraphDocument:
+    """A parsed ``.kg`` file: its header, skeleton and squares.  A split
+    request is not part of it; see :func:`parse_partition_file`."""
+
     version: str
     colors: tuple[str, ...]
     skeleton: Skeleton
     squares: SquareSet
-    split: SplitSpec | None = None
 
     @property
     def k(self) -> int:
@@ -106,8 +107,6 @@ def parse(text: str) -> GraphDocument:
     vertices: dict[str, str] = {}  # each vertex id mapped to itself, the one string kept
     edges: dict[str, Edge] = {}
     squares: list[tuple[Side, Side, int]] = []
-    split_header: tuple[int, str] | None = None
-    partitions: Partitions = {}
 
     for lineno, raw, tokens in _declarations(text):
         keyword = tokens[0]
@@ -164,14 +163,6 @@ def parse(text: str) -> GraphDocument:
                 skip += len(c) + 1
             header = (tokens[1], k, colors)
             color_index = {c: i for i, c in enumerate(colors, start=1)}
-        elif keyword == "split":
-            if split_header is not None:
-                raise ParseError(lineno, 1, "duplicate split line")
-            if header is None:
-                raise ParseError(lineno, 1, "split before header line")
-            split_header = _split_line(tokens, lineno, raw, header[2], vertices)
-        elif keyword == "partition":
-            _partition_line(tokens, lineno, raw, vertices, edges, partitions)
         else:
             raise ParseError(lineno, _column(raw, 0), f"unknown declaration {keyword!r}")
 
@@ -184,15 +175,7 @@ def parse(text: str) -> GraphDocument:
         square_set = SquareSet.create(skeleton, ((s1, s2) for s1, s2, line[0] in squares))
     except StructureError as exc:
         raise ParseError(line[0], 1, str(exc)) from None
-
-    spec = None
-    if split_header is not None:
-        spec = _split_spec(skeleton, split_header, partitions)
-    elif partitions:
-        lineno = min(line for _, line in partitions.values())
-        raise ParseError(lineno, 1, "partition lines require a split line")
-
-    return GraphDocument(version, colors, skeleton, square_set, spec)
+    return GraphDocument(version, colors, skeleton, square_set)
 
 
 def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
@@ -202,79 +185,62 @@ def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
     return tokens[1][len("color="):], tokens[2][len("base="):]
 
 
-def _split_line(
-    tokens: list[str], lineno: int, raw: str, colors: Sequence[str], vertices: Container[str]
-) -> tuple[int, str]:
-    """Color index and base vertex of a ``split`` line; both must be known names."""
-    color, base = _split_fields(tokens, lineno)
-    if color not in colors:
-        raise ParseError(lineno, _column(raw, 1) + len("color="), f"unknown color {color!r}")
-    if base not in vertices:
-        raise ParseError(lineno, _column(raw, 2) + len("base="), f"unknown vertex {base!r}")
-    return colors.index(color) + 1, base
+def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
+    """The split request of a partition file, checked against a parsed document.
 
-
-def _partition_line(
-    tokens: list[str],
-    lineno: int,
-    raw: str,
-    vertices: Container[str],
-    edges: Container[str],
-    partitions: Partitions,
-) -> None:
-    """Add one ``partition <vertex> : {<e>,...} ...`` line to ``partitions``."""
-    if len(tokens) < 4 or tokens[2] != ":":
-        raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
-    v = tokens[1]
-    if v not in vertices:
-        raise ParseError(lineno, _column(raw, 1), f"unknown vertex {v!r}")
-    if v in partitions:
-        raise ParseError(lineno, _column(raw, 1), f"duplicate partition for {v!r}")
-    blocks = []
-    for i, tok in enumerate(tokens[3:], start=3):
-        m = _BLOCK.match(tok)
-        if not m:
-            raise ParseError(lineno, _column(raw, i), f"malformed block {tok!r}")
-        names = tuple(n for n in m.group(1).split(",") if n)
-        if not names:
-            raise ParseError(lineno, _column(raw, i), "empty partition block")
-        skip = 1
-        for n in m.group(1).split(","):
-            if n and n not in edges:
-                raise ParseError(lineno, _column(raw, i) + skip, f"unknown edge {n!r}")
-            skip += len(n) + 1
-        blocks.append(tuple(sorted(names)))
-    partitions[v] = (tuple(blocks), lineno)
-
-
-def _split_spec(skeleton: Skeleton, split_header: tuple[int, str], partitions: Partitions) -> SplitSpec:
-    """The spec, once each partition covers its vertex's outgoing split-color edges."""
-    color, base = split_header
+    The file holds one ``split color=<color> base=<vertex>`` line and any
+    number of ``partition <vertex> : {<e>,...} ...`` lines; no other reader
+    accepts either keyword.  Each partition must cover its vertex's outgoing
+    split-color edges, so ``block_problem`` is reported at its line.
+    """
+    skeleton = doc.skeleton
+    vertices = frozenset(skeleton.vertices)
+    edges = skeleton.edge_map
+    split: tuple[int, str] | None = None
+    partitions: dict[str, tuple[tuple[tuple[str, ...], ...], int]] = {}  # vertex -> (blocks, line)
+    for lineno, raw, tokens in _declarations(text):
+        if tokens[0] == "split":
+            if split is not None:
+                raise ParseError(lineno, 1, "duplicate split line")
+            color, base = _split_fields(tokens, lineno)
+            if color not in doc.colors:
+                raise ParseError(lineno, _column(raw, 1) + len("color="), f"unknown color {color!r}")
+            if base not in vertices:
+                raise ParseError(lineno, _column(raw, 2) + len("base="), f"unknown vertex {base!r}")
+            split = doc.colors.index(color) + 1, base
+        elif tokens[0] == "partition":
+            if len(tokens) < 4 or tokens[2] != ":":
+                raise ParseError(lineno, 1, "expected: partition <vertex> : {<e>,...} ...")
+            v = tokens[1]
+            if v not in vertices:
+                raise ParseError(lineno, _column(raw, 1), f"unknown vertex {v!r}")
+            if v in partitions:
+                raise ParseError(lineno, _column(raw, 1), f"duplicate partition for {v!r}")
+            blocks = []
+            for i, tok in enumerate(tokens[3:], start=3):
+                m = _BLOCK.match(tok)
+                if not m:
+                    raise ParseError(lineno, _column(raw, i), f"malformed block {tok!r}")
+                names = m.group(1).split(",")
+                if not any(names):
+                    raise ParseError(lineno, _column(raw, i), "empty partition block")
+                skip = 1
+                for n in names:
+                    if n and n not in edges:
+                        raise ParseError(lineno, _column(raw, i) + skip, f"unknown edge {n!r}")
+                    skip += len(n) + 1
+                blocks.append(tuple(sorted(n for n in names if n)))
+            partitions[v] = (tuple(blocks), lineno)
+        else:
+            raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
+    if split is None:
+        raise ParseError(1, 1, "missing split line")
+    color, base = split
     for v, (blocks, lineno) in partitions.items():
         out = {e.name for e in skeleton.edges_from(v, color)}
         if problem := block_problem(v, blocks, out):
             raise ParseError(lineno, 1, problem)
     return SplitSpec(color, base, {v: blocks for v, (blocks, _) in sorted(partitions.items())})
-
-
-def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
-    """Parse a standalone split/partition fragment against a parsed document."""
-    skeleton = doc.skeleton
-    vertices = frozenset(skeleton.vertices)
-    split_header: tuple[int, str] | None = None
-    partitions: Partitions = {}
-    for lineno, raw, tokens in _declarations(text):
-        if tokens[0] == "split":
-            if split_header is not None:
-                raise ParseError(lineno, 1, "duplicate split line")
-            split_header = _split_line(tokens, lineno, raw, doc.colors, vertices)
-        elif tokens[0] == "partition":
-            _partition_line(tokens, lineno, raw, vertices, skeleton.edge_map, partitions)
-        else:
-            raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
-    if split_header is None:
-        raise ParseError(1, 1, "missing split line")
-    return _split_spec(skeleton, split_header, partitions)
 
 
 def serialize(doc: GraphDocument) -> str:
@@ -285,11 +251,6 @@ def serialize(doc: GraphDocument) -> str:
         for e in doc.skeleton.edges
     )
     lines.extend(f"square {a} {b} = {c} {d}" for (a, b), (c, d) in doc.squares.pairs)
-    if doc.split is not None:
-        lines.append(f"split color={doc.color_name(doc.split.color)} base={doc.split.base}")
-        for v, blocks in sorted(doc.split.partitions.items()):
-            rendered = " ".join("{" + ",".join(sorted(block)) + "}" for block in blocks)
-            lines.append(f"partition {v} : {rendered}")
     return "\n".join(lines) + "\n"
 
 
@@ -318,19 +279,22 @@ def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,
     their canonical text is :func:`split_texts` of the replay ``result``.
 
     :class:`SplitError` names the first replay line the files lack, else
-    the first files line the replay lacks.  An accepted ``.kg`` file is the
-    replay's, which passed ``build_kgraph``, so it needs no validation.
+    the first files line the replay lacks.  No line repeats on either side
+    (``parse`` refuses repeated vertex and edge lines, ``SquareSet.create``
+    dedupes squares, ``parse_sidecar`` refuses repeated split and parent
+    lines, and the two files share no keyword), so equal line sets mean
+    equal canonical texts.  An accepted ``.kg`` file is the replay's, which
+    passed ``build_kgraph``, so it needs no validation.
     """
     replay = "".join(split_texts(doc, result)).splitlines()
     files = (serialize(split) + sidecar_text(*sidecar)).splitlines()
-    present, unmatched = set(files), set(replay)
+    present, expected = set(files), set(replay)
     for line in replay:
         if line not in present:
             raise SplitError(f"{line} is in the split of the input but not in the files")
     for line in files:
-        if line not in unmatched:
+        if line not in expected:
             raise SplitError(f"{line} is in the files but not in the split of the input")
-        unmatched.remove(line)
 
 
 def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:

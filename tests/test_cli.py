@@ -176,7 +176,6 @@ class TestSplit:
             capsys,
             "split",
             str(workdir / "lambda1.kg"),
-            "--default-partition",
             "--color",
             "blue",
             "--base",
@@ -189,14 +188,43 @@ class TestSplit:
         assert run_code == 0
 
     def test_split_block_in_document(self, capsys, workdir):
+        # split and partition lines are read only from a partition file
         source = (workdir / "lambda1.kg").read_text(encoding="utf-8")
         block = (DATA / "paper.part").read_text(encoding="utf-8")
         target = workdir / "with_block.kg"
         target.write_text(source + block, encoding="utf-8")
         out_path = workdir / "blocked.kg"
-        code, *_ = run(capsys, "split", str(target), "-o", str(out_path))
+        code, out, err = run(capsys, "split", str(target), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"{target}: line 27, column 1: unknown declaration 'split'\n"
+        assert not out_path.exists()
+        part = workdir / "block.part"
+        part.write_text(block, encoding="utf-8")
+        code, *_ = run(capsys, "split", str(workdir / "lambda1.kg"), "--partition-file", str(part),
+                       "-o", str(out_path))
         assert code == 0
         assert out_path.read_bytes() == (DATA / "gamma1.kg").read_bytes()
+
+    @pytest.mark.parametrize("extra", [["--color", "blue"], ["--base", "v"], []],
+                             ids=["with-color", "with-base", "split-line-only"])
+    def test_one_request_source(self, capsys, workdir, extra):
+        # a partition file names color and base itself; with no partition
+        # lines it asks for the default partition, as --color/--base do
+        part = workdir / "only.part"
+        part.write_text("split color=blue base=v\n", encoding="utf-8")
+        out_path = workdir / "out.kg"
+        code, out, err = run(capsys, "split", str(workdir / "lambda1.kg"),
+                             "--partition-file", str(part), *extra, "-o", str(out_path))
+        if extra:
+            assert (code, out, err) == (2, "", "give --partition-file or --color/--base, not both\n")
+            assert not out_path.exists() and not (workdir / "out.kg.parents").exists()
+            return
+        assert code == 0
+        default = workdir / "default.kg"
+        assert run(capsys, "split", str(workdir / "lambda1.kg"), "--color", "blue", "--base", "v",
+                   "-o", str(default))[0] == 0
+        assert out_path.read_bytes() == default.read_bytes()
+        assert (workdir / "out.kg.parents").read_bytes() == (workdir / "default.kg.parents").read_bytes()
 
     def test_no_spec_is_usage_error(self, capsys, workdir):
         code, _, err = run(
@@ -242,7 +270,6 @@ class TestSplit:
             capsys,
             "split",
             str(workdir / "lambda1.kg"),
-            "--default-partition",
             "--color",
             "blue",
             "--base",
@@ -261,7 +288,6 @@ class TestSplit:
             capsys,
             "split",
             str(workdir / "lambda1.kg"),
-            "--default-partition",
             "--color",
             "blue",
             "--base",
@@ -534,8 +560,8 @@ class TestKpVerify:
             encoding="utf-8",
         )
         split = tmp_path / "s.kg"
-        code, _, _ = run(capsys, "split", str(tmp_path / "loops.kg"), "--default-partition",
-                         "--color", "blue", "--base", "v", "-o", str(split))
+        code, _, _ = run(capsys, "split", str(tmp_path / "loops.kg"), "--color", "blue",
+                         "--base", "v", "-o", str(split))
         assert code == 0
         sidecar = tmp_path / "s.kg.parents"
         with split.open("a", encoding="utf-8") as f:
@@ -679,16 +705,16 @@ class TestKpVerify:
         assert (code, err) == (0, "")
         assert out == "".join(f"{sweep}: pass, {n} checks\n" for sweep, n in zip(SWEEPS, counts))
 
-    @pytest.mark.parametrize("edit, line", [
+    @pytest.mark.parametrize("edit, error", [
         (lambda t: t.replace("k=2 colors=blue,red", "k=3 colors=blue,red,green"), None),
         (lambda t: t.replace("blue", "azul").replace("red", "rojo"), None),
         (lambda t: t.replace("kgraph 1 ", "kgraph 7 "), None),
-        (lambda t: t + "split color=blue base=v.1\n",
-         "split color=blue base=v.1 is in the files but not in the split of the input"),
+        (lambda t: t + "split color=blue base=v.1\n", "line 38, column 1: unknown declaration 'split'"),
         (lambda t: t.replace("colors=blue,red", "colors=red,blue"), None),
     ], ids=["rank", "renamed-colors", "version", "split-block", "color-order"])
-    def test_header_and_split_block_are_compared(self, capsys, workdir, edit, line):
-        # the files must be what ``split`` writes for the replay, header included
+    def test_header_and_split_block_are_compared(self, capsys, workdir, edit, error):
+        # the files must be what ``split`` writes for the replay, header
+        # included; a split block is no declaration of a ``.kg`` file
         split = workdir / "gamma1.kg"
         text = split.read_text(encoding="utf-8")
         assert edit(text) != text
@@ -696,14 +722,15 @@ class TestKpVerify:
         code, out, err = run(capsys, "kp-verify", str(workdir / "lambda1.kg"),
                              "--split-output", str(split),
                              "--parents", str(workdir / "gamma1.parents"), "--max-len", "1")
-        assert (code, out) == (1, "")
-        line = line or "kgraph 1 k=2 colors=blue,red is in the split of the input but not in the files"
-        assert err == f"inconsistent split data: {line}\n"
+        if error:
+            assert (code, out, err) == (2, "", f"{split}: {error}\n")
+        else:
+            assert (code, out, err) == (1, "", "inconsistent split data: kgraph 1 k=2 colors=blue,red "
+                                               "is in the split of the input but not in the files\n")
 
     def test_split_block_repeating_the_sidecar_line_is_refused(self, capsys, tmp_path):
-        # w.1 is both an input vertex and a copy of w, so the split file can
-        # embed the sidecar's own split line; every files line is then in
-        # the replay, and only the count tells the files apart
+        # w.1 is both an input vertex and a copy of w, so the sidecar's own
+        # split line names a vertex of the split file; the file still cannot hold it
         source = tmp_path / "in.kg"
         source.write_text("kgraph 1 k=1 colors=blue\nvertex w\nvertex w.1\n"
                           "edge a : blue w.1 -> w\nedge b : blue w.1 -> w.1\n", encoding="utf-8")
@@ -713,12 +740,29 @@ class TestKpVerify:
         argv = ("kp-verify", str(source), "--split-output", str(split),
                 "--parents", str(tmp_path / "s.kg.parents"), "--max-len", "1")
         assert run(capsys, *argv)[0] == 0
+        lines = len(split.read_text(encoding="utf-8").splitlines())
         with split.open("a", encoding="utf-8") as f:
             f.write("split color=blue base=w.1\n")
         code, out, err = run(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err == ("inconsistent split data: split color=blue base=w.1 "
-                       "is in the files but not in the split of the input\n")
+        assert (code, out) == (2, "")
+        assert err == f"{split}: line {lines + 1}, column 1: unknown declaration 'split'\n"
+
+    @pytest.mark.parametrize("name, code, error", [
+        ("gamma1.kg", 0, ""),
+        ("gamma1.parents", 2, "line 27, column 8: duplicate parent line for 'ℓ.1'"),
+    ], ids=["square", "parent"])
+    def test_a_repeated_line(self, capsys, workdir, name, code, error):
+        # SquareSet.create dedupes squares, and parse_sidecar refuses a repeated parent line
+        path = workdir / name
+        last = path.read_text(encoding="utf-8").splitlines()[-1]
+        assert last.startswith(("square ", "parent "))
+        with path.open("a", encoding="utf-8") as f:
+            f.write(last + "\n")
+        result = run(capsys, "kp-verify", str(workdir / "lambda1.kg"), "--split-output",
+                     str(workdir / "gamma1.kg"), "--parents", str(workdir / "gamma1.parents"),
+                     "--max-len", "1")
+        assert result[0] == code
+        assert result[2] == (f"{path}: {error}\n" if error else "")
 
     def test_files_are_compared_as_parsed(self, capsys, workdir):
         # reordered declarations, comments and shuffled parent lines verify

@@ -133,7 +133,6 @@ class TestParse:
             (MINIMAL + "edge z : blue p -> q\n", "unknown vertex"),
             (MINIMAL + "vertex {x}\n", "invalid vertex identifier"),
             (MINIMAL + "widget w\n", "unknown declaration"),
-            (MINIMAL + "partition p : {a}\n", "require a split"),
             (MINIMAL + "square r a = a q\n", "unknown edge"),
         ],
     )
@@ -173,50 +172,56 @@ class TestParse:
         assert err.value.line == 6
 
     @pytest.mark.parametrize(
-        "text,line,column,message",
+        "reader,text,line,column,message",
         [
-            ("kgraph 1 k=1 colors=c1\nvertex v\nvertex e\nvertex e\n",
+            ("document", "kgraph 1 k=1 colors=c1\nvertex v\nvertex e\nvertex e\n",
              4, 8, "duplicate vertex id 'e'"),
-            ("kgraph 1 k=1 colors=c1\nvertex v\nedge e : c1 v -> e\n", 3, 18, "unknown vertex 'e'"),
-            ("kgraph 1 k=1 colors=d\nvertex v\nedge ed : e v -> v\n", 3, 11, "unknown color 'e'"),
-            ("kgraph 1 k=2 colors=a,k=\n", 1, 23, "invalid color identifier 'k='"),
-            (MINIMAL + "vertex -\n", 6, 8, "invalid vertex identifier '-'"),
-            ("kgraph 1 k=x colors=a\n", 1, 10, "bad rank 'x'"),
-            ("kgraph 1 k=+2 colors=a,b\n", 1, 10, "bad rank '+2'"),
-            ("kgraph 1 k=0_2 colors=a,b\n", 1, 10, "bad rank '0_2'"),
-            ("kgraph 1 k=\uff12 colors=a,b\n", 1, 10, "bad rank '\uff12'"),
-            ("kgraph 1 k=-2 colors=a,b\n", 1, 10, "bad rank '-2'"),
-            (MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
-            (MINIMAL + "split color=blue base=s\n", 6, 23, "unknown vertex 's'"),
-            (MINIMAL + "split color=red,x base=p\n", 6, 13, "unknown color 'red,x'"),
-            (MINIMAL + "split color=blue base=p\npartition p : {a} {a,t}\n", 7, 22, "unknown edge 't'"),
-            (MINIMAL + "split color=blue base=p\npartition p : {a} a\n", 7, 19, "malformed block 'a'"),
-            (MINIMAL + "  widget w\n", 6, 3, "unknown declaration 'widget'"),
-            ("kgraph 1 k=2\n", 1, 1, "expected: kgraph <version> k=<int> colors=<name,...>"),
-            (MINIMAL + "vertex q r\n", 6, 1, "expected: vertex <id>"),
-            (MINIMAL + "split color=blue base=p\nsplit color=blue base=p\n",
-             7, 1, "duplicate split line"),
-            (MINIMAL + "split color=blue\n", 6, 1, "expected: split color=<color> base=<vertex>"),
-            ("split color=blue base=v\n", 1, 1, "split before header line"),
-            (MINIMAL + "split color=blue base=p\npartition p {a}\n",
-             7, 1, "expected: partition <vertex> : {<e>,...} ..."),
-            (MINIMAL + "split color=blue base=p\npartition q : {a}\n", 7, 11, "unknown vertex 'q'"),
-            (MINIMAL + "split color=blue base=p\npartition p : {a}\npartition p : {a}\n",
-             8, 11, "duplicate partition for 'p'"),
-            (MINIMAL + "split color=blue base=p\npartition p : {a} {,}\n",
-             7, 19, "empty partition block"),
+            ("document", "kgraph 1 k=1 colors=c1\nvertex v\nedge e : c1 v -> e\n",
+             3, 18, "unknown vertex 'e'"),
+            ("document", "kgraph 1 k=1 colors=d\nvertex v\nedge ed : e v -> v\n",
+             3, 11, "unknown color 'e'"),
+            ("document", "kgraph 1 k=2 colors=a,k=\n", 1, 23, "invalid color identifier 'k='"),
+            ("document", MINIMAL + "vertex -\n", 6, 8, "invalid vertex identifier '-'"),
+            ("document", "kgraph 1 k=x colors=a\n", 1, 10, "bad rank 'x'"),
+            ("document", "kgraph 1 k=+2 colors=a,b\n", 1, 10, "bad rank '+2'"),
+            ("document", "kgraph 1 k=0_2 colors=a,b\n", 1, 10, "bad rank '0_2'"),
+            ("document", "kgraph 1 k=\uff12 colors=a,b\n", 1, 10, "bad rank '\uff12'"),
+            ("document", "kgraph 1 k=-2 colors=a,b\n", 1, 10, "bad rank '-2'"),
+            ("document", MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
+            ("partition", "split color=blue base=s\n", 1, 23, "unknown vertex 's'"),
+            ("partition", "split color=red,x base=p\n", 1, 13, "unknown color 'red,x'"),
+            ("partition", "split color=blue base=p\npartition p : {a} {a,t}\n", 2, 22, "unknown edge 't'"),
+            ("partition", "split color=blue base=p\npartition p : {a} a\n", 2, 19, "malformed block 'a'"),
+            ("document", MINIMAL + "  widget w\n", 6, 3, "unknown declaration 'widget'"),
+            ("document", "kgraph 1 k=2\n", 1, 1, "expected: kgraph <version> k=<int> colors=<name,...>"),
+            ("document", MINIMAL + "vertex q r\n", 6, 1, "expected: vertex <id>"),
+            ("partition", "split color=blue base=p\nsplit color=blue base=p\n", 2, 1, "duplicate split line"),
+            ("partition", "split color=blue\n", 1, 1, "expected: split color=<color> base=<vertex>"),
+            ("partition", "split color=blue base=p\npartition p {a}\n",
+             2, 1, "expected: partition <vertex> : {<e>,...} ..."),
+            ("partition", "split color=blue base=p\npartition q : {a}\n", 2, 11, "unknown vertex 'q'"),
+            ("partition", "split color=blue base=p\npartition p : {a}\npartition p : {a}\n",
+             3, 11, "duplicate partition for 'p'"),
+            ("partition", "split color=blue base=p\npartition p : {a} {,}\n", 2, 19, "empty partition block"),
+            ("document", MINIMAL + "split color=blue base=p\n", 6, 1, "unknown declaration 'split'"),
+            ("document", MINIMAL + "# blocks\n  partition p : {a}\n", 7, 3, "unknown declaration 'partition'"),
         ],
         ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color",
              "reserved-vertex", "bad-rank", "signed-rank", "underscored-rank",
              "full-width-rank", "negative-rank",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
-             "duplicate-split", "malformed-split", "split-before-header", "malformed-partition",
-             "partition-unknown-vertex", "duplicate-partition", "empty-block"],
+             "duplicate-split", "malformed-split", "malformed-partition",
+             "partition-unknown-vertex", "duplicate-partition", "empty-block",
+             "split-in-document", "partition-in-document"],
     )
-    def test_error_columns_point_at_the_token(self, text, line, column, message):
+    def test_error_columns_point_at_the_token(self, reader, text, line, column, message):
+        # split and partition lines are read only from a partition file, here against MINIMAL
         with pytest.raises(ParseError) as err:
-            parse(text)
+            if reader == "document":
+                parse(text)
+            else:
+                parse_partition_file(text, parse(MINIMAL))
         assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
     def test_split_block(self):
@@ -224,20 +229,23 @@ class TestParse:
             "edge a : blue p -> p",
             "edge a : blue p -> p\nedge a2 : blue p -> p\nedge r2 : red p -> p",
         )
-        text += (
-            "square r a2 = a2 r\nsquare r2 a = a r2\nsquare r2 a2 = a2 r2\n"
-            "split color=blue base=p\npartition p : {a2} {a}\n"
-        )
-        doc = parse(text)
-        assert doc.split == SplitSpec(1, "p", {"p": (("a2",), ("a",))})
+        text += "square r a2 = a2 r\nsquare r2 a = a r2\nsquare r2 a2 = a2 r2\n"
+        block = "split color=blue base=p\npartition p : {a2} {a}\n"
+        assert parse_partition_file(block, parse(text)) == SplitSpec(1, "p", {"p": (("a2",), ("a",))})
+        with pytest.raises(ParseError, match="unknown declaration 'split'"):
+            parse(text + block)
 
     def test_partition_coverage_checked(self):
-        text = MINIMAL + "split color=blue base=p\npartition p : {a} {a}\n"
-        with pytest.raises(ParseError, match="two blocks"):
-            parse(text)
-        text = MINIMAL + "split color=blue base=p\npartition p : {r}\n"
-        with pytest.raises(ParseError, match="does not cover|not outgoing"):
-            parse(text)
+        doc = parse(MINIMAL)
+        with pytest.raises(ParseError) as err:
+            parse_partition_file("split color=blue base=p\npartition p : {a} {a}\n", doc)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            2, 1, "edge 'a' appears in two blocks at 'p'")
+        with pytest.raises(ParseError) as err:
+            parse_partition_file("split color=blue base=p\npartition p : {r}\n", doc)
+        assert (err.value.line, err.value.column, err.value.message) == (
+            2, 1, "partition at 'p' does not cover its outgoing split-color edges "
+                  "(missing ['a']; not outgoing in the split color: ['r'])")
 
     def test_comments_and_blanks_ignored(self):
         text = "# leading\n\n" + MINIMAL.replace("vertex p", "vertex p  # the vertex")
@@ -273,16 +281,6 @@ class TestParse:
 class TestRoundTrip:
     def test_worked_example(self, lambda_one_doc):
         assert parse(serialize(lambda_one_doc)) == lambda_one_doc
-
-    def test_with_split_block(self, lambda_one_doc, lambda_one):
-        doc = GraphDocument(
-            lambda_one_doc.version,
-            lambda_one_doc.colors,
-            lambda_one_doc.skeleton,
-            lambda_one_doc.squares,
-            paper_spec(),
-        )
-        assert parse(serialize(doc)) == doc
 
     def test_product_graph(self):
         rng = random.Random(3)

@@ -1,4 +1,5 @@
-"""The README's Python examples run as written, and its exit-code paragraph is current."""
+"""The README's Python examples run as written, and its command lines and
+exit-code paragraph are current."""
 
 from __future__ import annotations
 
@@ -14,6 +15,18 @@ import kgraphs.cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                     re.DOTALL | re.MULTILINE)
+
+
+def _command_lines() -> list[list[str]]:
+    """The argv of each ``kgraphs`` line in the sh block under "## Command line"."""
+    block = re.search(r"^## Command line\n+```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [re.sub(r"[][]", "", line.split("#", 1)[0]).split()[1:]
+            for line in lines if line.startswith("kgraphs ")]
+
+
+COMMANDS = _command_lines()
 
 
 def test_readme_has_python_blocks():
@@ -39,3 +52,12 @@ def test_exit_code_paragraph_names_every_error_class():
                if c.__module__.startswith("kgraphs.")}
     assert "`kgraphs.KGraphError`" in paragraph
     assert named == defined
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
+def test_command_line_parses(argv, capsys):
+    # a removed subcommand or option would stay documented otherwise
+    try:
+        kgraphs.cli._make_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(capsys.readouterr().err)
