@@ -24,10 +24,19 @@ from .splitting import SplitError, SplitSpec
 T = TypeVar("T")
 
 
+def _file(path: FilePath | str) -> FilePath:
+    """``path`` as a file path; an empty name, which ``Path`` reads as the
+    working directory, is refused."""
+    if not path:
+        raise UsageError("empty file name")
+    return FilePath(path)
+
+
 def _read(path: str, parse: Callable[[str], T]) -> T:
     """``parse`` applied to the file's text; a read or parse error names the file."""
+    file = _file(path)
     try:
-        return parse(FilePath(path).read_text(encoding="utf-8"))
+        return parse(file.read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
     except (UnicodeDecodeError, UsageError) as exc:
@@ -35,8 +44,9 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
 
 
 def _write(path: FilePath | str, text: str) -> None:
+    file = _file(path)
     try:
-        FilePath(path).write_text(text, encoding="utf-8")
+        file.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -96,7 +106,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     doc, graph = _load(args.file)
     result = splitting.outsplit(graph, _resolve_spec(args, doc, graph))
     split_text, parents_text = fileformat.split_texts(doc, result)
-    out_path = FilePath(args.output)
+    out_path = _file(args.output)
     _write(out_path, split_text)
     sidecar = out_path.with_name(out_path.name + ".parents")
     try:
@@ -158,7 +168,7 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
 
 def _cmd_dot(args: argparse.Namespace) -> int:
     text = fileformat.dot_export(_read(args.file, fileformat.parse))
-    if args.output:
+    if args.output is not None:
         _write(args.output, text)
         print(f"wrote {args.output}")
     else:

@@ -9,6 +9,8 @@ One declaration per line, ``#`` starts a comment::
 
 A square line ``square a b = c d`` declares the identification of the
 2-paths "b then a" and "d then c" (juxtaposition composes right to left).
+Its edges are declared above it.  :func:`parse` checks each square at its
+line, but reports a bad one only if no other line of the file fails.
 A split request lives in its own partition file, read only by
 :func:`parse_partition_file`::
 
@@ -29,7 +31,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .skeleton import Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph
+from .skeleton import (Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph,
+                       checked_square)
 from .splitting import SplitError, SplitResult, SplitSpec, block_problem
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
@@ -99,6 +102,11 @@ def parse(text: str) -> GraphDocument:
     declaration, the rules of ``Skeleton.create``, so the skeleton is built
     directly from the checked data: the two rule sets must stay in step.
 
+    A ``square`` line's edges are looked up once, and ``checked_square``,
+    the check of ``SquareSet.create``, checks and orders the pair at that
+    line.  Any other error is raised at its line; the first square that
+    fails the check is raised after the last line, so every other error wins.
+
     Every id is stored as one string: an edge's endpoints are the strings of
     their ``vertex`` lines, and a square side holds its edges' ``Edge.name``.
     """
@@ -106,7 +114,8 @@ def parse(text: str) -> GraphDocument:
     color_index: dict[str, int] = {}
     vertices: dict[str, str] = {}  # each vertex id mapped to itself, the one string kept
     edges: dict[str, Edge] = {}
-    squares: list[tuple[Side, Side, int]] = []
+    squares: dict[tuple[Side, Side], None] = {}  # checked pairs in first-seen order
+    bad_square: ParseError | None = None  # the first, raised only if no other line fails
 
     for lineno, raw, tokens in _declarations(text):
         keyword = tokens[0]
@@ -114,12 +123,14 @@ def parse(text: str) -> GraphDocument:
             if len(tokens) != 6 or tokens[3] != "=":
                 raise ParseError(lineno, 1, "expected: square <a> <b> = <c> <d>")
             try:
-                f, e, g, h = (edges[tokens[1]].name, edges[tokens[2]].name,
-                              edges[tokens[4]].name, edges[tokens[5]].name)
+                quad = edges[tokens[1]], edges[tokens[2]], edges[tokens[4]], edges[tokens[5]]
             except KeyError:
                 i = next(i for i in (1, 2, 4, 5) if tokens[i] not in edges)
                 raise ParseError(lineno, _column(raw, i), f"unknown edge {tokens[i]!r}") from None
-            squares.append(((f, e), (g, h), lineno))
+            try:
+                squares[checked_square(*quad)] = None
+            except StructureError as exc:
+                bad_square = bad_square or ParseError(lineno, 1, str(exc))
         elif keyword == "edge":
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
                 raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
@@ -169,13 +180,10 @@ def parse(text: str) -> GraphDocument:
     if header is None:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
     version, k, colors = header
+    if bad_square:
+        raise bad_square
     skeleton = Skeleton(k, tuple(sorted(vertices)), tuple(edges[name] for name in sorted(edges)))
-    line = [1]  # the line of the pair being checked; pairs are checked in order
-    try:
-        square_set = SquareSet.create(skeleton, ((s1, s2) for s1, s2, line[0] in squares))
-    except StructureError as exc:
-        raise ParseError(line[0], 1, str(exc)) from None
-    return GraphDocument(version, colors, skeleton, square_set)
+    return GraphDocument(version, colors, skeleton, SquareSet(tuple(sorted(squares))))
 
 
 def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
@@ -280,8 +288,8 @@ def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,
 
     :class:`SplitError` names the first replay line the files lack, else
     the first files line the replay lacks.  No line repeats on either side
-    (``parse`` refuses repeated vertex and edge lines, ``SquareSet.create``
-    dedupes squares, ``parse_sidecar`` refuses repeated split and parent
+    (``parse`` refuses repeated vertex and edge lines and dedupes squares,
+    ``parse_sidecar`` refuses repeated split and parent
     lines, and the two files share no keyword), so equal line sets mean
     equal canonical texts.  An accepted ``.kg`` file is the replay's, which
     passed ``build_kgraph``, so it needs no validation.

@@ -47,8 +47,8 @@ Conventions used throughout the package:
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
 * Each id is one shared string.  ``fileformat.parse`` stores an edge's
-  endpoints as the strings of their ``vertex`` lines, :meth:`SquareSet.create`
-  rebuilds every side from the skeleton's ``Edge.name`` strings, and
+  endpoints as the strings of their ``vertex`` lines, :func:`checked_square`
+  builds every side from its ``Edge`` objects' ``name`` strings, and
   ``splitting.outsplit`` formats each copy name once; so the tuple-keyed
   lookups on sides and endpoints compare strings by identity.
 """
@@ -243,13 +243,12 @@ class SquareSet:
     """Factorization squares: unordered pairs of bicolored 2-path sides.
 
     A pair ``((f, e), (g, h))`` declares ``fe ~ gh`` where ``e`` and ``h``
-    are traversed first.  :meth:`create` checks each pair structurally
-    (composability, swapped colors, equal endpoints and degree), orders and
-    dedupes it in the same loop, and stores the skeleton's own ``Edge.name``
-    strings in every side; completeness and uniqueness across pairs are the
-    job of ``validate``.  The swap map is built in one pass over the pairs,
-    and the partner table only when asked for, which ``validate`` does only
-    when a side lacks a unique partner.
+    are traversed first.  :meth:`create`, like ``fileformat.parse``, checks
+    and orders each pair with :func:`checked_square`, whose sides hold the
+    skeleton's own ``Edge.name`` strings, and dedupes in the same loop;
+    completeness and uniqueness across pairs are the job of ``validate``.
+    One pass over the pairs gives the swap map and, only for a side with
+    several partners, the list of them that ``validate`` reports.
     """
 
     pairs: tuple[tuple[Side, Side], ...]
@@ -262,26 +261,10 @@ class SquareSet:
         unique: dict[tuple[Side, Side], None] = {}
         for (f, e), (g, h) in pairs:
             try:
-                ef, ee, eg, eh = edges[f], edges[e], edges[g], edges[h]
+                quad = edges[f], edges[e], edges[g], edges[h]
             except KeyError:
-                ef, ee, eg, eh = map(skeleton.edge, (f, e, g, h))  # raises "unknown edge"
-            if f == g and e == h:
-                problem = "a side cannot pair with itself"
-            elif ee.color == ef.color or eh.color == eg.color:
-                problem = "sides must be bicolored"
-            elif ef.color != eh.color or ee.color != eg.color:
-                problem = "degree not preserved (colors must swap)"
-            elif ef.source != ee.range:
-                problem = f"{f} after {e} is not composable"
-            elif eg.source != eh.range:
-                problem = f"{g} after {h} is not composable"
-            elif ee.source != eh.source or ef.range != eg.range:
-                problem = "the two sides have different endpoints"
-            else:
-                side1, side2 = (ef.name, ee.name), (eg.name, eh.name)
-                unique[(side1, side2) if side1 <= side2 else (side2, side1)] = None
-                continue
-            raise StructureError(f"square {f} {e} = {g} {h}: {problem}")
+                quad = map(skeleton.edge, (f, e, g, h))  # raises "unknown edge"
+            unique[checked_square(*quad)] = None
         return SquareSet(tuple(sorted(unique)))
 
     @cached_property
@@ -290,10 +273,12 @@ class SquareSet:
         first: dict[Side, Side] = {}
         several: dict[Side, list[Side]] = {}
         for side1, side2 in self.pairs:
-            for side, partner in ((side1, side2), (side2, side1)):
-                seen = first.setdefault(side, partner)
-                if seen != partner:
-                    several.setdefault(side, [seen]).append(partner)
+            seen = first.setdefault(side1, side2)
+            if seen != side2:
+                several.setdefault(side1, [seen]).append(side2)
+            seen = first.setdefault(side2, side1)
+            if seen != side1:
+                several.setdefault(side2, [seen]).append(side1)
         return first, several
 
     @cached_property
@@ -302,12 +287,27 @@ class SquareSet:
         first, several = self._partners
         return {s: p for s, p in first.items() if s not in several} if several else first
 
-    @cached_property
-    def partner_table(self) -> Mapping[Side, tuple[Side, ...]]:
-        """Every side mapped to all partner sides declared for it, sorted."""
-        first, several = self._partners
-        return {s: tuple(sorted(set(several[s]))) if s in several else (p,)
-                for s, p in first.items()}
+
+def checked_square(f: Edge, e: Edge, g: Edge, h: Edge) -> tuple[Side, Side]:
+    """The pair ``fe ~ gh``, smaller side first; ``StructureError`` unless both sides
+    are composable bicolored 2-paths with swapped colors and equal endpoints.
+    ``fileformat.parse`` and :meth:`SquareSet.create` both check squares here."""
+    if f == g and e == h:
+        problem = "a side cannot pair with itself"
+    elif e.color == f.color or h.color == g.color:
+        problem = "sides must be bicolored"
+    elif f.color != h.color or e.color != g.color:
+        problem = "degree not preserved (colors must swap)"
+    elif f.source != e.range:
+        problem = f"{f.name} after {e.name} is not composable"
+    elif g.source != h.range:
+        problem = f"{g.name} after {h.name} is not composable"
+    elif e.source != h.source or f.range != g.range:
+        problem = "the two sides have different endpoints"
+    else:
+        side1, side2 = (f.name, e.name), (g.name, h.name)
+        return (side1, side2) if side1 <= side2 else (side2, side1)
+    raise StructureError(f"square {f.name} {e.name} = {g.name} {h.name}: {problem}")
 
 
 class HexagonFailure(NamedTuple):
@@ -359,11 +359,12 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     """Check completeness/uniqueness of swaps and the hexagon condition.
 
     One pass over the bicolored 2-paths ``(b, c)`` does both jobs: a side
-    missing from the swap map is reported (only then is the partner table
-    read), and a matched side whose colors ascend in traversal order starts
-    the hexagon checks on the ascending 3-paths ``(a, b, c)``.  A 3-path
-    that needs a missing or ambiguous swap gets no hexagon check; the
-    completeness report already names that swap.
+    missing from the swap map is reported, as ambiguous with its sorted
+    partners if it has several and otherwise as unmatched, and a matched side
+    whose colors ascend in traversal order starts the hexagon checks on the
+    ascending 3-paths ``(a, b, c)``.  A 3-path that needs a missing or
+    ambiguous swap gets no hexagon check; the completeness report already
+    names that swap.
 
     If the pass finds anything, only 3-paths near it are re-checked, with
     the full route comparison; this is exact.  Let ``A`` swap the outer pair
@@ -386,7 +387,7 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     checks for this skeleton, so each move maps 3-paths to 3-paths.
     """
     report = ValidationReport()
-    swap = squares.swap_map
+    swap, several = squares.swap_map, squares._partners[1]
     out, rank = skeleton._out, skeleton.k
     failing = []  # ascending 3-paths whose routes disagree
     for inner in skeleton.edges:
@@ -399,9 +400,8 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
                 try:
                     k, m = swap[b, c]
                 except KeyError:
-                    partners = squares.partner_table.get((b, c), ())
-                    if partners:
-                        report.ambiguous.append(((b, c), partners))
+                    if partners := several.get((b, c)):
+                        report.ambiguous.append(((b, c), tuple(sorted(set(partners)))))
                     else:
                         report.unmatched.append((b, c))
                     continue

@@ -752,7 +752,7 @@ class TestKpVerify:
         ("gamma1.parents", 2, "line 27, column 8: duplicate parent line for 'ℓ.1'"),
     ], ids=["square", "parent"])
     def test_a_repeated_line(self, capsys, workdir, name, code, error):
-        # SquareSet.create dedupes squares, and parse_sidecar refuses a repeated parent line
+        # parse dedupes squares, and parse_sidecar refuses a repeated parent line
         path = workdir / name
         last = path.read_text(encoding="utf-8").splitlines()[-1]
         assert last.startswith(("square ", "parent "))
@@ -812,6 +812,19 @@ class TestDot:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["validate", ""],
+        ["split", "lambda1.kg", "--partition-file", "", "-o", "out.kg"],
+        ["split", "lambda1.kg", "--color", "blue", "--base", "v", "-o", ""],
+        ["dot", "lambda1.kg", "-o", ""],
+    ], ids=["validate", "split-partition-file", "split-output", "dot-output"])
+    def test_empty_file_name_is_refused(self, capsys, workdir, monkeypatch, argv):
+        # Path("") is the working directory, so an empty name is refused before any I/O
+        monkeypatch.chdir(workdir)
+        before = sorted(workdir.iterdir())
+        assert run(capsys, *argv) == (2, "", "empty file name\n")
+        assert sorted(workdir.iterdir()) == before
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

@@ -58,10 +58,12 @@ class TestParse:
         assert graph.is_source_free().ok
 
     @pytest.mark.parametrize(
-        "source", sorted(p.name for p in DATA.glob("*.kg")) + ["product", "split"])
+        "source", sorted(p.name for p in DATA.glob("*.kg"))
+        + ["product", "split", "repeated-square", "swapped-square"])
     def test_skeleton_equals_the_checked_constructor(self, source, lambda_one):
-        # parse builds the skeleton from declarations it checked itself;
-        # Skeleton.create, which sorts and checks again, is the reference
+        # parse builds the skeleton and squares from declarations it checked
+        # itself; Skeleton.create and SquareSet.create, which check again, are the reference
+        lambda_text = (DATA / "lambda1.kg").read_text(encoding="utf-8")
         if source == "product":
             graph = product_graph([random_one_skeleton(random.Random(5), "f"),
                                    random_one_skeleton(random.Random(6), "g")])
@@ -69,10 +71,17 @@ class TestParse:
         elif source == "split":
             text = serialize(document_for_graph(outsplit(lambda_one, paper_spec()).graph,
                                                 ["blue", "red"]))
+        elif source == "repeated-square":
+            text = lambda_text + "square e h = k b\n"
+        elif source == "swapped-square":
+            text = lambda_text.replace("square e h = k b", "square k b = e h")
         else:
             text = (DATA / source).read_text(encoding="utf-8")
         doc = parse(text)
         assert doc.skeleton == Skeleton.create(doc.k, doc.skeleton.vertices, doc.skeleton.edges)
+        lines = [t for t in map(str.split, text.splitlines()) if t and t[0] == "square"]
+        squares = SquareSet.create(doc.skeleton, [((t[1], t[2]), (t[4], t[5])) for t in lines])
+        assert doc.squares == squares and doc.squares.swap_map == squares.swap_map
 
     @pytest.mark.parametrize(
         "extra", ["vertex p\n", "edge a : red p -> p\n", "vertex a\n", "edge p : blue p -> p\n",
@@ -164,6 +173,21 @@ class TestParse:
         with pytest.raises(ParseError, match="a side cannot pair with itself") as err:
             parse(text)
         assert (err.value.line, err.value.column) == (5, 1)
+
+    @pytest.mark.parametrize(
+        "extra,line,column,message",
+        [
+            ("square r a = r r\nwidget w\n", 7, 1, "unknown declaration 'widget'"),
+            ("square r a = r r\nsquare r a = a a\n", 6, 1, "square r a = r r: sides must be bicolored"),
+        ],
+        ids=["bad-square-then-unknown-declaration", "two-bad-squares"],
+    )
+    def test_error_precedence(self, extra, line, column, message):
+        # a square that fails its structural check is raised after the last
+        # line, so any other error wins; among bad squares the earliest is reported
+        with pytest.raises(ParseError) as err:
+            parse(MINIMAL + extra)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
     def test_line_numbers_reported(self):
         bad = MINIMAL + "edge z : green p -> p\n"
