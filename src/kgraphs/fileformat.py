@@ -9,8 +9,8 @@ One declaration per line, ``#`` starts a comment::
 
 A square line ``square a b = c d`` declares the identification of the
 2-paths "b then a" and "d then c" (juxtaposition composes right to left).
-Its edges are declared above it.  :func:`parse` checks each square at its
-line, but reports a bad one only if no other line of the file fails.
+Its edges are declared above it.  :func:`parse` checks each declaration,
+squares included, at its line, so the first failing line of a file wins.
 A split request lives in its own partition file, read only by
 :func:`parse_partition_file`::
 
@@ -104,8 +104,7 @@ def parse(text: str) -> GraphDocument:
 
     A ``square`` line's edges are looked up once, and ``checked_square``,
     the check of ``SquareSet.create``, checks and orders the pair at that
-    line.  Any other error is raised at its line; the first square that
-    fails the check is raised after the last line, so every other error wins.
+    line.  Every error is raised at its line, so the first failing line wins.
 
     Every id is stored as one string: an edge's endpoints are the strings of
     their ``vertex`` lines, and a square side holds its edges' ``Edge.name``.
@@ -115,7 +114,6 @@ def parse(text: str) -> GraphDocument:
     vertices: dict[str, str] = {}  # each vertex id mapped to itself, the one string kept
     edges: dict[str, Edge] = {}
     squares: dict[tuple[Side, Side], None] = {}  # checked pairs in first-seen order
-    bad_square: ParseError | None = None  # the first, raised only if no other line fails
 
     for lineno, raw, tokens in _declarations(text):
         keyword = tokens[0]
@@ -130,7 +128,7 @@ def parse(text: str) -> GraphDocument:
             try:
                 squares[checked_square(*quad)] = None
             except StructureError as exc:
-                bad_square = bad_square or ParseError(lineno, 1, str(exc))
+                raise ParseError(lineno, 1, str(exc)) from None
         elif keyword == "edge":
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
                 raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
@@ -162,16 +160,16 @@ def parse(text: str) -> GraphDocument:
             if len(tokens) != 4 or not tokens[2].startswith("k=") or not tokens[3].startswith("colors="):
                 raise ParseError(lineno, 1, "expected: kgraph <version> k=<int> colors=<name,...>")
             rank = tokens[2][2:]
-            if not (rank.isascii() and rank.isdigit()):
+            if not (rank.isascii() and rank.isdigit()) or int(rank) < 1:
                 raise ParseError(lineno, _column(raw, 2), f"bad rank {rank!r}")
             k = int(rank)
             colors = tuple(tokens[3][len("colors="):].split(","))
-            if k < 1 or len(colors) != k or len(set(colors)) != k or any(not c for c in colors):
-                raise ParseError(lineno, 1, f"need {k} distinct color names, got {colors}")
             skip = len("colors=")
             for c in colors:
                 _check_id(c, "color", lineno, raw, 3, skip)
                 skip += len(c) + 1
+            if len(colors) != k or len(set(colors)) != k:
+                raise ParseError(lineno, 1, f"need {k} distinct color names, got {', '.join(colors)}")
             header = (tokens[1], k, colors)
             color_index = {c: i for i, c in enumerate(colors, start=1)}
         else:
@@ -180,8 +178,6 @@ def parse(text: str) -> GraphDocument:
     if header is None:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
     version, k, colors = header
-    if bad_square:
-        raise bad_square
     skeleton = Skeleton(k, tuple(sorted(vertices)), tuple(edges[name] for name in sorted(edges)))
     return GraphDocument(version, colors, skeleton, SquareSet(tuple(sorted(squares))))
 

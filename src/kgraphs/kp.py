@@ -17,17 +17,19 @@ source-free graphs.
 By unique factorization each such ``(α, β)`` is found by extending ``μ``
 by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα`` at
 ``d(ν)`` into ``head·β``: it is an extension exactly when ``head = ν``.
-The context caches those rows per ``(μ, d(ν))`` and each extension's id, so
-a product is a hash join of the rows' heads against the right operand's left
-paths.  A fixed left element joins a whole group of right operands at once
-(``products``), reading each row and extending each ``α`` once for the group,
-and ``KumjianPask.sum`` accumulates every sum, ``+`` included, in one term
-map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
-``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  The context interns the
-vertex paths first, as ids ``0..|V|−1``, so extending a path by a vertex, or
-a vertex by a path, is an id comparison and stores nothing.  Two kinds of row
-are read off without factoring: at ``d(ν) = 0`` the one row of ``μ`` is
-``(s(μ), r(μ), μ)``, and at a vertex ``μ`` the rows are ``(α, α, s(α))``.
+The context caches those rows per ``(μ, d(ν))``, so a product is a hash join
+of the rows' heads against the right operand's left paths; the id of an
+extension ``λα`` is ``intern`` of ``KGraph.extend``, whose normal forms the
+graph caches by edge tuple.  A fixed left element joins a whole group of
+right operands at once (``products``), reading each row and extending each
+``α`` once for the group, and ``KumjianPask.sum`` accumulates every sum,
+``+`` included, in one term map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the
+vertex ``s(μ)``, and when ``d(ν) ≥ d(μ)`` every ``β`` is the vertex
+``s(ν)``.  The context interns the vertex paths first, as ids ``0..|V|−1``,
+so extending a path by a vertex, or a vertex by a path, is an id comparison
+and stores nothing.  Two kinds of row are read off without factoring: at
+``d(ν) = 0`` the one row of ``μ`` is ``(s(μ), r(μ), μ)``, and at a vertex
+``μ`` the rows are ``(α, α, s(α))``.
 
 The spanning terms are not linearly independent: summing ``t_λ t_λ*`` over
 all ``λ`` of one degree at a vertex collapses to the vertex idempotent.
@@ -53,7 +55,7 @@ copies, preservation of the diagonal, the corner determined by first
 copies, the grading, and the saturation of the first-copy vertex set.  The
 family is built for any split; only the swap identities need pairing.  One
 :class:`SplitEmbedding` serves all sweeps of a verification run: its
-algebra context, image cache and rainbow lifts (id pairs ``(f^j, f¹)``
+algebra context, path images and rainbow lifts (id pairs ``(f^j, f¹)``
 per vertex and copy ``j``, lifted once) depend only on the immutable split,
 so sharing them changes no answer and builds each table once per run.
 """
@@ -96,7 +98,7 @@ def _check_context(algebra: "KumjianPask", element: "KPElement") -> None:
 
 
 class KumjianPask:
-    """Algebra context: the path table (``paths``, ``degree``), term constructors, tables by id."""
+    """Algebra context: path table (``paths``, ``intern``), ``extensions`` rows, term constructors."""
 
     def __init__(self, graph: KGraph):
         free = graph.is_source_free()
@@ -106,11 +108,9 @@ class KumjianPask:
                               f"vertex {v!r} receives no edge of color {c}")
         self.graph = graph
         self.paths: list[Path] = []
-        self.degree: list[Degree] = []
         self._ids: dict[Path, int] = {}
         self._vertex = {v: self.intern(graph.vertex_path(v)) for v in graph.vertices}
         self._vertex_ids = len(self.paths)
-        self._extended: dict[tuple[int, int], int] = {}
         self._extensions: dict[tuple[int, Degree], tuple[tuple[int, int, int], ...]] = {}
 
     def intern(self, path: Path) -> int:
@@ -119,26 +119,21 @@ class KumjianPask:
         if i is None:
             i = self._ids[path] = len(self.paths)
             self.paths.append(path)
-            self.degree.append(path.degree)
         return i
 
     def extend(self, i: int, alpha: int) -> int:
-        """The id of the normal form of ``paths[i]·paths[alpha]``, cached.
+        """The id of the normal form of ``paths[i]·paths[alpha]``.
 
         ``paths[alpha]`` must end at the source of ``paths[i]``, which every
         caller guarantees; then a vertex ``alpha`` (an id below ``|V|``) gives
-        ``i`` itself and a vertex ``i`` gives ``alpha``, with no table entry.
+        ``i`` itself and a vertex ``i`` gives ``alpha``, and otherwise the
+        graph's normal-form cache and ``intern`` answer.
         """
         if alpha < self._vertex_ids:
             return i
         if i < self._vertex_ids:
             return alpha
-        key = (i, alpha)
-        j = self._extended.get(key)
-        if j is None:
-            j = self._extended[key] = self.intern(
-                self.graph.extend(self.paths[i], self.paths[alpha]))
-        return j
+        return self.intern(self.graph.extend(self.paths[i], self.paths[alpha]))
 
     def zero(self) -> "KPElement":
         return KPElement(self, {})
@@ -262,7 +257,7 @@ class KPElement:
     def products(self, others: Iterable["KPElement"]) -> list["KPElement"]:
         """``[self * o for o in others]`` from one hash join over all the operands."""
         alg = self.algebra
-        degree, extend = alg.degree, alg.extend
+        paths, extend = alg.paths, alg.extend
         # every operand's terms by degree and path on the left, each row naming its output
         groups: dict[Degree, dict[int, list[tuple[dict[tuple[int, int], int], int, int]]]] = {}
         outs: list[dict[tuple[int, int], int]] = []
@@ -271,7 +266,7 @@ class KPElement:
             out: dict[tuple[int, int], int] = {}
             outs.append(out)
             for (left, right), c in other._terms.items():
-                groups.setdefault(degree[left], {}).setdefault(left, []).append((out, right, c))
+                groups.setdefault(paths[left].degree, {}).setdefault(left, []).append((out, right, c))
         for (left1, right1), c1 in self._terms.items():
             for d, by_path in groups.items():
                 # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
@@ -290,18 +285,18 @@ class KPElement:
 
     def graded_components(self) -> dict[tuple[int, ...], "KPElement"]:
         """Split by ``d(left) - d(right)``; the parts sum back to the element."""
-        degree = self.algebra.degree
+        paths = self.algebra.paths
         parts: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
         for t, c in self._terms.items():
-            parts.setdefault(difference(degree[t[0]], degree[t[1]]), {})[t] = c
+            parts.setdefault(difference(paths[t[0]].degree, paths[t[1]].degree), {})[t] = c
         return {n: KPElement(self.algebra, terms) for n, terms in sorted(parts.items())}
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        extensions, degree = self.algebra.extensions, self.algebra.degree
+        extensions, paths = self.algebra.extensions, self.algebra.paths
         by_class: dict[tuple[Degree, Degree], list[tuple[tuple[int, int], int]]] = {}
         for t, c in self._terms.items():
-            by_class.setdefault((degree[t[0]], degree[t[1]]), []).append((t, c))
+            by_class.setdefault((paths[t[0]].degree, paths[t[1]].degree), []).append((t, c))
         components: dict[tuple[int, ...], list[tuple[Degree, Degree]]] = {}
         for degrees in by_class:
             components.setdefault(difference(*degrees), []).append(degrees)
@@ -422,15 +417,16 @@ class SplitEmbedding:
     split, paired or not, since path copies are (:func:`copy_path`); only
     :func:`verify_swap_identities` needs a paired input.  Every
     ``SplitResult`` passed ``outsplit``'s ``validate_spec``, so it checks no
-    precondition.  The rainbow lifts are cached per ``(s(λ), copy j)`` as
-    the id pairs ``(f^j, f¹)``, and the swap carriers sum the same pairs.
+    precondition.  It keeps two tables: the path images, by path, and the
+    rainbow lifts, per ``(s(λ), copy j)`` as the id pairs ``(f^j, f¹)``,
+    which the swap carriers sum too.  A ghost image is the adjoint of the
+    cached path image; a sweep that reuses one keeps it in a local.
     """
 
     def __init__(self, result: SplitResult):
         self.result = result
         self.algebra = KumjianPask(result.graph)
         self._path_cache: dict[Path, KPElement] = {}
-        self._ghost_cache: dict[Path, KPElement] = {}
         term, original = self.algebra.term, result.original
         self._rainbows = {
             (v, j): [next(iter(term(copy_path(result, f, j), copy_path(result, f, 1))._terms))
@@ -454,10 +450,7 @@ class SplitEmbedding:
         return hit
 
     def ghost_image(self, path: Path) -> KPElement:
-        hit = self._ghost_cache.get(path)
-        if hit is None:
-            hit = self._ghost_cache[path] = self.path_image(path).adjoint()
-        return hit
+        return self.path_image(path).adjoint()
 
     def corner_projection(self) -> KPElement:
         return self.algebra.sum(self.vertex_image(v) for v in self.result.original.vertices)
@@ -652,7 +645,7 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     for group in by_source.values():
         parents = [parent_path(result, p) for p in group]
         images = [emb.path_image(p) for p in parents]
-        ghosts = [emb.ghost_image(p) for p in parents]
+        ghosts = [image.adjoint() for image in images]
         for a, image in zip(group, images):
             for b, product in zip(group, image.products(ghosts)):
                 rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), product)

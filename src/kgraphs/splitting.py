@@ -139,9 +139,9 @@ def block_problem(vertex: str, blocks: tuple[tuple[str, ...], ...], out: set[str
         return None
     detail = []
     if out - listed:
-        detail.append(f"missing {sorted(out - listed)}")
+        detail.append(f"missing {', '.join(sorted(out - listed))}")
     if listed - out:
-        detail.append(f"not outgoing in the split color: {sorted(listed - out)}")
+        detail.append(f"not outgoing in the split color: {', '.join(sorted(listed - out))}")
     return (f"partition at {vertex!r} does not cover its outgoing split-color edges "
             f"({'; '.join(detail)})")
 
@@ -162,7 +162,7 @@ def validate_spec(graph: KGraph, spec: SplitSpec) -> dict[str, int]:
     region = split_region(graph, spec.color, spec.base)
     if graph.k >= 3 and (sinks := graph.degree_sinks(spec.color)):
         raise SplitError(
-            f"rank {graph.k} split needs no sinks in color {spec.color}; found {list(sinks)}"
+            f"rank {graph.k} split needs no sinks in color {spec.color}; found {', '.join(sinks)}"
         )
     counts = copy_counts(graph, region, spec.color)
     expected_keys = {
@@ -173,9 +173,9 @@ def validate_spec(graph: KGraph, spec: SplitSpec) -> dict[str, int]:
         missing = sorted(expected_keys - set(spec.partitions))
         parts = []
         if extra:
-            parts.append(f"partitions given for vertices without outgoing edges: {extra}")
+            parts.append(f"partitions given for vertices without outgoing edges: {', '.join(extra)}")
         if missing:
-            parts.append(f"partitions missing for: {missing}")
+            parts.append(f"partitions missing for: {', '.join(missing)}")
         raise SplitError("; ".join(parts))
     for v, blocks in spec.partitions.items():
         if len(blocks) != counts[v]:

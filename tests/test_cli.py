@@ -525,7 +525,7 @@ class TestKpVerify:
                              "--parents", str(tmp_path / "split.parents"))
         assert (code, out) == (1, "")
         assert err == ("inconsistent split data: rank 3 split needs no sinks in color 1; "
-                       "found ['q']\n")
+                       "found q\n")
 
     def test_sidecar_color_must_match_the_copy_counts(self, capsys, tmp_path):
         # blue loops x, y and a red loop z commuting with both: the blue split

@@ -135,7 +135,6 @@ class TestParse:
         [
             ("vertex v\n", "missing header"),
             ("kgraph 1 k=2 colors=blue\n", "distinct color names"),
-            ("kgraph 1 k=0 colors=\n", "color names"),
             ("kgraph 1 k=2 colors=blue,red\nvertex v\nvertex v\n", "duplicate vertex"),
             (MINIMAL + "edge a : blue p -> p\n", "duplicate id"),
             (MINIMAL + "edge z : green p -> p\n", "unknown color"),
@@ -177,14 +176,14 @@ class TestParse:
     @pytest.mark.parametrize(
         "extra,line,column,message",
         [
-            ("square r a = r r\nwidget w\n", 7, 1, "unknown declaration 'widget'"),
+            ("square r a = r r\nwidget w\n", 6, 1, "square r a = r r: sides must be bicolored"),
             ("square r a = r r\nsquare r a = a a\n", 6, 1, "square r a = r r: sides must be bicolored"),
         ],
         ids=["bad-square-then-unknown-declaration", "two-bad-squares"],
     )
     def test_error_precedence(self, extra, line, column, message):
-        # a square that fails its structural check is raised after the last
-        # line, so any other error wins; among bad squares the earliest is reported
+        # a square that fails its structural check is raised at its line, as
+        # every other error is, so the first failing line of the file wins
         with pytest.raises(ParseError) as err:
             parse(MINIMAL + extra)
         assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
@@ -211,6 +210,9 @@ class TestParse:
             ("document", "kgraph 1 k=0_2 colors=a,b\n", 1, 10, "bad rank '0_2'"),
             ("document", "kgraph 1 k=\uff12 colors=a,b\n", 1, 10, "bad rank '\uff12'"),
             ("document", "kgraph 1 k=-2 colors=a,b\n", 1, 10, "bad rank '-2'"),
+            ("document", "kgraph 1 k=0 colors=\n", 1, 10, "bad rank '0'"),
+            ("document", "kgraph 1 k=2 colors=blue\n", 1, 1, "need 2 distinct color names, got blue"),
+            ("document", "kgraph 1 k=2 colors=a,\n", 1, 23, "invalid color identifier ''"),
             ("document", MINIMAL + "square r a = a rr\n", 6, 16, "unknown edge 'rr'"),
             ("partition", "split color=blue base=s\n", 1, 23, "unknown vertex 's'"),
             ("partition", "split color=red,x base=p\n", 1, 13, "unknown color 'red,x'"),
@@ -232,7 +234,7 @@ class TestParse:
         ],
         ids=["duplicate-vertex", "unknown-vertex", "unknown-color", "invalid-color",
              "reserved-vertex", "bad-rank", "signed-rank", "underscored-rank",
-             "full-width-rank", "negative-rank",
+             "full-width-rank", "negative-rank", "zero-rank", "too-few-colors", "empty-color",
              "unknown-square-edge", "unknown-base", "unknown-split-color", "unknown-block-edge",
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
              "duplicate-split", "malformed-split", "malformed-partition",
@@ -269,7 +271,7 @@ class TestParse:
             parse_partition_file("split color=blue base=p\npartition p : {r}\n", doc)
         assert (err.value.line, err.value.column, err.value.message) == (
             2, 1, "partition at 'p' does not cover its outgoing split-color edges "
-                  "(missing ['a']; not outgoing in the split color: ['r'])")
+                  "(missing a; not outgoing in the split color: r)")
 
     def test_comments_and_blanks_ignored(self):
         text = "# leading\n\n" + MINIMAL.replace("vertex p", "vertex p  # the vertex")

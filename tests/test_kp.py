@@ -364,18 +364,37 @@ class TestRefinementTable:
         assert [alg.intern(p) for p in vertices] == list(range(len(vertices)))
         edge = graph.make_path((graph.edges[0].name,))
         i = alg.intern(edge)
-        assert alg.extend(i, alg.intern(graph.vertex_path(edge.source))) == i
-        assert not alg._extended
+        source = alg.intern(graph.vertex_path(edge.source))
+        range_ = alg.intern(graph.vertex_path(edge.range))
+        interned, normal_forms = len(alg.paths), len(graph._nf_cache)
+        assert alg.extend(i, source) == i
+        assert alg.extend(range_, i) == i
+        assert (len(alg.paths), len(graph._nf_cache)) == (interned, normal_forms)
 
     def test_extend_stores_no_vertex(self):
         # the six kp-verify sweeps at --max-len 2, verify_family(max_paths=2) among them
         emb = SplitEmbedding(_rank_three_split())
-        alg = emb.algebra
+        alg, graph = emb.algebra, emb.algebra.graph
         assert all(report.ok for report in _all_sweeps(lambda: emb, max_len=2))
-        assert alg._extended
-        assert not [key for key in alg._extended
-                    if alg.paths[key[0]].is_vertex or alg.paths[key[1]].is_vertex]
         assert len(alg.paths) == 1588
+        # extending by a vertex, or a vertex by a path, interns and normalizes nothing
+        normal_forms = len(graph._nf_cache)
+        for i, p in enumerate(alg.paths):
+            assert alg.extend(i, alg.intern(graph.vertex_path(p.source))) == i
+            assert alg.extend(alg.intern(graph.vertex_path(p.range)), i) == i
+        assert (len(alg.paths), len(graph._nf_cache)) == (1588, normal_forms)
+
+    def test_extend_is_the_interned_normal_form(self, split_one):
+        # every composable pair of ids the six sweeps at --max-len 2 interned
+        emb = SplitEmbedding(split_one)
+        alg, graph = emb.algebra, split_one.graph
+        assert all(report.ok for report in _all_sweeps(lambda: emb, max_len=2))
+        ids = range(len(alg.paths))
+        pairs = [(i, a) for i in ids for a in ids if alg.paths[a].range == alg.paths[i].source]
+        assert (len(ids), len(pairs)) == (114, 1636)
+        for i, a in pairs:
+            composite = graph.normal_form(graph.compose(alg.paths[i], alg.paths[a]))
+            assert alg.extend(i, a) == alg.intern(composite)
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "rank3_split"])
     def test_forced_rows_match_factoring(self, source):
@@ -389,15 +408,14 @@ class TestRefinementTable:
             for v in graph.vertices:
                 for p in graph.paths_with_range(v, d):
                     alg.intern(p)
-        interned = len(alg.paths)
+        interned, normal_forms = len(alg.paths), len(graph._nf_cache)
         zero = degrees[0]
         for mu in range(interned):
             assert alg.extensions(mu, zero) == extension_rows(alg, reference, mu, zero)
         for v in range(len(graph.vertices)):
             for d in degrees:
                 assert alg.extensions(v, d) == extension_rows(alg, reference, v, d)
-        assert len(alg.paths) == interned
-        assert not alg._extended
+        assert (len(alg.paths), len(graph._nf_cache)) == (interned, normal_forms)
 
     @pytest.mark.parametrize("source", ["lambda1.kg", "gamma1.kg", "random_double"])
     def test_warm_table_changes_no_answer(self, source):
@@ -820,6 +838,13 @@ class TestVerifiers:
         seeds = [result.copy_of(v, 1) for v in graph.vertices]
         assert saturation(result.graph, seeds) == set(result.graph.vertices)
 
+    def test_rank_three_split_passes_every_sweep_at_depth_three(self):
+        # kp-verify --max-len 3; the corner sweep stays at depth 2
+        emb = SplitEmbedding(_rank_three_split())
+        reports = _all_sweeps(lambda: emb, max_len=3)
+        assert all(report.ok for report in reports)
+        assert [report.checked for report in reports] == [392, 9606, 60, 314, 1518, 628]
+
     def test_random_double_split_verifies(self):
         from kgraphs import outsplit
         from conftest import shuffled_spec
@@ -950,7 +975,6 @@ class TestPathTable:
         graph = result.graph
         assert len(alg.paths) > 100
         assert len(set(alg.paths)) == len(alg.paths)
-        assert alg.degree == [p.degree for p in alg.paths]
         for i, p in enumerate(alg.paths):
             assert graph.normal_form(p) == p
             assert alg.intern(p) == i

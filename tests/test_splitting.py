@@ -175,6 +175,10 @@ class TestSplitSpec:
                 {"v": (("α", "α"), ("h",), ("i",)), "x": (("k",), ("ℓ",)), "z": (("n",),)},
                 "edge 'α' appears twice in one block at 'v'",
             ),
+            (
+                {"v": (("α",), ("h",), ("i",)), "y": (("k",),)},
+                "^partitions given for vertices without outgoing edges: y; partitions missing for: x, z$",
+            ),
         ],
     )
     def test_invalid_partitions(self, lambda_one, partitions, message):
@@ -254,7 +258,7 @@ class TestSplitPreconditions:
             (SplitSpec(1, "u1", partitions), SplitError,
              "vertex 'u1' has fewer than two outgoing edges of color 1"),
             (SplitSpec(1, "u0", {}), SplitError,
-             "rank 3 split needs no sinks in color 1; found ['u1']"),
+             "rank 3 split needs no sinks in color 1; found u1"),
         ]:
             for check in (validate_spec, outsplit):
                 with pytest.raises(error) as exc:
