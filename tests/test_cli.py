@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import importlib
 import io
 import os
@@ -15,10 +16,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgraphs import kp
+import kgraphs.cli
+from kgraphs import Edge, Skeleton, kp, product_graph
 from kgraphs.cli import main
+from kgraphs.fileformat import document_for_graph, serialize
 
-from conftest import DATA
+from conftest import DATA, diagonal_double
 
 
 SWEEPS = ("universal-family", "kp-family", "swap-identities", "diagonal", "corner", "grading")
@@ -855,6 +858,131 @@ class TestUsage:
         assert scripts == {"kgraphs": "kgraphs.cli:main"}
         module, _, attr = scripts["kgraphs"].partition(":")
         assert getattr(importlib.import_module(module), attr) is main
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def _cycle_with_chord(tag: str, n: int) -> Skeleton:
+    """An n-cycle plus one chord out of vertex 0: source- and sink-free, and
+    vertex 0 has two outgoing edges, so a product of these splits there."""
+    vertices = [f"{tag}{i}" for i in range(n)]
+    edges = [Edge(f"{tag}{i}-{(i + 1) % n}", 1, vertices[i], vertices[(i + 1) % n])
+             for i in range(n)]
+    return Skeleton.create(1, vertices, [*edges, Edge(f"{tag}c", 1, vertices[0], vertices[n // 2])])
+
+
+class TestMainGuard:
+    """``main`` runs a command with the cyclic garbage collector paused,
+    gives the caller back the collector state it found, and ends a closed
+    stdout without a traceback."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "lambda1.kg"], 0),
+        (["paired", "lambda2.kg", "--color", "blue"], 1),
+        (["split", "lambda1.kg", "--color", "blue", "--base", "z", "-o", "x.kg"], 1),
+        (["validate", "missing.kg"], 2),
+        (["frobnicate"], 2),
+        (["--help"], 0),
+    ], ids=["exit-0", "exit-1-report", "exit-1-error", "exit-2-error", "argparse-2", "argparse-0"])
+    def test_state_is_restored(self, capsys, workdir, monkeypatch, collector, argv, code):
+        monkeypatch.chdir(workdir)
+        assert main(argv) == code
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_after_a_closed_stdout(self, capsys, workdir, monkeypatch, collector):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["props", str(workdir / "lambda1.kg")]) == 1
+        assert gc.isenabled() is collector
+        assert capsys.readouterr().err == ""
+
+    def test_no_stdout_is_not_an_error(self, capsys, workdir, monkeypatch):
+        # a process started with its stdout closed has sys.stdout None
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["validate", str(workdir / "lambda1.kg")]) == 0
+
+    def test_command_runs_paused_and_state_survives_its_crash(self, capsys, workdir, monkeypatch,
+                                                              collector):
+        seen = []
+
+        def crash(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(kgraphs.cli, "_cmd_validate", crash)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["validate", str(workdir / "lambda1.kg")])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("command", ["validate", "split", "kp-verify"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, capsys, workdir, monkeypatch,
+                                                         command):
+        # The pause is safe only while command data is acyclic: the cyclic
+        # garbage a command leaves (argparse's) must not depend on the input.
+        monkeypatch.chdir(workdir)
+        graph = product_graph([_cycle_with_chord(tag, 4) for tag in "fgh"])
+        Path("product.kg").write_text(
+            serialize(document_for_graph(graph, ["blue", "red", "green"])), encoding="utf-8")
+        arrows = [("a", "u0", "u0"), ("b", "u0", "u0"), ("c", "u0", "u1"), ("d", "u1", "u0")]
+        graph = diagonal_double(["u0", "u1"], arrows, 3)
+        Path("rank3.kg").write_text(
+            serialize(document_for_graph(graph, ["blue", "red", "green"])), encoding="utf-8")
+        assert main(["split", "rank3.kg", "--color", "blue", "--base", "u0", "-o", "r3.kg"]) == 0
+        small, large = {
+            "validate": (["lambda1.kg"], ["product.kg"]),
+            "split": (["lambda1.kg", "--partition-file", "paper.part", "-o", "small.kg"],
+                      ["product.kg", "--color", "blue", "--base", "f0|g0|h0", "-o", "large.kg"]),
+            "kp-verify": (["lambda1.kg", "--split-output", "gamma1.kg",
+                           "--parents", "gamma1.parents", "--max-len", "2"],
+                          ["rank3.kg", "--split-output", "r3.kg",
+                           "--parents", "r3.kg.parents", "--max-len", "2"]),
+        }[command]
+
+        def garbage(args):
+            gc.collect()
+            was = gc.isenabled()
+            gc.disable()
+            try:
+                assert main([command, *args]) == 0
+                return gc.collect()
+            finally:
+                if was:
+                    gc.enable()
+
+        assert garbage(small) == garbage(large)
+
+    @pytest.mark.parametrize("argv, unbuffered, code", [
+        (["props", str(DATA / "lambda1.kg")], None, 1),
+        (["props", str(DATA / "lambda1.kg")], "1", 1),
+        (["--help"], None, 1),
+        # argparse ignores a failed write of its help text, and nothing is left to flush
+        (["--help"], "1", 0),
+    ], ids=["props-buffered", "props-unbuffered", "help-buffered", "help-unbuffered"])
+    def test_closed_stdout_ends_without_a_traceback(self, argv, unbuffered, code):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+        if unbuffered is not None:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "kgraphs", *argv], env=env, stdout=write,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 FUZZ_FILES = ("lambda1.kg", "lambda2.kg", "gamma1.kg", "gamma2.kg",
