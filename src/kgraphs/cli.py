@@ -12,25 +12,33 @@ its guard, and on ``BrokenPipeError`` points the stdout descriptor at the
 null device so the interpreter's final flush cannot fail.  All output is
 deterministic.
 
+The argument parser is built on the first ``main`` call and reused by
+every later call in the process, since parsing leaves no state in it;
+each command function is looked up by name when it runs.  A caller that
+runs many commands in one process, such as a test suite or a benchmark,
+builds the seven subcommands once.
+
 ``main`` runs each command with the cyclic garbage collector paused and
 gives the caller back the collector state it found; it forces no
-collection.  Arguments are parsed before the pause, so argparse's cyclic
-garbage from earlier commands can still be collected then.  What a
-command builds (parsed edges, square pairs, swap maps, split copies,
+collection.  Arguments are parsed before the pause.  What a command
+builds (parsed edges, square pairs, swap maps, split copies,
 ``KPElement`` term maps) is acyclic tuples, dicts and strings, which
 reference counting frees, so collections during a command only rescan
 live tables: without the pause, one ``structural-product`` benchmark
 iteration (1,296 vertices) ran 517 generation-0, 46 generation-1 and 4
 full collections inside its commands, and with it that iteration takes
-12-14% less time.  The only cyclic garbage a command leaves is
-argparse's, the same count for every command and input size; a test
-pins that, so a back-pointer that made command data cyclic fails a test
-instead of growing memory while the collector is paused.
+12-14% less time.  A command leaves no cyclic garbage of its own: what
+``gc.collect()`` finds after one comes from argparse (building the
+parser on the first call, or an error or ``--help`` exit), the same
+count for every input size; a test pins that, so a back-pointer that
+made command data cyclic fails a test instead of growing memory while
+the collector is paused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -207,7 +215,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="kgraphs",
         description="Validate, split, and verify finite higher-rank graphs.",
@@ -216,12 +227,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the k-graph axioms")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("props", help="source-freeness, sinks, pairing")
     p.add_argument("file")
     p.add_argument("--color")
-    p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("split", help="outsplit the graph")
     p.add_argument("file")
@@ -229,29 +238,24 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--color")
     p.add_argument("--base")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("paired", help="pairing in one color, with witness")
     p.add_argument("file")
     p.add_argument("--color", required=True)
-    p.set_defaults(func=_cmd_paired)
 
     p = sub.add_parser("saturate", help="hereditary saturated closure of a vertex set")
     p.add_argument("file")
     p.add_argument("--set", required=True)
-    p.set_defaults(func=_cmd_saturate)
 
     p = sub.add_parser("kp-verify", help="verify the split's algebra identities")
     p.add_argument("file")
     p.add_argument("--split-output", required=True)
     p.add_argument("--parents", required=True)
     p.add_argument("--max-len", type=_positive_int, default=3)
-    p.set_defaults(func=_cmd_kp_verify)
 
     p = sub.add_parser("dot", help="Graphviz export")
     p.add_argument("file")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_dot)
 
     return parser
 
@@ -267,7 +271,8 @@ def _run(argv: Sequence[str] | None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # command data is acyclic: see the module docstring
     try:
-        return args.func(args)
+        # looked up per call, so a replaced command function is the one that runs
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except KGraphError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code

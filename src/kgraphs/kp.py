@@ -58,10 +58,14 @@ family is built for any split; only the swap identities need pairing.  One
 algebra context, path images and rainbow lifts (id pairs ``(f^j, f¹)``
 per vertex and copy ``j``, lifted once) depend only on the immutable split,
 so sharing them changes no answer and builds each table once per run.
+A sweep runs thousands of checks, and each names itself by a template and
+its parts, which are formatted only when the check fails: a passing sweep
+writes out no path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -380,9 +384,20 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
     return frozenset(seen)
 
 
+def label_text(label: tuple) -> str:
+    """The text of a check's label: its template formatted with its parts."""
+    template, *parts = label
+    return template.format(*parts)
+
+
 @dataclass
 class VerificationReport:
-    """Outcome of one identity sweep: how many checks ran, which failed."""
+    """Outcome of one identity sweep: how many checks ran, which failed.
+
+    A check's label is a ``str.format`` template followed by its parts,
+    such as ``("diag {}", path)``; :func:`label_text` formats it only when
+    the check fails, so a passing check formats no path.
+    """
 
     name: str
     checked: int = 0
@@ -392,15 +407,15 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def expect_equal(self, label: str, lhs: KPElement, rhs: KPElement) -> None:
+    def expect_equal(self, label: tuple, lhs: KPElement, rhs: KPElement) -> None:
         self.checked += 1
         if lhs != rhs:
-            self.failures.append(f"{label}: {lhs}  !=  {rhs}")
+            self.failures.append(f"{label_text(label)}: {lhs}  !=  {rhs}")
 
-    def expect(self, label: str, condition: bool) -> None:
+    def expect(self, label: tuple, condition: bool) -> None:
         self.checked += 1
         if not condition:
-            self.failures.append(label)
+            self.failures.append(label_text(label))
 
     def summary(self) -> str:
         state = "pass" if self.ok else f"FAIL ({len(self.failures)} failures)"
@@ -485,28 +500,28 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
     for v in graph.vertices:
         for w in graph.vertices:
             expected = alg.vertex(v) if v == w else alg.zero()
-            rep.expect_equal(f"p[{v}]p[{w}]", alg.vertex(v) * alg.vertex(w), expected)
+            rep.expect_equal(("p[{}]p[{}]", v, w), alg.vertex(v) * alg.vertex(w), expected)
     edge_paths = {e.name: graph.make_path((e.name,)) for e in graph.edges}
     for name, p in edge_paths.items():
         t = alg.path(p)
-        rep.expect_equal(f"t[{name}]p[s]", t * alg.vertex(p.source), t)
-        rep.expect_equal(f"p[r]t[{name}]", alg.vertex(p.range) * t, t)
-        rep.expect_equal(f"t*[{name}]t[{name}]", alg.ghost(p) * t, alg.vertex(p.source))
+        rep.expect_equal(("t[{}]p[s]", name), t * alg.vertex(p.source), t)
+        rep.expect_equal(("p[r]t[{}]", name), alg.vertex(p.range) * t, t)
+        rep.expect_equal(("t*[{0}]t[{0}]", name), alg.ghost(p) * t, alg.vertex(p.source))
     for name, p in edge_paths.items():
         for other, q in edge_paths.items():
             if name == other or p.degree != q.degree or p.range != q.range:
                 continue
-            rep.expect_equal(f"t*[{name}]t[{other}]", alg.ghost(p) * alg.path(q), alg.zero())
+            rep.expect_equal(("t*[{}]t[{}]", name, other), alg.ghost(p) * alg.path(q), alg.zero())
         for other, q in edge_paths.items():
             if q.range == p.source:
                 composite = graph.compose(p, q)
                 rep.expect_equal(
-                    f"t[{name}]t[{other}]", alg.path(p) * alg.path(q), alg.path(composite)
+                    ("t[{}]t[{}]", name, other), alg.path(p) * alg.path(q), alg.path(composite)
                 )
     for v in graph.vertices:
         for n in _kp4_degrees(graph.k, 0):
             total = alg.sum(alg.path(lam) * alg.ghost(lam) for lam in graph.paths_with_range(v, n))
-            rep.expect_equal(f"sum tt* over {v}@{format_degree(n)}", total, alg.vertex(v))
+            rep.expect_equal(("sum tt* over {}@{}", v, format_degree(n)), total, alg.vertex(v))
     return rep
 
 
@@ -528,13 +543,13 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
     for v in lam.vertices:
         for w in lam.vertices:
             expected = images_q[v] if v == w else zero
-            rep.expect_equal(f"orthogonality q[{v}]q[{w}]", images_q[v] * images_q[w], expected)
+            rep.expect_equal(("orthogonality q[{}]q[{}]", v, w), images_q[v] * images_q[w], expected)
 
     for p in paths:
-        rep.expect_equal(f"unit q[r]s[{p}]", images_q[p.range] * images_s[p], images_s[p])
-        rep.expect_equal(f"unit s[{p}]q[s]", images_s[p] * images_q[p.source], images_s[p])
-        rep.expect_equal(f"unit q[s]s*[{p}]", images_q[p.source] * images_g[p], images_g[p])
-        rep.expect_equal(f"unit s*[{p}]q[r]", images_g[p] * images_q[p.range], images_g[p])
+        rep.expect_equal(("unit q[r]s[{}]", p), images_q[p.range] * images_s[p], images_s[p])
+        rep.expect_equal(("unit s[{}]q[s]", p), images_s[p] * images_q[p.source], images_s[p])
+        rep.expect_equal(("unit q[s]s*[{}]", p), images_q[p.source] * images_g[p], images_g[p])
+        rep.expect_equal(("unit s*[{}]q[r]", p), images_g[p] * images_q[p.range], images_g[p])
 
     by_range: dict[str, list[Path]] = {}
     by_degree: dict[Degree, list[Path]] = {}
@@ -542,15 +557,17 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
         by_range.setdefault(p.range, []).append(p)
         by_degree.setdefault(p.degree, []).append(p)
     for lam_path in paths:
-        mus = [mu for mu in by_range.get(lam_path.source, ())
-               if len(lam_path.edges) + len(mu.edges) <= max_paths]
+        # by_range follows ``paths``, so it is sorted by length and the μ short
+        # enough to compose with λ are a prefix of it
+        mus = by_range.get(lam_path.source, ())
+        mus = mus[:bisect_right(mus, max_paths - len(lam_path.edges), key=lambda mu: len(mu.edges))]
         products = images_s[lam_path].products([images_s[mu] for mu in mus])
         for mu, product in zip(mus, products):
             # the composite is at most max_paths long, so one of ``paths``
             composite = lam.normal_form(lam.compose(lam_path, mu))
-            rep.expect_equal(f"composition s[{lam_path}]s[{mu}]", product, images_s[composite])
+            rep.expect_equal(("composition s[{}]s[{}]", lam_path, mu), product, images_s[composite])
             rep.expect_equal(
-                f"composition s*[{mu}]s*[{lam_path}]",
+                ("composition s*[{}]s*[{}]", mu, lam_path),
                 images_g[mu] * images_g[lam_path],
                 images_g[composite],
             )
@@ -560,13 +577,13 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
         for a in group:
             for b, product in zip(group, images_g[a].products(group_s)):
                 expected = images_q[a.source] if a == b else zero
-                rep.expect_equal(f"ghost pairing s*[{a}]s[{b}]", product, expected)
+                rep.expect_equal(("ghost pairing s*[{}]s[{}]", a, b), product, expected)
 
     for v in lam.vertices:
         for n in _kp4_degrees(lam.k, max_paths):
             total = emb.algebra.sum(emb.path_image(p) * emb.ghost_image(p)
                                     for p in lam.paths_with_range(v, n))
-            rep.expect_equal(f"fullness {v}@{format_degree(n)}", total, images_q[v])
+            rep.expect_equal(("fullness {}@{}", v, format_degree(n)), total, images_q[v])
     return rep
 
 
@@ -588,9 +605,9 @@ def verify_swap_identities(emb: SplitEmbedding) -> VerificationReport:
             carrier = KPElement(alg, dict.fromkeys(emb._rainbows[e.range, j], 1))
             x_1 = alg.path(copy_path(result, x, 1))
             x_j = alg.path(copy_path(result, x, j))
-            rep.expect_equal(f"carry t[{e.name}] to copy {j}", carrier * x_1, x_j)
+            rep.expect_equal(("carry t[{}] to copy {}", e.name, j), carrier * x_1, x_j)
             rep.expect_equal(
-                f"carry t*[{e.name}] to copy {j}",
+                ("carry t*[{}] to copy {}", e.name, j),
                 x_1.adjoint() * carrier.adjoint(),
                 x_j.adjoint(),
             )
@@ -604,7 +621,7 @@ def verify_diagonal(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport
     for p in _paths_up_to(result.original, max_len, include_vertices=True):
         image = emb.path_image(p) * emb.ghost_image(p)
         first = copy_path(result, p, 1)
-        rep.expect_equal(f"diag {p}", image, emb.algebra.term(first, first))
+        rep.expect_equal(("diag {}", p), image, emb.algebra.term(first, first))
     return rep
 
 
@@ -620,15 +637,15 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     alg = emb.algebra
     rep = VerificationReport("corner")
     box = emb.corner_projection()
-    rep.expect_equal("P·P", box * box, box)
-    rep.expect_equal("P*", box.adjoint(), box)
+    rep.expect_equal(("P·P",), box * box, box)
+    rep.expect_equal(("P*",), box.adjoint(), box)
     for v in result.original.vertices:
         q = emb.vertex_image(v)
-        rep.expect_equal(f"P q[{v}] P", box * q * box, q)
+        rep.expect_equal(("P q[{}] P", v), box * q * box, q)
     for e in result.original.edges:
         s = emb.path_image(result.original.make_path((e.name,)))
-        rep.expect_equal(f"P s[{e.name}] P", box * s * box, s)
-        rep.expect_equal(f"P s*[{e.name}] P", box * s.adjoint() * box, s.adjoint())
+        rep.expect_equal(("P s[{}] P", e.name), box * s * box, s)
+        rep.expect_equal(("P s*[{}] P", e.name), box * s.adjoint() * box, s.adjoint())
 
     corner_paths: list[Path] = []
     gamma = result.graph
@@ -647,7 +664,7 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
         ghosts = [image.adjoint() for image in images]
         for a, image in zip(group, images):
             for b, product in zip(group, image.products(ghosts)):
-                rep.expect_equal(f"corner t[{a}]t*[{b}]", alg.term(a, b), product)
+                rep.expect_equal(("corner t[{}]t*[{}]", a, b), alg.term(a, b), product)
     return rep
 
 
@@ -658,13 +675,13 @@ def verify_grading(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
     zero_diff = (0,) * lam.k
     for v in lam.vertices:
         q = emb.vertex_image(v)
-        rep.expect(f"q[{v}] nonzero", not q.is_zero())
-        rep.expect(f"q[{v}] homogeneous", set(q.graded_components()) == {zero_diff})
+        rep.expect(("q[{}] nonzero", v), not q.is_zero())
+        rep.expect(("q[{}] homogeneous", v), set(q.graded_components()) == {zero_diff})
     for p in _paths_up_to(lam, max_len):
         image = emb.path_image(p)
-        label = format_degree(p.degree)
-        rep.expect(f"s[{p}] homogeneous of {label}", set(image.graded_components()) == {p.degree})
+        degree_text = format_degree(p.degree)
+        rep.expect(("s[{}] homogeneous of {}", p, degree_text), set(image.graded_components()) == {p.degree})
         ghost = emb.ghost_image(p)
         neg = tuple(-x for x in p.degree)
-        rep.expect(f"s*[{p}] homogeneous of -{label}", set(ghost.graded_components()) == {neg})
+        rep.expect(("s*[{}] homogeneous of -{}", p, degree_text), set(ghost.graded_components()) == {neg})
     return rep

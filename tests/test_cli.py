@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import importlib
@@ -830,6 +831,52 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_a_reused_parser_answers_as_a_fresh_process(self, capsys, tmp_path, monkeypatch):
+        # main builds its parser once per process: every later call must answer
+        # as a fresh process does, and none may build a parser again
+        commands = [
+            ["kp-verify", "lambda1.kg", "--split-output", "gamma1.kg", "--parents",
+             "gamma1.parents", "--max-len", "0"],
+            ["--help"],
+            ["frobnicate"],
+            ["validate", "lambda1.kg"],
+            ["split", "lambda1.kg", "--partition-file", "paper.part", "-o", "out.kg"],
+        ]
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to this width
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        for directory in (fresh, reused):
+            directory.mkdir()
+            for name in ("lambda1.kg", "paper.part", "gamma1.kg", "gamma1.parents"):
+                shutil.copy(DATA / name, directory / name)
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+        expected = []
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "kgraphs", *argv], cwd=fresh, env=env,
+                                  capture_output=True, text=True, timeout=60)
+            expected.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in expected] == [2, 0, 2, 0, 0]
+        assert "out.kg.parents" in files(fresh)
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built[-1] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.chdir(reused)
+        for _ in range(2):
+            for argv, answer in zip(commands, expected):
+                built.append(0)
+                assert run(capsys, *argv) == answer, argv
+            assert files(reused) == files(fresh)
+        assert built[1:] == [0] * 9
 
     def test_missing_required_option(self, capsys):
         assert main(["paired", "somefile"]) == 2

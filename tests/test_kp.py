@@ -15,6 +15,7 @@ from kgraphs import (
     KGraph,
     KPElement,
     KumjianPask,
+    Path,
     Skeleton,
     SplitEmbedding,
     SquareSet,
@@ -31,6 +32,7 @@ from kgraphs import (
     verify_universal_family,
 )
 from kgraphs.fileformat import parse
+from kgraphs.kp import label_text
 from kgraphs.skeleton import dominates, join
 
 from conftest import DATA, random_double
@@ -257,9 +259,10 @@ class TestRendering:
     def test_degree_labels(self, split_one, monkeypatch):
         # these labels reach the output only when a check fails
         labels = []
-        monkeypatch.setattr(VerificationReport, "expect", lambda _, label, *__: labels.append(label))
+        monkeypatch.setattr(VerificationReport, "expect",
+                            lambda _, label, *__: labels.append(label_text(label)))
         monkeypatch.setattr(VerificationReport, "expect_equal",
-                            lambda _, label, *__: labels.append(label))
+                            lambda _, label, *__: labels.append(label_text(label)))
         emb = SplitEmbedding(split_one)
         verify_universal_family(emb.algebra)
         verify_family(emb, max_paths=1)
@@ -863,7 +866,7 @@ class TestVerifiers:
         expect_equal = VerificationReport.expect_equal
 
         def recording(self, label, lhs, rhs):
-            labels.append(label)
+            labels.append(label_text(label))
             expect_equal(self, label, lhs, rhs)
 
         monkeypatch.setattr(VerificationReport, "expect_equal", recording)
@@ -888,6 +891,24 @@ class TestVerifiers:
         assert not report.ok
         assert report.failures
         assert "!=" in report.failures[0]
+
+    def test_a_passing_sweep_formats_no_path(self, split_one, split_two, monkeypatch):
+        # a check's label is formatted only when the check fails
+        shown = []
+        path_str = Path.__str__
+
+        def counting(p):
+            shown.append(p)
+            return path_str(p)
+
+        monkeypatch.setattr(Path, "__str__", counting)
+        emb = SplitEmbedding(split_one)
+        assert all(r.ok for r in _all_sweeps(lambda: emb, max_len=2))
+        assert shown == []
+        emb = SplitEmbedding(dataclasses.replace(split_one, graph=split_two.graph))
+        failures = [f for r in _all_sweeps(lambda: emb, max_len=2) for f in r.failures]
+        assert failures == CORRUPTED_FAILURES
+        assert shown
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_shared_embedding_changes_no_answer(self, split_one, split_two, corrupt):
@@ -952,7 +973,7 @@ class TestVerifiers:
 
         def checked(report, label, lhs, rhs):
             n = _right_join(lhs, rhs)
-            compared.append((label, lhs == rhs, action(lhs, n) == action(rhs, n)))
+            compared.append((label_text(label), lhs == rhs, action(lhs, n) == action(rhs, n)))
             expect_equal(report, label, lhs, rhs)
 
         monkeypatch.setattr(VerificationReport, "expect_equal", checked)
@@ -1003,6 +1024,18 @@ class TestPathTable:
                     assert x.terms() == y.terms()
                     assert str(x) == str(y)
                     assert x.is_zero() == y.is_zero()
+
+
+# The failure lines of the six sweeps at depth 2 on the first example's
+# split carrying the second example's split graph.
+CORRUPTED_FAILURES = [
+    "composition s[n]s[c]: t[f.1·b.2·α.3·α.1]t*[β.1·α.1]  !=  t[m.1·c.1·α.2·α.1]t*[β.1·α.1]",
+    "composition s*[c]s*[n]: t[β.1·α.1]t*[f.1·b.2·α.3·α.1]  !=  t[β.1·α.1]t*[m.1·c.1·α.2·α.1]",
+    "composition s[ℓ]s[b]: t[m.1·c.1·α.2·α.1]t*[β.1·α.1]  !=  t[f.1·b.2·α.3·α.1]t*[β.1·α.1]",
+    "composition s*[b]s*[ℓ]: t[β.1·α.1]t*[m.1·c.1·α.2·α.1]  !=  t[β.1·α.1]t*[f.1·b.2·α.3·α.1]",
+    "carry t[b] to copy 2: t[b.2·α.3]t*[α.2]  !=  t[b.2]",
+    "carry t*[b] to copy 2: t[α.2]t*[b.2·α.3]  !=  t*[b.2]",
+]
 
 
 def _sweeps(max_len: int = 3) -> list:
