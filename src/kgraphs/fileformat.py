@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .skeleton import (Edge, KGraph, Side, Skeleton, SquareSet, StructureError, UsageError, build_kgraph,
-                       checked_square)
+                       checked_square, declare_edge, declare_vertex)
 from .splitting import SplitError, SplitResult, SplitSpec, block_problem
 
 _ID = re.compile(r"^[^\s{}#,=:]+$")
 _TOKEN = re.compile(r"\S+")
 _BLOCK = re.compile(r"^\{([^\s{}#]*)\}$")
+_EDGE_TOKEN = {"name": 1, "color": 3, "source": 4, "range": 6}  # each Edge field's token in an edge line
 
 
 class ParseError(UsageError):
@@ -98,18 +99,18 @@ def _check_id(token: str, what: str, line: int, raw: str, index: int, skip: int 
 
 
 def parse(text: str) -> GraphDocument:
-    """Parse a document, validating names, square well-formedness and, per
-    declaration, the rules of ``Skeleton.create``, so the skeleton is built
-    directly from the checked data: the two rule sets must stay in step.
+    """Parse a document, checking each declaration at its line, so the first
+    failing line wins.
 
-    A ``square`` line's edges are looked up once, and ``checked_square``,
-    the check of ``SquareSet.create``, checks and orders the pair at that
-    line.  Every error is raised at its line, so the first failing line wins.
+    Id syntax is checked here.  A vertex, edge or square line is checked by
+    ``declare_vertex``, ``declare_edge`` or ``checked_square``, the checks of
+    ``Skeleton.create`` and ``SquareSet.create``; this adds the line, the
+    column of the failing token, and the file's name for a color.
 
     Every id is stored as one string: an edge's endpoints are the strings of
     their ``vertex`` lines, and a square side holds its edges' ``Edge.name``.
     """
-    header: tuple[str, int, tuple[str, ...]] | None = None
+    k, version, colors = 0, "", ()  # the header's fields; k is 0 until it is read
     color_index: dict[str, int] = {}
     vertices: dict[str, str] = {}  # each vertex id mapped to itself, the one string kept
     edges: dict[str, Edge] = {}
@@ -133,36 +134,29 @@ def parse(text: str) -> GraphDocument:
             if len(tokens) != 7 or tokens[2] != ":" or tokens[5] != "->":
                 raise ParseError(lineno, 1, "expected: edge <id> : <color> <source> -> <range>")
             name = _check_id(tokens[1], "edge", lineno, raw, 1)
-            if name in edges or name in vertices:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
-            if header is None:
-                raise ParseError(lineno, 1, "edge before header line")
-            color = color_index.get(tokens[3])
-            if color is None:
-                raise ParseError(lineno, _column(raw, 3), f"unknown color {tokens[3]!r}")
-            try:
-                edges[name] = Edge(name, color, vertices[tokens[4]], vertices[tokens[6]])
-            except KeyError:
-                i = 4 if tokens[4] not in vertices else 6
-                raise ParseError(lineno, _column(raw, i), f"unknown vertex {tokens[i]!r}") from None
+            if failed := declare_edge(edges, vertices, k, name, color_index.get(tokens[3], 0),
+                                      tokens[4], tokens[6]):
+                field, problem = failed
+                if field == "color":  # the library numbers colors, a file names them
+                    if not k:
+                        raise ParseError(lineno, 1, "edge before header line")
+                    problem = f"unknown color {tokens[3]!r}"
+                raise ParseError(lineno, _column(raw, _EDGE_TOKEN[field]), problem)
         elif keyword == "vertex":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "expected: vertex <id>")
             name = _check_id(tokens[1], "vertex", lineno, raw, 1)
-            if name in vertices:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate vertex id {name!r}")
-            if name in edges:
-                raise ParseError(lineno, _column(raw, 1), f"duplicate id {name!r}")
-            vertices[name] = name
+            if problem := declare_vertex(vertices, edges, name):
+                raise ParseError(lineno, _column(raw, 1), problem)
         elif keyword == "kgraph":
-            if header is not None:
+            if k:
                 raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 4 or not tokens[2].startswith("k=") or not tokens[3].startswith("colors="):
                 raise ParseError(lineno, 1, "expected: kgraph <version> k=<int> colors=<name,...>")
             rank = tokens[2][2:]
             if not (rank.isascii() and rank.isdigit()) or int(rank) < 1:
                 raise ParseError(lineno, _column(raw, 2), f"bad rank {rank!r}")
-            k = int(rank)
+            k, version = int(rank), tokens[1]
             colors = tuple(tokens[3][len("colors="):].split(","))
             skip = len("colors=")
             for c in colors:
@@ -170,16 +164,14 @@ def parse(text: str) -> GraphDocument:
                 skip += len(c) + 1
             if len(colors) != k or len(set(colors)) != k:
                 raise ParseError(lineno, 1, f"need {k} distinct color names, got {', '.join(colors)}")
-            header = (tokens[1], k, colors)
             color_index = {c: i for i, c in enumerate(colors, start=1)}
         else:
             raise ParseError(lineno, _column(raw, 0), f"unknown declaration {keyword!r}")
 
-    if header is None:
+    if not k:
         raise ParseError(1, 1, "missing header line: kgraph <version> k=<int> colors=<name,...>")
-    version, k, colors = header
-    skeleton = Skeleton(k, tuple(sorted(vertices)), tuple(edges[name] for name in sorted(edges)))
-    return GraphDocument(version, colors, skeleton, SquareSet(tuple(sorted(squares))))
+    return GraphDocument(version, colors, Skeleton.declared(k, vertices, edges),
+                         SquareSet(tuple(sorted(squares))))
 
 
 def _split_fields(tokens: list[str], lineno: int) -> tuple[str, str]:
@@ -261,7 +253,7 @@ def serialize(doc: GraphDocument) -> str:
 def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1") -> GraphDocument:
     colors = tuple(colors)
     if len(colors) != graph.k:
-        raise ValueError(f"need {graph.k} color names, got {len(colors)}")
+        raise UsageError(f"need {graph.k} color names, got {len(colors)}")
     return GraphDocument(version, colors, graph.skeleton, graph.squares)
 
 

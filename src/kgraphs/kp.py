@@ -60,17 +60,18 @@ per vertex and copy ``j``, lifted once) depend only on the immutable split,
 so sharing them changes no answer and builds each table once per run.
 A sweep runs thousands of checks, and each names itself by a template and
 its parts, which are formatted only when the check fails: a passing sweep
-writes out no path.
+writes out no path and no degree.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, degrees_with_total,
-                       difference, factor, format_degree, join)
+from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, UsageError,
+                       degrees_with_total, difference, factor, format_degree, join)
 from .splitting import SplitResult, copy_path, parent_path
 
 
@@ -98,7 +99,7 @@ def _exact(coeff: int) -> int:
 
 def _check_context(algebra: "KumjianPask", element: "KPElement") -> None:
     if element.algebra is not algebra:
-        raise ValueError("operands belong to different algebra contexts")
+        raise UsageError("operands belong to different algebra contexts")
 
 
 class KumjianPask:
@@ -155,7 +156,7 @@ class KumjianPask:
         left = self.graph.normal_form(left)
         right = self.graph.normal_form(right)
         if left.source != right.source:
-            raise ValueError(
+            raise UsageError(
                 f"term has mismatched sources: {left} ends at {left.source}, "
                 f"{right} at {right.source}"
             )
@@ -385,9 +386,11 @@ def saturation(graph: KGraph, seeds: Iterable[str]) -> frozenset[str]:
 
 
 def label_text(label: tuple) -> str:
-    """The text of a check's label: its template formatted with its parts."""
+    """The text of a check's label: its template formatted with its parts, a
+    degree, the one plain tuple among them (a ``Path`` is a named tuple), as
+    :func:`format_degree` writes it."""
     template, *parts = label
-    return template.format(*parts)
+    return template.format(*(format_degree(p) if type(p) is tuple else p for p in parts))
 
 
 @dataclass
@@ -396,7 +399,7 @@ class VerificationReport:
 
     A check's label is a ``str.format`` template followed by its parts,
     such as ``("diag {}", path)``; :func:`label_text` formats it only when
-    the check fails, so a passing check formats no path.
+    the check fails, so a passing check formats no path and no degree.
     """
 
     name: str
@@ -518,10 +521,9 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
                 rep.expect_equal(
                     ("t[{}]t[{}]", name, other), alg.path(p) * alg.path(q), alg.path(composite)
                 )
-    for v in graph.vertices:
-        for n in _kp4_degrees(graph.k, 0):
-            total = alg.sum(alg.path(lam) * alg.ghost(lam) for lam in graph.paths_with_range(v, n))
-            rep.expect_equal(("sum tt* over {}@{}", v, format_degree(n)), total, alg.vertex(v))
+    for v, n in itertools.product(graph.vertices, _kp4_degrees(graph.k, 0)):
+        total = alg.sum(alg.path(lam) * alg.ghost(lam) for lam in graph.paths_with_range(v, n))
+        rep.expect_equal(("sum tt* over {}@{}", v, n), total, alg.vertex(v))
     return rep
 
 
@@ -579,11 +581,10 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
                 expected = images_q[a.source] if a == b else zero
                 rep.expect_equal(("ghost pairing s*[{}]s[{}]", a, b), product, expected)
 
-    for v in lam.vertices:
-        for n in _kp4_degrees(lam.k, max_paths):
-            total = emb.algebra.sum(emb.path_image(p) * emb.ghost_image(p)
-                                    for p in lam.paths_with_range(v, n))
-            rep.expect_equal(("fullness {}@{}", v, format_degree(n)), total, images_q[v])
+    for v, n in itertools.product(lam.vertices, _kp4_degrees(lam.k, max_paths)):
+        total = emb.algebra.sum(emb.path_image(p) * emb.ghost_image(p)
+                                for p in lam.paths_with_range(v, n))
+        rep.expect_equal(("fullness {}@{}", v, n), total, images_q[v])
     return rep
 
 
@@ -679,9 +680,8 @@ def verify_grading(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
         rep.expect(("q[{}] homogeneous", v), set(q.graded_components()) == {zero_diff})
     for p in _paths_up_to(lam, max_len):
         image = emb.path_image(p)
-        degree_text = format_degree(p.degree)
-        rep.expect(("s[{}] homogeneous of {}", p, degree_text), set(image.graded_components()) == {p.degree})
+        rep.expect(("s[{}] homogeneous of {}", p, p.degree), set(image.graded_components()) == {p.degree})
         ghost = emb.ghost_image(p)
         neg = tuple(-x for x in p.degree)
-        rep.expect(("s*[{}] homogeneous of -{}", p, degree_text), set(ghost.graded_components()) == {neg})
+        rep.expect(("s*[{}] homogeneous of -{}", p, p.degree), set(ghost.graded_components()) == {neg})
     return rep

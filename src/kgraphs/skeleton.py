@@ -46,8 +46,8 @@ Conventions used throughout the package:
   and at a zero tail degree it is the normal form of the whole path.
 * All enumerations are deterministic: vertices and edges sort by
   identifier, path sets sort by their edge-id sequence.
-* Each id is one shared string.  ``fileformat.parse`` stores an edge's
-  endpoints as the strings of their ``vertex`` lines, :func:`checked_square`
+* Each id is one shared string.  :func:`declare_edge` stores an edge's
+  endpoints as the strings its vertex declarations stored, :func:`checked_square`
   builds every side from its ``Edge`` objects' ``name`` strings, and
   ``splitting.outsplit`` formats each copy name once; so the tuple-keyed
   lookups on sides and endpoints compare strings by identity.
@@ -73,7 +73,7 @@ class KGraphError(ValueError):
 
 
 class UsageError(KGraphError):
-    """Malformed input or an unknown name (exit code 2)."""
+    """Malformed input, an unknown name or a bad argument to a library call (exit code 2)."""
 
     exit_code = 2
 
@@ -131,14 +131,40 @@ class Edge(NamedTuple):
     range: str
 
 
+def declare_vertex(vertices: dict[str, str], edges: Mapping[str, Edge], name: str) -> str | None:
+    """Store vertex ``name`` in ``vertices``, which maps each id to itself, or
+    return why it cannot be declared."""
+    if name in vertices:
+        return f"duplicate vertex id {name!r}"
+    if name in edges:
+        return f"duplicate id {name!r}"
+    vertices[name] = name
+    return None
+
+
+def declare_edge(edges: dict[str, Edge], vertices: Mapping[str, str], k: int, name: str,
+                 color: int, source: str, range_: str) -> tuple[str, str] | None:
+    """Store the edge in ``edges``, its endpoints the strings of ``vertices``, or
+    return the ``Edge`` field that fails and why.  The rules run in one order:
+    a new id, a color in ``1..k``, a declared source, a declared range."""
+    if name in edges or name in vertices:
+        return "name", f"duplicate id {name!r}"
+    if not 1 <= color <= k:
+        return "color", f"edge {name!r} has color {color}, valid range is 1..{k}"
+    try:
+        edges[name] = Edge(name, color, vertices[source], vertices[range_])
+    except KeyError as exc:  # names the first endpoint not declared
+        return "source" if source not in vertices else "range", f"unknown vertex {exc.args[0]!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Finite k-colored directed multigraph.
 
-    Construct through :meth:`create`, which sorts the data and checks the
-    structural invariants (unique ids, declared endpoints, valid colors).
-    ``fileformat.parse`` checks the same rules per declaration and builds the
-    sorted skeleton directly, so the two rule sets must stay in step.
+    Construct through :meth:`create`, which checks each declaration with
+    :func:`declare_vertex` or :func:`declare_edge`, as ``fileformat.parse``
+    does at each line, and sorts the data by id.
     """
 
     k: int
@@ -147,27 +173,24 @@ class Skeleton:
 
     @staticmethod
     def create(k: int, vertices: Iterable[str], edges: Iterable[Edge]) -> "Skeleton":
+        """Declare the vertices, then the edges, in the order given; the first refused raises."""
         if k < 1:
             raise StructureError(f"k must be at least 1, got {k}")
-        vs = tuple(sorted(vertices))
-        es = tuple(sorted(edges, key=lambda e: e.name))
-        seen_v: set[str] = set()
-        for v in vs:
-            if v in seen_v:
-                raise StructureError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
-        seen_e: set[str] = set()
-        for e in es:
-            if e.name in seen_e:
-                raise StructureError(f"duplicate edge id {e.name!r}")
-            seen_e.add(e.name)
-            if e.name in seen_v:
-                raise StructureError(f"id {e.name!r} used for both a vertex and an edge")
-            if not 1 <= e.color <= k:
-                raise StructureError(f"edge {e.name!r} has color {e.color}, valid range is 1..{k}")
-            if e.source not in seen_v or e.range not in seen_v:
-                raise StructureError(f"edge {e.name!r} references undeclared vertex")
-        return Skeleton(k, vs, es)
+        vs: dict[str, str] = {}
+        es: dict[str, Edge] = {}
+        for v in vertices:
+            if problem := declare_vertex(vs, es, v):
+                raise StructureError(problem)
+        for e in edges:
+            if failed := declare_edge(es, vs, k, *e):
+                raise StructureError(failed[1])
+        return Skeleton.declared(k, vs, es)
+
+    @staticmethod
+    def declared(k: int, vertices: Iterable[str], edges: Mapping[str, Edge]) -> "Skeleton":
+        """The skeleton of vertices and edges, keyed by id, that pass the declaration
+        checks, sorted by id: what the checkers stored, or ``outsplit``'s copies."""
+        return Skeleton(k, tuple(sorted(vertices)), tuple(map(edges.__getitem__, sorted(edges))))
 
     @cached_property
     def edge_map(self) -> Mapping[str, Edge]:
@@ -515,7 +538,7 @@ class KGraph:
     def make_path(self, edge_names: Sequence[str]) -> Path:
         """Path from edge ids in traversal order (first-traversed first)."""
         if not edge_names:
-            raise ValueError("a path needs at least one edge; use vertex_path for vertices")
+            raise UsageError("a path needs at least one edge; use vertex_path for vertices")
         edges = [self.skeleton.edge(name) for name in edge_names]
         for earlier, later in itertools.pairwise(edges):
             if later.source != earlier.range:
@@ -550,15 +573,6 @@ class KGraph:
             edges, alpha.source, path.range, tuple(map(operator.add, alpha.degree, path.degree)))
 
     # -- squares and normal forms ---------------------------------------------
-
-    def swap(self, outer: str, inner: str) -> Side:
-        """The unique square partner of the 2-path ``outer∘inner``."""
-        eo, ei = self.skeleton.edge(outer), self.skeleton.edge(inner)
-        if eo.color == ei.color:
-            raise StructureError(f"swap needs a bicolored 2-path, both edges have color {eo.color}")
-        if eo.source != ei.range:
-            raise StructureError(f"{outer} after {inner} is not a path")
-        return self.squares.swap_map[(outer, inner)]
 
     @cached_property
     def _color(self) -> dict[str, int]:
@@ -611,9 +625,9 @@ class KGraph:
         if not self.skeleton.has_vertex(v):
             raise StructureError(f"unknown vertex {v!r}")
         if len(degree) != self.k:
-            raise ValueError(f"degree {format_degree(degree)} has wrong rank for a {self.k}-graph")
+            raise UsageError(f"degree {format_degree(degree)} has wrong rank for a {self.k}-graph")
         if min(degree) < 0:
-            raise ValueError(f"negative degree component in {format_degree(degree)}")
+            raise UsageError(f"negative degree component in {format_degree(degree)}")
         return self._paths_with_range(v, degree)
 
     def _paths_with_range(self, v: str, degree: Degree) -> tuple[Path, ...]:
@@ -655,7 +669,7 @@ class KGraph:
     def degree_sinks(self, color: int) -> tuple[str, ...]:
         """Vertices with no outgoing edge of the color."""
         if not 1 <= color <= self.k:
-            raise ValueError(f"color {color} out of range 1..{self.k}")
+            raise UsageError(f"color {color} out of range 1..{self.k}")
         return tuple(v for v in self.vertices if not self.skeleton.edges_from(v, color))
 
 
@@ -667,7 +681,7 @@ def factor(graph: KGraph, path: Path, source_degree: Degree) -> tuple[Path, Path
     cached normal form of ``path`` and the tail the vertex ``s(path)``.
     """
     if not dominates(path.degree, source_degree):
-        raise ValueError(f"cannot factor degree {format_degree(path.degree)} "
+        raise UsageError(f"cannot factor degree {format_degree(path.degree)} "
                          f"with first part {format_degree(source_degree)}")
     if not any(source_degree):
         return graph.normal_form(path), Path((), path.source, path.source, source_degree)
@@ -697,48 +711,3 @@ def build_kgraph(skeleton: Skeleton, squares: SquareSet) -> KGraph:
         raise KGraphInvalid(report)
     return KGraph(skeleton, squares)
 
-
-def product_graph(factors: Sequence[Skeleton]) -> KGraph:
-    """Cartesian product of single-color graphs, with its unique square structure.
-
-    Factor i contributes the color-i edges, which move the i-th coordinate.
-    Every pair of edges in distinct factors commutes in exactly one way, so
-    the result always validates; it is source-free when every factor vertex
-    has an incoming edge.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    for i, f in enumerate(factors, start=1):
-        if f.k != 1:
-            raise StructureError(f"factor {i} must be 1-colored, has k={f.k}")
-        if not f.vertices:
-            raise StructureError(f"factor {i} is empty")
-        for v in f.vertices:
-            if not f.edges_into(v, 1):
-                raise StructureError(f"factor {i} is not source-free: vertex {v!r}")
-    k = len(factors)
-    if k == 1:
-        return build_kgraph(factors[0], SquareSet(()))
-
-    def vname(point: tuple[str, ...]) -> str:
-        return "|".join(point)
-
-    def ename(i: int, edge: Edge, point: tuple[str, ...]) -> str:
-        return f"{edge.name}~{i + 1}|{'|'.join(point[:i] + point[i + 1 :])}"
-
-    def step(point: tuple[str, ...], i: int, edge: Edge) -> tuple[str, ...]:
-        return point[:i] + (edge.range,) + point[i + 1 :]
-
-    points = list(itertools.product(*[f.vertices for f in factors]))
-    vertices = [vname(p) for p in points]
-    edges = []
-    pairs = []
-    for p in points:
-        out = [(i, e) for i, f in enumerate(factors) for e in f.edges_from(p[i], 1)]
-        edges.extend(Edge(ename(i, e, p), i + 1, vname(p), vname(step(p, i, e))) for i, e in out)
-        for (i, ei), (j, ej) in itertools.combinations(out, 2):
-            if i != j:  # side 1 moves factor j first, side 2 factor i first
-                pairs.append(((ename(i, ei, step(p, j, ej)), ename(j, ej, p)),
-                              (ename(j, ej, step(p, i, ei)), ename(i, ei, p))))
-    skeleton = Skeleton.create(k, vertices, edges)
-    return build_kgraph(skeleton, SquareSet.create(skeleton, pairs))

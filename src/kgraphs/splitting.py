@@ -248,7 +248,8 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     parent = {name: v for v, names in copies.items() for name in names}
     vertex_copies = list(parent)
 
-    edges = []
+    # every copy name is new and every endpoint a vertex copy, so no declaration check can fail
+    edges: dict[str, Edge] = {}
     source_index: dict[str, tuple[int, ...]] = {}  # per edge, its copies' source copies, 0-based
     for e in graph.edges:
         name, ranges = e.name, copies[e.range]
@@ -270,10 +271,10 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         source_index[name] = js
         sources = copies[e.source]
         for copy, j, r in zip(names, js, ranges):
-            edges.append(Edge(copy, e.color, sources[j], r))
+            edges[copy] = Edge(copy, e.color, sources[j], r)
             parent[copy] = name
 
-    skeleton = Skeleton.create(graph.k, vertex_copies, edges)
+    skeleton = Skeleton.declared(graph.k, vertex_copies, edges)
 
     pairs = []
     for (a, b), (g, h) in graph.squares.pairs:

@@ -1,9 +1,11 @@
-"""Shared fixtures: the two worked 2-graphs, their splits, and generators."""
+"""Shared fixtures: the two worked 2-graphs, their splits, generators, and `product_graph`."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -13,6 +15,7 @@ from kgraphs import (
     Skeleton,
     SplitSpec,
     SquareSet,
+    StructureError,
     build_kgraph,
     default_spec,
     outsplit,
@@ -177,3 +180,49 @@ def random_one_skeleton(rng: random.Random, tag: str, max_vertices: int = 6) -> 
     for j in range(rng.randint(0, n)):
         edges.append(Edge(f"{tag}x{j}", 1, rng.choice(vertices), rng.choice(vertices)))
     return Skeleton.create(1, vertices, edges)
+
+
+def product_graph(factors: Sequence[Skeleton]) -> KGraph:
+    """Cartesian product of single-color graphs, with its unique square structure.
+
+    Factor i contributes the color-i edges, which move the i-th coordinate.
+    Every pair of edges in distinct factors commutes in exactly one way, so
+    the result always validates; it is source-free when every factor vertex
+    has an incoming edge.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    for i, f in enumerate(factors, start=1):
+        if f.k != 1:
+            raise StructureError(f"factor {i} must be 1-colored, has k={f.k}")
+        if not f.vertices:
+            raise StructureError(f"factor {i} is empty")
+        for v in f.vertices:
+            if not f.edges_into(v, 1):
+                raise StructureError(f"factor {i} is not source-free: vertex {v!r}")
+    k = len(factors)
+    if k == 1:
+        return build_kgraph(factors[0], SquareSet(()))
+
+    def vname(point: tuple[str, ...]) -> str:
+        return "|".join(point)
+
+    def ename(i: int, edge: Edge, point: tuple[str, ...]) -> str:
+        return f"{edge.name}~{i + 1}|{'|'.join(point[:i] + point[i + 1 :])}"
+
+    def step(point: tuple[str, ...], i: int, edge: Edge) -> tuple[str, ...]:
+        return point[:i] + (edge.range,) + point[i + 1 :]
+
+    points = list(itertools.product(*[f.vertices for f in factors]))
+    vertices = [vname(p) for p in points]
+    edges = []
+    pairs = []
+    for p in points:
+        out = [(i, e) for i, f in enumerate(factors) for e in f.edges_from(p[i], 1)]
+        edges.extend(Edge(ename(i, e, p), i + 1, vname(p), vname(step(p, i, e))) for i, e in out)
+        for (i, ei), (j, ej) in itertools.combinations(out, 2):
+            if i != j:  # side 1 moves factor j first, side 2 factor i first
+                pairs.append(((ename(i, ei, step(p, j, ej)), ename(j, ej, p)),
+                              (ename(j, ej, step(p, i, ei)), ename(i, ei, p))))
+    skeleton = Skeleton.create(k, vertices, edges)
+    return build_kgraph(skeleton, SquareSet.create(skeleton, pairs))

@@ -16,7 +16,6 @@ from kgraphs import (
     SquareSet,
     outsplit,
     pairing_report,
-    product_graph,
     saturation,
     validate,
     verify_corner,
@@ -31,6 +30,7 @@ from conftest import (
     BLUE,
     DATA,
     paper_spec,
+    product_graph,
     random_double,
     random_one_skeleton,
     shuffled_spec,

@@ -29,7 +29,6 @@ from kgraphs import (
     default_spec,
     outsplit,
     pairing_report,
-    product_graph,
     reconstruct_split,
     sibling_set,
     validate,
@@ -43,7 +42,7 @@ from kgraphs import (
 from kgraphs.fileformat import (check_split, document_for_graph, parse, parse_sidecar, serialize,
                                 split_texts)
 
-from conftest import BLUE, RED, random_one_skeleton
+from conftest import BLUE, RED, product_graph, random_one_skeleton
 from test_skeleton import _reference_report
 
 

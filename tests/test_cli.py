@@ -18,11 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kgraphs.cli
-from kgraphs import Edge, Skeleton, kp, product_graph
+from kgraphs import Edge, Skeleton, kp
 from kgraphs.cli import main
 from kgraphs.fileformat import document_for_graph, serialize
 
-from conftest import DATA, diagonal_double
+from conftest import DATA, diagonal_double, product_graph
 
 
 SWEEPS = ("universal-family", "kp-family", "swap-identities", "diagonal", "corner", "grading")

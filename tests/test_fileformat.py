@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from kgraphs import (Edge, Skeleton, SplitSpec, SquareSet, StructureError, default_spec, outsplit,
-                     product_graph)
+from kgraphs import Edge, Skeleton, SplitSpec, SquareSet, StructureError, default_spec, outsplit
 from kgraphs.fileformat import (
     GraphDocument,
     ParseError,
@@ -21,7 +20,7 @@ from kgraphs.fileformat import (
     split_texts,
 )
 
-from conftest import DATA, paper_spec, random_one_skeleton
+from conftest import DATA, paper_spec, product_graph, random_one_skeleton
 
 
 @pytest.fixture(scope="module")
@@ -84,25 +83,32 @@ class TestParse:
         assert doc.squares == squares and doc.squares.swap_map == squares.swap_map
 
     @pytest.mark.parametrize(
-        "extra", ["vertex p\n", "edge a : red p -> p\n", "vertex a\n", "edge p : blue p -> p\n",
-                  "edge z : blue p -> q\n"],
+        "extra,column",
+        [("vertex p\n", 8), ("edge a : red p -> p\n", 6), ("vertex a\n", 8),
+         ("edge p : blue p -> p\n", 6), ("edge z : blue p -> q\n", 20),
+         ("edge a : green p -> p\n", 6), ("edge z : blue q -> w\n", 15)],
         ids=["duplicate-vertex", "duplicate-edge", "vertex-named-as-an-edge",
-             "edge-named-as-a-vertex", "undeclared-endpoint"])
-    def test_rejects_what_the_checked_constructor_rejects(self, extra):
+             "edge-named-as-a-vertex", "undeclared-endpoint", "duplicate-id-before-unknown-color",
+             "unknown-source-before-unknown-range"])
+    def test_rejects_what_the_checked_constructor_rejects(self, extra, column):
         # the rejecting half of the parity above: each Skeleton.create rule
-        # that a document can break fails in both, on the same declarations
+        # that a document can break fails in both, on the same declaration and
+        # in the same words; where a line breaks two rules, the first in the
+        # order id, color, source, range wins, at the column of its token
         text = MINIMAL + extra
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as parsed:
             parse(text)
+        assert (parsed.value.line, parsed.value.column) == (6, column)
         vertices, edges = [], []
         for tokens in map(str.split, text.splitlines()):
             if tokens[0] == "vertex":
                 vertices.append(tokens[1])
             elif tokens[0] == "edge":
-                color = ("blue", "red").index(tokens[3]) + 1
+                color = {"blue": 1, "red": 2}.get(tokens[3], 3)  # 3 is out of range
                 edges.append(Edge(tokens[1], color, tokens[4], tokens[6]))
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError) as created:
             Skeleton.create(2, vertices, edges)
+        assert parsed.value.message == str(created.value)
 
     @pytest.mark.parametrize("source", sorted(p.name for p in DATA.glob("*.kg")) + ["product"])
     def test_ids_are_shared_strings(self, source):

@@ -31,6 +31,7 @@ from kgraphs import (
     verify_swap_identities,
     verify_universal_family,
 )
+from kgraphs import kp
 from kgraphs.fileformat import parse
 from kgraphs.kp import label_text
 from kgraphs.skeleton import dominates, join
@@ -893,22 +894,29 @@ class TestVerifiers:
         assert "!=" in report.failures[0]
 
     def test_a_passing_sweep_formats_no_path(self, split_one, split_two, monkeypatch):
-        # a check's label is formatted only when the check fails
-        shown = []
-        path_str = Path.__str__
+        # a check's label is formatted only when the check fails: no path, no degree
+        shown, degrees = [], []
+        path_str, degree_text = Path.__str__, kp.format_degree
 
         def counting(p):
             shown.append(p)
             return path_str(p)
 
+        def counting_degree(d):
+            degrees.append(d)
+            return degree_text(d)
+
         monkeypatch.setattr(Path, "__str__", counting)
+        monkeypatch.setattr(kp, "format_degree", counting_degree)
         emb = SplitEmbedding(split_one)
         assert all(r.ok for r in _all_sweeps(lambda: emb, max_len=2))
-        assert shown == []
+        assert shown == [] and degrees == []
         emb = SplitEmbedding(dataclasses.replace(split_one, graph=split_two.graph))
         failures = [f for r in _all_sweeps(lambda: emb, max_len=2) for f in r.failures]
         assert failures == CORRUPTED_FAILURES
-        assert shown
+        assert shown and degrees == []  # none of these failures names a degree
+        assert label_text(("fullness {}@{}", "v", (1, 0))) == "fullness v@(1,0)"
+        assert degrees == [(1, 0)]  # a failing label writes its degree through the counted hook
 
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_shared_embedding_changes_no_answer(self, split_one, split_two, corrupt):

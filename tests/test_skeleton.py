@@ -12,16 +12,17 @@ from hypothesis import given, settings, strategies as st
 from kgraphs import (
     Edge,
     KGraph,
+    KGraphError,
     KGraphInvalid,
     Skeleton,
     SquareSet,
     StructureError,
     build_kgraph,
     degrees_with_total,
-    product_graph,
     validate,
 )
-from kgraphs.fileformat import parse
+from kgraphs.fileformat import document_for_graph, parse
+from kgraphs.kp import KumjianPask
 from kgraphs.skeleton import (
     HexagonFailure,
     ValidationReport,
@@ -31,7 +32,7 @@ from kgraphs.skeleton import (
     join,
 )
 
-from conftest import BLUE, DATA, RED, SQUARES_ONE, lambda_skeleton, random_double
+from conftest import BLUE, DATA, RED, SQUARES_ONE, lambda_skeleton, product_graph, random_double
 from oracle import ascending_member, ascends, swap_class
 
 
@@ -66,12 +67,20 @@ class TestSkeletonStructure:
 
     def test_duplicate_edge(self):
         edges = [Edge("a", 1, "v", "v"), Edge("a", 1, "v", "v")]
-        with pytest.raises(StructureError, match="duplicate edge"):
+        with pytest.raises(StructureError, match="^duplicate id 'a'$"):
             Skeleton.create(1, ["v"], edges)
 
     def test_undeclared_endpoint(self):
-        with pytest.raises(StructureError, match="undeclared vertex"):
+        with pytest.raises(StructureError, match="^unknown vertex 'w'$"):
             Skeleton.create(1, ["v"], [Edge("a", 1, "v", "w")])
+
+    def test_first_failing_declaration_in_the_given_order_wins(self):
+        # sorted by id, edge a would be checked first and name y
+        edges = [Edge("b", 1, "v", "x"), Edge("a", 1, "y", "v")]
+        with pytest.raises(StructureError, match="^unknown vertex 'x'$"):
+            Skeleton.create(1, ["v"], edges)
+        with pytest.raises(StructureError, match="^duplicate vertex id 'w'$"):
+            Skeleton.create(1, ["w", "v", "w", "v"], [])
 
     def test_bad_color(self):
         with pytest.raises(StructureError, match="color"):
@@ -84,7 +93,7 @@ class TestSkeletonStructure:
     def test_id_shared_by_a_vertex_and_an_edge(self):
         with pytest.raises(StructureError) as exc:
             Skeleton.create(1, ["v"], [Edge("v", 1, "v", "v")])
-        assert str(exc.value) == "id 'v' used for both a vertex and an edge"
+        assert str(exc.value) == "duplicate id 'v'"
 
 
 class TestSquareStructure:
@@ -400,15 +409,9 @@ def _mutated_squares(rng: random.Random, graph: KGraph) -> SquareSet:
 
 class TestSwap:
     def test_worked_examples(self, lambda_one):
-        assert lambda_one.swap("e", "h") == ("k", "b")
-        assert lambda_one.swap("k", "b") == ("e", "h")
-        assert lambda_one.swap("m", "ℓ") == ("n", "f")
-
-    def test_same_color_rejected(self, lambda_one):
-        with pytest.raises(StructureError, match="bicolored"):
-            lambda_one.swap("n", "ℓ")
-        with pytest.raises(StructureError, match="not a path"):
-            lambda_one.swap("e", "α")
+        assert lambda_one.squares.swap_map["e", "h"] == ("k", "b")
+        assert lambda_one.squares.swap_map["k", "b"] == ("e", "h")
+        assert lambda_one.squares.swap_map["m", "ℓ"] == ("n", "f")
 
     def test_swap_is_an_involution_on_all_two_paths(self, lambda_one):
         count = 0
@@ -416,8 +419,8 @@ class TestSwap:
             for outer in lambda_one.skeleton.edges_from(inner.range):
                 if outer.color == inner.color:
                     continue
-                partner = lambda_one.swap(outer.name, inner.name)
-                assert lambda_one.swap(*partner) == (outer.name, inner.name)
+                partner = lambda_one.squares.swap_map[outer.name, inner.name]
+                assert lambda_one.squares.swap_map[partner] == (outer.name, inner.name)
                 count += 1
         assert count == 16
 
@@ -431,8 +434,8 @@ class TestSwap:
                 for outer in graph.skeleton.edges_from(inner.range):
                     if outer.color == inner.color:
                         continue
-                    po, pi = graph.swap(outer.name, inner.name)
-                    assert graph.swap(po, pi) == (outer.name, inner.name)
+                    po, pi = graph.squares.swap_map[outer.name, inner.name]
+                    assert graph.squares.swap_map[po, pi] == (outer.name, inner.name)
                     eo, ei = graph.edge(po), graph.edge(pi)
                     assert (eo.color, ei.color) == (inner.color, outer.color)
                     assert ei.source == graph.edge(inner.name).source
@@ -642,7 +645,7 @@ def brute_force_classes(graph, v, degree):
                 first, second = cur[idx], cur[idx + 1]
                 if graph.edge(first).color == graph.edge(second).color:
                     continue
-                outer, inner = graph.swap(second, first)
+                outer, inner = graph.squares.swap_map[second, first]
                 alt = cur[:idx] + (inner, outer) + cur[idx + 2 :]
                 if alt not in cls:
                     cls.add(alt)
@@ -718,6 +721,25 @@ class TestVertexProperties:
         assert cycle.degree_sinks(1) == ()
         with pytest.raises(ValueError, match="color"):
             lambda_one.degree_sinks(3)
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("call", [
+        lambda g: g.make_path(()),
+        lambda g: g.paths_with_range("v", (1, 0, 0)),
+        lambda g: g.paths_with_range("v", (1, -1)),
+        lambda g: g.degree_sinks(3),
+        lambda g: factor(g, g.make_path(("h",)), (0, 1)),
+        lambda g: document_for_graph(g, ["blue"]),
+        lambda g: KumjianPask(g).vertex("v") * KumjianPask(g).vertex("v"),
+        lambda g: KumjianPask(g).term(g.make_path(("b",)), g.make_path(("f",))),
+    ], ids=["make_path", "paths_with_range-rank", "paths_with_range-negative", "degree_sinks",
+            "factor", "document_for_graph", "algebra-context", "term-sources"])
+    def test_a_bad_argument_is_a_usage_error(self, lambda_one, call):
+        # one hierarchy: the CLI maps any of these to exit code 2, not a traceback
+        with pytest.raises(KGraphError) as exc:
+            call(lambda_one)
+        assert exc.value.exit_code == 2
 
 
 def _loop(tag: str) -> Skeleton:

@@ -23,7 +23,6 @@ from kgraphs import (
     outsplit,
     pairing_report,
     parent_path,
-    product_graph,
     reconstruct_split,
     sibling_set,
     split_region,
@@ -37,6 +36,7 @@ from conftest import (
     RED,
     diagonal_double,
     paper_spec,
+    product_graph,
     random_double,
     shuffled_spec,
 )
