@@ -20,14 +20,15 @@ by every ``α`` of degree ``(d(μ) ∨ d(ν)) − d(μ)`` and factoring ``μα``
 The context caches those rows per ``(μ, d(ν))``, so a product is a hash join
 of the rows' heads against the right operand's left paths; the id of an
 extension ``λα`` is ``intern`` of ``KGraph.extend``, whose normal forms the
-graph caches by edge tuple.  A fixed left element joins a whole group of
-right operands at once (``products``), reading each row and extending each
-``α`` once for the group, and ``KumjianPask.sum`` accumulates every sum,
-``+`` included, in one term map.  When ``d(ν) ≤ d(μ)`` the only ``α`` is the
-vertex ``s(μ)``, and when ``d(ν) ≥ d(μ)`` every ``β`` is the vertex
-``s(ν)``.  The context interns the vertex paths first, as ids ``0..|V|−1``,
-so extending a path by a vertex, or a vertex by a path, is an id comparison
-and stores nothing.  Two kinds of row are read off without factoring: at
+graph caches by edge tuple.  ``KumjianPask.products`` joins a group of left
+elements against a group of right ones: it indexes the rights once, and each
+left term reads its rows and extends each ``α`` once for the whole group;
+``a.products(bs)`` and ``*`` are its one-row cases.  ``KumjianPask.sum``
+accumulates every sum, ``+`` included, in one term map.  When
+``d(ν) ≤ d(μ)`` the only ``α`` is the vertex ``s(μ)``, and when
+``d(ν) ≥ d(μ)`` every ``β`` is the vertex ``s(ν)``.  The context interns
+the vertex paths first, as ids ``0..|V|−1``, so extending a path by a
+vertex, or a vertex by a path, is an id comparison and stores nothing.  Two kinds of row are read off without factoring: at
 ``d(ν) = 0`` the one row of ``μ`` is ``(s(μ), r(μ), μ)``, and at a vertex
 ``μ`` the rows are ``(α, α, s(α))``.
 
@@ -68,7 +69,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .skeleton import (Degree, KGraph, KGraphError, Path, StructureError, UsageError,
                        degrees_with_total, difference, factor, format_degree, join)
@@ -152,6 +153,53 @@ class KumjianPask:
                 out[t] = out.get(t, 0) + c
         return KPElement(self, out)
 
+    def products(self, lefts: Iterable["KPElement"],
+                 rights: Iterable["KPElement"]) -> Iterator[list["KPElement"]]:
+        """The rows ``[a * b for b in rights]`` for ``a`` in ``lefts``, joined against one index.
+
+        The index maps each degree and left path id of a right term to the
+        rows ``(column, right path id, coefficient)``; it is built once per
+        call, so each left term reads its ``extensions`` rows and extends
+        each ``α`` once for the whole right group.  A row is computed when
+        it is read, so a caller that reads them one at a time holds one; the
+        rights' contexts are checked at the call, a left's when its row is
+        read.
+        """
+        paths, extend, extensions = self.paths, self.extend, self.extensions
+        index: dict[Degree, dict[int, list[tuple[int, int, int]]]] = {}
+        rights = list(rights)
+        for column, other in enumerate(rights):
+            _check_context(self, other)
+            for (left, right), c in other._terms.items():
+                d = paths[left].degree
+                by_path = index.get(d)
+                if by_path is None:
+                    by_path = index[d] = {}
+                rows = by_path.get(left)
+                if rows is None:
+                    by_path[left] = [(column, right, c)]
+                else:
+                    rows.append((column, right, c))
+
+        def row(element: KPElement) -> list[KPElement]:
+            _check_context(self, element)
+            outs: list[dict[tuple[int, int], int]] = [{} for _ in rights]
+            for (left1, right1), c1 in element._terms.items():
+                for d, by_path in index.items():
+                    # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
+                    for alpha, head, beta in extensions(right1, d):
+                        rows = by_path.get(head)
+                        if rows is None:
+                            continue
+                        left = extend(left1, alpha)
+                        for column, right, c2 in rows:
+                            out = outs[column]
+                            key = (left, extend(right, beta))
+                            out[key] = out.get(key, 0) + c1 * c2
+            return [KPElement(self, out) for out in outs]
+
+        return map(row, lefts)
+
     def term(self, left: Path, right: Path, coeff: int = 1) -> "KPElement":
         left = self.graph.normal_form(left)
         right = self.graph.normal_form(right)
@@ -221,8 +269,9 @@ class KPElement:
     ``adjoint`` only build terms from ids.  The constructor owns ``terms``,
     a fresh dict no one else holds, and is the only place that drops zero
     coefficients; it copies the dict only when a coefficient is 0.  ``*``
-    multiplies two elements of one context, :meth:`products` one element by
-    each of a group, :meth:`scale` by an integer.  ``==`` is equality in the
+    multiplies two elements of one context and :meth:`products` one element
+    by each of a group, both through :meth:`KumjianPask.products`;
+    :meth:`scale` multiplies by an integer.  ``==`` is equality in the
     algebra: a fast term-map comparison first, then a refinement of the
     difference to a common degree.
     """
@@ -257,33 +306,11 @@ class KPElement:
     def __mul__(self, other):
         if not isinstance(other, KPElement):
             return NotImplemented
-        return self.products((other,))[0]
+        return next(self.algebra.products((self,), (other,)))[0]
 
     def products(self, others: Iterable["KPElement"]) -> list["KPElement"]:
-        """``[self * o for o in others]`` from one hash join over all the operands."""
-        alg = self.algebra
-        paths, extend = alg.paths, alg.extend
-        # every operand's terms by degree and path on the left, each row naming its output
-        groups: dict[Degree, dict[int, list[tuple[dict[tuple[int, int], int], int, int]]]] = {}
-        outs: list[dict[tuple[int, int], int]] = []
-        for other in others:
-            _check_context(alg, other)
-            out: dict[tuple[int, int], int] = {}
-            outs.append(out)
-            for (left, right), c in other._terms.items():
-                groups.setdefault(paths[left].degree, {}).setdefault(left, []).append((out, right, c))
-        for (left1, right1), c1 in self._terms.items():
-            for d, by_path in groups.items():
-                # t_μ* t_ν = Σ t_α t_β* over the rows of extensions(μ, d(ν)) headed by ν
-                for alpha, head, beta in alg.extensions(right1, d):
-                    rows = by_path.get(head)
-                    if rows is None:
-                        continue
-                    left = extend(left1, alpha)
-                    for out, right, c2 in rows:
-                        key = (left, extend(right, beta))
-                        out[key] = out.get(key, 0) + c1 * c2
-        return [KPElement(alg, out) for out in outs]
+        """``[self * o for o in others]``, the one-row case of :meth:`KumjianPask.products`."""
+        return next(self.algebra.products((self,), others))
 
     def adjoint(self) -> "KPElement":
         return KPElement(self.algebra, {(right, left): c for (left, right), c in self._terms.items()})
@@ -480,6 +507,18 @@ def _paths_up_to(graph: KGraph, max_total: int, include_vertices: bool = False) 
             for v in graph.vertices for p in graph.paths_with_range(v, degree)]
 
 
+def _grouped(items: Iterable, key) -> dict:
+    """``items`` in lists by ``key``, each list and the keys in first-seen order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
+
+
+def _column(rows: Iterable[list[KPElement]], i: int = 0) -> list[KPElement]:
+    return [row[i] for row in rows]
+
+
 def _kp4_degrees(k: int, max_total: int) -> list[Degree]:
     degrees = [tuple(int(i == c) for i in range(1, k + 1)) for c in range(1, k + 1)]
     if k > 1:
@@ -500,27 +539,30 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
     """
     graph = alg.graph
     rep = VerificationReport("universal-family")
-    for v in graph.vertices:
-        for w in graph.vertices:
-            expected = alg.vertex(v) if v == w else alg.zero()
-            rep.expect_equal(("p[{}]p[{}]", v, w), alg.vertex(v) * alg.vertex(w), expected)
+    vertices = [alg.vertex(v) for v in graph.vertices]
+    for v, p_v, row in zip(graph.vertices, vertices, alg.products(vertices, vertices)):
+        for w, product in zip(graph.vertices, row):
+            rep.expect_equal(("p[{}]p[{}]", v, w), product, p_v if v == w else alg.zero())
     edge_paths = {e.name: graph.make_path((e.name,)) for e in graph.edges}
     for name, p in edge_paths.items():
         t = alg.path(p)
         rep.expect_equal(("t[{}]p[s]", name), t * alg.vertex(p.source), t)
         rep.expect_equal(("p[r]t[{}]", name), alg.vertex(p.range) * t, t)
         rep.expect_equal(("t*[{0}]t[{0}]", name), alg.ghost(p) * t, alg.vertex(p.source))
-    for name, p in edge_paths.items():
-        for other, q in edge_paths.items():
-            if name == other or p.degree != q.degree or p.range != q.range:
-                continue
-            rep.expect_equal(("t*[{}]t[{}]", name, other), alg.ghost(p) * alg.path(q), alg.zero())
-        for other, q in edge_paths.items():
-            if q.range == p.source:
-                composite = graph.compose(p, q)
-                rep.expect_equal(
-                    ("t[{}]t[{}]", name, other), alg.path(p) * alg.path(q), alg.path(composite)
-                )
+    # the partners of each edge, in edge order: same degree (color) and range, or range at its source
+    by_color_range = _grouped(graph.edges, lambda e: (e.color, e.range))
+    by_range = _grouped(graph.edges, lambda e: e.range)
+    for e in graph.edges:
+        name, p = e.name, edge_paths[e.name]
+        others = [f.name for f in by_color_range[e.color, e.range] if f is not e]
+        products = alg.ghost(p).products([alg.path(edge_paths[other]) for other in others])
+        for other, product in zip(others, products):
+            rep.expect_equal(("t*[{}]t[{}]", name, other), product, alg.zero())
+        others = [f.name for f in by_range.get(e.source, [])]
+        products = alg.path(p).products([alg.path(edge_paths[other]) for other in others])
+        for other, product in zip(others, products):
+            composite = graph.compose(p, edge_paths[other])
+            rep.expect_equal(("t[{}]t[{}]", name, other), product, alg.path(composite))
     for v, n in itertools.product(graph.vertices, _kp4_degrees(graph.k, 0)):
         total = alg.sum(alg.path(lam) * alg.ghost(lam) for lam in graph.paths_with_range(v, n))
         rep.expect_equal(("sum tt* over {}@{}", v, n), total, alg.vertex(v))
@@ -532,58 +574,74 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
 
     Products and pairings run over all paths with total length up to
     ``max_paths``; the fullness relation runs over basis degrees, the
-    all-ones degree, and every degree within the bound.
+    all-ones degree, and every degree within the bound.  Each kind of check
+    joins a group of left operands against a group of right operands
+    (:meth:`KumjianPask.products`), and the checks run in the order of a
+    scan over ``paths``.
     """
-    lam = emb.result.original
+    lam, alg = emb.result.original, emb.algebra
     rep = VerificationReport("kp-family")
     images_q = {v: emb.vertex_image(v) for v in lam.vertices}
     paths = _paths_up_to(lam, max_paths)
     images_s = {p: emb.path_image(p) for p in paths}
     images_g = {p: emb.ghost_image(p) for p in paths}
-    zero = emb.algebra.zero()
+    zero = alg.zero()
 
-    for v in lam.vertices:
-        for w in lam.vertices:
+    qs = list(images_q.values())
+    for v, row in zip(lam.vertices, alg.products(qs, qs)):
+        for w, product in zip(lam.vertices, row):
             expected = images_q[v] if v == w else zero
-            rep.expect_equal(("orthogonality q[{}]q[{}]", v, w), images_q[v] * images_q[w], expected)
+            rep.expect_equal(("orthogonality q[{}]q[{}]", v, w), product, expected)
 
-    for p in paths:
-        rep.expect_equal(("unit q[r]s[{}]", p), images_q[p.range] * images_s[p], images_s[p])
-        rep.expect_equal(("unit s[{}]q[s]", p), images_s[p] * images_q[p.source], images_s[p])
-        rep.expect_equal(("unit q[s]s*[{}]", p), images_q[p.source] * images_g[p], images_g[p])
-        rep.expect_equal(("unit s*[{}]q[r]", p), images_g[p] * images_q[p.range], images_g[p])
+    # ``paths`` runs by length, then degree, so each degree's paths are one block
+    by_degree = _grouped(paths, lambda p: p.degree)
+    for group in by_degree.values():
+        # q[v] joins the paths of the degree with range v, then those with source v
+        q_s, g_q, s_q, q_g = {}, {}, {}, {}
+        for v, ps in _grouped(group, lambda p: p.range).items():
+            q_s.update(zip(ps, images_q[v].products([images_s[p] for p in ps])))
+            g_q.update(zip(ps, _column(alg.products([images_g[p] for p in ps], [images_q[v]]))))
+        for v, ps in _grouped(group, lambda p: p.source).items():
+            s_q.update(zip(ps, _column(alg.products([images_s[p] for p in ps], [images_q[v]]))))
+            q_g.update(zip(ps, images_q[v].products([images_g[p] for p in ps])))
+        for p in group:
+            rep.expect_equal(("unit q[r]s[{}]", p), q_s[p], images_s[p])
+            rep.expect_equal(("unit s[{}]q[s]", p), s_q[p], images_s[p])
+            rep.expect_equal(("unit q[s]s*[{}]", p), q_g[p], images_g[p])
+            rep.expect_equal(("unit s*[{}]q[r]", p), g_q[p], images_g[p])
 
-    by_range: dict[str, list[Path]] = {}
-    by_degree: dict[Degree, list[Path]] = {}
-    for p in paths:
-        by_range.setdefault(p.range, []).append(p)
-        by_degree.setdefault(p.degree, []).append(p)
-    for lam_path in paths:
-        # by_range follows ``paths``, so it is sorted by length and the μ short
-        # enough to compose with λ are a prefix of it
-        mus = by_range.get(lam_path.source, ())
-        mus = mus[:bisect_right(mus, max_paths - len(lam_path.edges), key=lambda mu: len(mu.edges))]
-        products = images_s[lam_path].products([images_s[mu] for mu in mus])
-        for mu, product in zip(mus, products):
-            # the composite is at most max_paths long, so one of ``paths``
-            composite = lam.normal_form(lam.compose(lam_path, mu))
-            rep.expect_equal(("composition s[{}]s[{}]", lam_path, mu), product, images_s[composite])
-            rep.expect_equal(
-                ("composition s*[{}]s*[{}]", mu, lam_path),
-                images_g[mu] * images_g[lam_path],
-                images_g[composite],
-            )
+    # by_range follows ``paths``, so it is sorted by length and the μ short
+    # enough to compose with λ are a prefix of it, one for each source and length of λ
+    by_range = _grouped(paths, lambda p: p.range)
+    for length, block in _grouped(paths, lambda p: len(p.edges)).items():
+        partners = {}
+        for v, lams in _grouped(block, lambda p: p.source).items():
+            mus = by_range.get(v, [])
+            mus = mus[:bisect_right(mus, max_paths - length, key=lambda mu: len(mu.edges))]
+            forward = alg.products([images_s[p] for p in lams], [images_s[mu] for mu in mus])
+            backward = list(alg.products([images_g[mu] for mu in mus], [images_g[p] for p in lams]))
+            for i, (lam_path, row) in enumerate(zip(lams, forward)):
+                partners[lam_path] = zip(mus, row, _column(backward, i))
+        for lam_path in block:
+            for mu, product, adjoint_product in partners[lam_path]:
+                # the composite is at most max_paths long, so one of ``paths``
+                composite = lam.normal_form(lam.compose(lam_path, mu))
+                rep.expect_equal(("composition s[{}]s[{}]", lam_path, mu), product, images_s[composite])
+                rep.expect_equal(("composition s*[{}]s*[{}]", mu, lam_path), adjoint_product,
+                                 images_g[composite])
 
     for group in by_degree.values():
-        group_s = [images_s[b] for b in group]
-        for a in group:
-            for b, product in zip(group, images_g[a].products(group_s)):
+        rows = alg.products([images_g[a] for a in group], [images_s[b] for b in group])
+        for a, row in zip(group, rows):
+            for b, product in zip(group, row):
                 expected = images_q[a.source] if a == b else zero
                 rep.expect_equal(("ghost pairing s*[{}]s[{}]", a, b), product, expected)
 
     for v, n in itertools.product(lam.vertices, _kp4_degrees(lam.k, max_paths)):
-        total = emb.algebra.sum(emb.path_image(p) * emb.ghost_image(p)
-                                for p in lam.paths_with_range(v, n))
+        # the sweep's own images within the bound; ``emb`` only for degrees beyond it
+        s, g = ((images_s.__getitem__, images_g.__getitem__) if sum(n) <= max_paths
+                else (emb.path_image, emb.ghost_image))
+        total = alg.sum(s(p) * g(p) for p in lam.paths_with_range(v, n))
         rep.expect_equal(("fullness {}@{}", v, n), total, images_q[v])
     return rep
 
@@ -638,15 +696,16 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
     alg = emb.algebra
     rep = VerificationReport("corner")
     box = emb.corner_projection()
-    rep.expect_equal(("P·P",), box * box, box)
-    rep.expect_equal(("P*",), box.adjoint(), box)
-    for v in result.original.vertices:
-        q = emb.vertex_image(v)
-        rep.expect_equal(("P q[{}] P", v), box * q * box, q)
+    checks = [(("P q[{}] P", v), emb.vertex_image(v)) for v in result.original.vertices]
     for e in result.original.edges:
         s = emb.path_image(result.original.make_path((e.name,)))
-        rep.expect_equal(("P s[{}] P", e.name), box * s * box, s)
-        rep.expect_equal(("P s*[{}] P", e.name), box * s.adjoint() * box, s.adjoint())
+        checks += [(("P s[{}] P", e.name), s), (("P s*[{}] P", e.name), s.adjoint())]
+    # P × [P, x…], then [P·x…] × P
+    box_box, *box_xs = box.products([box, *(x for _, x in checks)])
+    rep.expect_equal(("P·P",), box_box, box)
+    rep.expect_equal(("P*",), box.adjoint(), box)
+    for (label, x), product in zip(checks, _column(alg.products(box_xs, [box]))):
+        rep.expect_equal(label, product, x)
 
     corner_paths: list[Path] = []
     gamma = result.graph
@@ -656,16 +715,14 @@ def verify_corner(emb: SplitEmbedding, max_len: int = 2) -> VerificationReport:
         for total in range(1, max_len + 1):
             for degree in degrees_with_total(gamma.k, total):
                 corner_paths.extend(gamma.paths_with_range(top, degree))
-    by_source: dict[str, list[Path]] = {}
-    for p in corner_paths:
-        by_source.setdefault(p.source, []).append(p)
-    for group in by_source.values():
-        parents = [parent_path(result, p) for p in group]
-        images = [emb.path_image(p) for p in parents]
-        ghosts = [image.adjoint() for image in images]
-        for a, image in zip(group, images):
-            for b, product in zip(group, image.products(ghosts)):
-                rep.expect_equal(("corner t[{}]t*[{}]", a, b), alg.term(a, b), product)
+    for group in _grouped(corner_paths, lambda p: p.source).values():
+        images = [emb.path_image(parent_path(result, p)) for p in group]
+        rows = alg.products(images, [image.adjoint() for image in images])
+        # the group's paths are normal forms with one source, so each term is a pair of ids
+        ids = [alg.intern(p) for p in group]
+        for a, i, row in zip(group, ids, rows):
+            for b, j, product in zip(group, ids, row):
+                rep.expect_equal(("corner t[{}]t*[{}]", a, b), KPElement(alg, {(i, j): 1}), product)
     return rep
 
 

@@ -19,6 +19,7 @@ from kgraphs import (
     Skeleton,
     SplitEmbedding,
     SquareSet,
+    UsageError,
     VerificationReport,
     build_kgraph,
     copy_path,
@@ -136,6 +137,43 @@ class TestProducts:
             assert [dict(p.terms()) for p in got] == [dict((a * b).terms()) for b in bs]
             assert got[-1].terms() == ()
         assert a.products([]) == []
+
+    @pytest.mark.parametrize("source", ["worked example", "rank-3 split"])
+    def test_join_equals_every_product(self, lambda_one, source):
+        # KumjianPask.products indexes the rights once for all the lefts
+        graph = lambda_one if source == "worked example" else _rank_three_split().graph
+        alg = KumjianPask(graph)
+        terms = _basis_terms(graph, alg, max_total=2 if source == "worked example" else 1,
+                             coeffs=(1, -2))
+        rng = random.Random(83)
+        sampled = []
+        for _ in range(8):
+            lefts = [alg.sum(rng.sample(terms, rng.randrange(1, 5))) for _ in range(4)]
+            rights = [alg.sum(rng.sample(terms, rng.randrange(1, 5))) for _ in range(5)]
+            lefts.append(lefts[0])
+            rights.append(rights[1])
+            rights.append(next(b for b in terms if len(lefts[0] * b) == 0))
+            assert any(len({term.left.degree for term, _ in b.terms()}) > 1 for b in rights)
+            got = list(alg.products(lefts, rights))
+            assert [[dict(p.terms()) for p in row] for row in got] == \
+                [[dict((a * b).terms()) for b in rights] for a in lefts]
+            assert got[0][-1].terms() == ()
+            sampled += rng.sample([(a, b, p) for a, row in zip(lefts, got)
+                                   for b, p in zip(rights, row)], 2)
+        assert list(alg.products([], rights)) == []
+        assert list(alg.products(lefts, [])) == [[] for _ in lefts]
+        # the path action shares no table with the engine
+        for a, b, product in sampled:
+            n = tuple(x + y for x, y in zip(_right_join(a), _right_join(b)))
+            assert action(product, n) == {x: act(a, y) for x, y in action(b, n).items()}
+        # the rights are checked at the call, a left when its row is read
+        other = KumjianPask(graph).vertex(graph.vertices[0])
+        with pytest.raises(UsageError, match="operands belong to different algebra contexts"):
+            alg.products(lefts, [*rights, other])
+        rows = alg.products([lefts[0], other], rights)
+        assert [dict(p.terms()) for p in next(rows)] == [dict(p.terms()) for p in got[0]]
+        with pytest.raises(UsageError, match="operands belong to different algebra contexts"):
+            next(rows)
 
     def test_products_reject_another_context(self, lambda_one, alg):
         b = path(lambda_one, "b")
@@ -934,23 +972,40 @@ class TestVerifiers:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_grouped_products_change_no_report(self, split_one, split_two, corrupt, max_len,
                                                monkeypatch):
-        # the sweeps join a fixed left element against a group; one product
-        # at a time must give the same checks, in the same order
+        # the sweeps join groups of left operands against groups of right
+        # operands; one pair at a time must give the same checks, in the same order
         result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
+        labels = []
+        expect_equal, expect = VerificationReport.expect_equal, VerificationReport.expect
+
+        def recording_equal(report, label, lhs, rhs):
+            labels.append(label_text(label))
+            expect_equal(report, label, lhs, rhs)
+
+        def recording(report, label, condition):
+            labels.append(label_text(label))
+            expect(report, label, condition)
+
+        monkeypatch.setattr(VerificationReport, "expect_equal", recording_equal)
+        monkeypatch.setattr(VerificationReport, "expect", recording)
         grouped_emb = SplitEmbedding(result)
         grouped = _all_sweeps(lambda: grouped_emb, max_len=max_len)
-        products = KPElement.products
+        grouped_labels = labels[:]
+        labels.clear()
+        products = KumjianPask.products
         sizes = []
 
-        def one_at_a_time(self, others):
-            others = list(others)
-            sizes.append(len(others))
-            return [products(self, (other,))[0] for other in others]
+        def one_pair_at_a_time(alg, lefts, rights):
+            lefts, rights = list(lefts), list(rights)
+            sizes.append(len(lefts) * len(rights))
+            return ([next(products(alg, (a,), (b,)))[0] for b in rights] for a in lefts)
 
-        monkeypatch.setattr(KPElement, "products", one_at_a_time)
+        monkeypatch.setattr(KumjianPask, "products", one_pair_at_a_time)
         single_emb = SplitEmbedding(result)
         single = _all_sweeps(lambda: single_emb, max_len=max_len)
         assert max(sizes) > 1
+        assert labels == grouped_labels
+        assert len(labels) == sum(r.checked for r in grouped)
         assert [r.summary() for r in single] == [r.summary() for r in grouped]
         assert [r.failures for r in single] == [r.failures for r in grouped]
         assert any(r.failures for r in grouped) == corrupt
