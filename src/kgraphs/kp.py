@@ -41,10 +41,17 @@ a uniform degree distinct refined terms really are independent (they are
 indicator functions of disjoint nonempty cylinders of the path groupoid).
 Refining ``λ`` by every ``α`` of degree ``g`` is the head column of
 ``extensions(λ, d(λ) + g)``, since at a degree that dominates ``d(λ)`` every
-``β`` is the vertex ``s(α)``; so products and the zero test share one table.
-The zero test sorts terms into classes by ``(d(left), d(right))`` and
-computes the common degree once per graded component.  A term already at
-the common degree is its own refinement and enumerates nothing.
+``β`` is the vertex ``s(α)``; ``KumjianPask.refine`` is that one loop, so
+products, the zero test and ``==`` share one table.  ``==`` takes three
+steps: equal term maps are equal; else the side whose first term has the
+lower left degree is refined to the class ``(d(left), d(right))`` of the
+other side's first term, and equal maps then are equal, because refinement
+is an identity in the algebra; else (a term that class does not dominate,
+another graded component, or maps that still differ) the zero test decides
+the difference, so every ``False`` is its answer.  The zero test sorts terms
+into classes by ``(d(left), d(right))`` and computes the common degree once
+per graded component.  A term already at the common degree is its own
+refinement and enumerates nothing.
 Source-freeness keeps those cylinders nonempty, so the algebra context
 refuses graphs with sources.
 
@@ -220,6 +227,19 @@ class KumjianPask:
     def ghost(self, p: Path) -> "KPElement":
         return self.term(self.graph.vertex_path(p.source), p)
 
+    def refine(self, terms: Iterable[tuple[tuple[int, int], int]], left_degree: Degree,
+               right_degree: Degree, out: dict[tuple[int, int], int]) -> None:
+        """Add each term ``((λ, μ), c)``, refined to ``(left_degree, right_degree)``, into ``out``.
+
+        The degrees must exceed ``(d(λ), d(μ))`` by one ``g``: then both
+        ``extensions`` rows run over the ``α`` of degree ``g`` in one order.
+        """
+        extensions = self.extensions
+        for (left, right), c in terms:
+            for row, other in zip(extensions(left, left_degree), extensions(right, right_degree)):
+                key = (row[1], other[1])
+                out[key] = out.get(key, 0) + c
+
     def extensions(self, mu: int, d: Degree) -> tuple[tuple[int, int, int], ...]:
         """The id rows ``(α, head, β)`` with ``μα = head·β`` and ``d(head) = d``, cached.
 
@@ -272,8 +292,9 @@ class KPElement:
     multiplies two elements of one context and :meth:`products` one element
     by each of a group, both through :meth:`KumjianPask.products`;
     :meth:`scale` multiplies by an integer.  ``==`` is equality in the
-    algebra: a fast term-map comparison first, then a refinement of the
-    difference to a common degree.
+    algebra: equal term maps; else, if refining the coarser side to the
+    class of the other's first term (an identity) gives the other's map;
+    else :meth:`is_zero` of the difference, which gives every ``False``.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -325,7 +346,7 @@ class KPElement:
 
     def is_zero(self) -> bool:
         """Exact zero test by refinement to a common degree per component."""
-        extensions, paths = self.algebra.extensions, self.algebra.paths
+        refine, paths = self.algebra.refine, self.algebra.paths
         by_class: dict[tuple[Degree, Degree], list[tuple[tuple[int, int], int]]] = {}
         for t, c in self._terms.items():
             by_class.setdefault((paths[t[0]].degree, paths[t[1]].degree), []).append((t, c))
@@ -343,12 +364,8 @@ class KPElement:
                     # a term already at the target degree is its own refinement
                     for t, c in by_class[degrees]:
                         refined[t] = refined.get(t, 0) + c
-                    continue
-                for (left, right), c in by_class[degrees]:
-                    # both rows run over the same α into s(left) = s(right)
-                    for row, other in zip(extensions(left, target), extensions(right, right_target)):
-                        key = (row[1], other[1])
-                        refined[key] = refined.get(key, 0) + c
+                else:
+                    refine(by_class[degrees], target, right_target, refined)
             if any(refined.values()):
                 return False
         return True
@@ -359,6 +376,20 @@ class KPElement:
         _check_context(self.algebra, other)
         if self._terms == other._terms:
             return True
+        coarse, fine = self._terms, other._terms
+        if coarse and fine:
+            paths, first = self.algebra.paths, next(iter(fine))
+            if sum(paths[next(iter(coarse))[0]].degree) > sum(paths[first[0]].degree):
+                coarse, fine, first = fine, coarse, next(iter(coarse))
+            target, right_target = paths[first[0]].degree, paths[first[1]].degree
+            n = difference(target, right_target)
+            if all(join(paths[left].degree, target) == target
+                   and difference(paths[left].degree, paths[right].degree) == n
+                   for left, right in coarse):
+                refined: dict[tuple[int, int], int] = {}
+                self.algebra.refine(coarse.items(), target, right_target, refined)
+                if refined == fine:
+                    return True
         diff = dict(self._terms)
         for t, c in other._terms.items():
             diff[t] = diff.get(t, 0) - c

@@ -60,31 +60,59 @@ def mce_bruteforce(graph: KGraph, mu: Path, nu: Path) -> tuple[tuple[Path, Path]
     return tuple(sorted(found))
 
 
-def act(element: KPElement, vector: dict[Path, int]) -> dict[Path, int]:
+Factored = dict[tuple[Path, Degree], tuple[Path, Path]]
+
+
+def act(element: KPElement, vector: dict[Path, int], factored: Factored | None = None) -> dict[Path, int]:
     """``element`` applied to a combination of paths: ``t_λ t_μ* e_x = e_{λx'}`` if ``x = μx'``.
 
     Every path in ``vector`` must dominate the degree of every right path in
     ``element``, so that the finite-path action respects the fullness
     relation; it then matches the refinement of ``element`` to that degree.
+    Each ``x`` is factored once per right degree ``d``, as ``head·tail`` with
+    ``d(head) = d``; ``factored`` keeps those factorizations by ``(x, d)``
+    for later calls on the same graph.
     """
-    graph = element.algebra.graph
-    out: dict[Path, int] = {}
+    graph, by_right, out = element.algebra.graph, _by_right(element), {}
+    factored = {} if factored is None else factored
     for x, a in vector.items():
-        for term, c in element.terms():
-            if not dominates(x.degree, term.right.degree):
-                raise ValueError(f"path {x} is shorter than the right path {term.right}")
-            head, tail = factor(graph, x, difference(x.degree, term.right.degree))
-            if head == term.right:
-                y = graph.normal_form(graph.compose(term.left, tail))
-                out[y] = out.get(y, 0) + c * a
+        _apply(graph, by_right, x, a, factored, out)
     return {y: c for y, c in out.items() if c}
 
 
-def action(element: KPElement, degree: Degree) -> dict[Path, dict[Path, int]]:
+def action(element: KPElement, degree: Degree,
+           factored: Factored | None = None) -> dict[Path, dict[Path, int]]:
     """The image of ``e_x`` under ``element`` for every path ``x`` of the degree."""
-    graph = element.algebra.graph
-    return {x: act(element, {x: 1})
-            for v in graph.vertices for x in graph.paths_with_range(v, degree)}
+    graph, by_right = element.algebra.graph, _by_right(element)
+    factored = {} if factored is None else factored
+    images = {}
+    for v in graph.vertices:
+        for x in graph.paths_with_range(v, degree):
+            out: dict[Path, int] = {}
+            _apply(graph, by_right, x, 1, factored, out)
+            images[x] = {y: c for y, c in out.items() if c}
+    return images
+
+
+def _by_right(element: KPElement) -> dict[Degree, dict[Path, list[tuple[Path, int]]]]:
+    """The terms of ``element`` as ``(λ, c)`` lists by the degree and path of ``μ``."""
+    by_right: dict[Degree, dict[Path, list[tuple[Path, int]]]] = {}
+    for term, c in element.terms():
+        by_right.setdefault(term.right.degree, {}).setdefault(term.right, []).append((term.left, c))
+    return by_right
+
+
+def _apply(graph: KGraph, by_right, x: Path, a: int, factored: Factored, out: dict[Path, int]) -> None:
+    for d, terms in by_right.items():
+        key = (x, d)
+        if key not in factored:
+            if not dominates(x.degree, d):
+                raise ValueError(f"path {x} is shorter than the right path {next(iter(terms))}")
+            factored[key] = factor(graph, x, difference(x.degree, d))
+        head, tail = factored[key]
+        for left, c in terms.get(head, ()):
+            y = graph.normal_form(graph.compose(left, tail))
+            out[y] = out.get(y, 0) + c * a
 
 
 def extension_rows(alg: KumjianPask, reference: KGraph, mu: int,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -370,6 +371,63 @@ class TestEquality:
         for lam in paths[:-1]:
             total = total + alg.path(lam) * alg.ghost(lam)
         assert not total == alg.vertex("z")
+
+    def test_the_refinement_shortcut_agrees_with_the_path_action(self, lambda_one, alg, monkeypatch):
+        # == refines the side whose first term has the lower left degree to the
+        # class of the other side's first term; where that is no refinement it
+        # leaves the answer to the zero test, and it never answers otherwise
+        # than the path action, in either order
+        zero_tests = []
+        is_zero = KPElement.is_zero
+        monkeypatch.setattr(KPElement, "is_zero", lambda x: zero_tests.append(x) or is_zero(x))
+
+        def t(*names):
+            return alg.path(path(lambda_one, *names))
+
+        def unit(v, degree):
+            return alg.sum(alg.path(a) * alg.ghost(a) for a in lambda_one.paths_with_range(v, degree))
+
+        def diagonal(lam, degree=None):
+            inner = alg.vertex(lam.source) if degree is None else unit(lam.source, degree)
+            return alg.path(lam) * inner * alg.ghost(lam)
+
+        at_z = lambda_one.paths_with_range("z", (1, 0))
+        h_up, b_up = t("h") * unit("v", (0, 1)), t("b") * unit("v", (1, 0))
+        # (lhs, rhs, equal, whether == runs the zero test: always, never, or either)
+        cases = [
+            # t[h] is not under the class (0,1): extensions(h, (0,1)) are MCE
+            # rows, which would "refine" t[h] to t[b], and t[m]t*[m] to 3·t[n]t*[n]
+            (t("h"), t("b"), False, True),
+            (diagonal(path(lambda_one, "m")), diagonal(path(lambda_one, "n")).scale(3), False, True),
+            (t("h"), alg.sum([t("b"), h_up, b_up.scale(-1)]), True, True),
+            # the finer side spreads over two degree classes
+            (alg.vertex("z"), alg.sum([*map(diagonal, at_z[1:]), diagonal(at_z[0], (0, 1))]), True, True),
+            # both coarse terms refine onto a common term, which cancels to 0
+            (alg.vertex("z") - diagonal(at_z[0]),
+             unit("z", (1, 1)) - diagonal(at_z[0], (0, 1)), True, None),
+            # a coarse term in another graded component; zipping rows over
+            # different α would "refine" p[v] to t*[β]
+            (t("h"), alg.ghost(path(lambda_one, "h")), False, True),
+            (alg.vertex("v"), alg.ghost(path(lambda_one, "β")), False, True),
+            (t("h") + alg.ghost(path(lambda_one, "h")), h_up + alg.ghost(path(lambda_one, "h")), True, True),
+            # an empty side, against an element that is zero in the algebra and one that is not
+            (alg.zero(), unit("z", (1, 0)) - alg.vertex("z"), True, True),
+            (alg.zero(), t("h"), False, True),
+            # equal term counts, the coarse side second
+            (h_up + t("i") * unit("v", (0, 1)), t("h") + t("i"), True, False),
+            (h_up + t("i") * unit("v", (0, 1)), t("h") - t("i"), False, True),
+            (alg.vertex("z"), unit("z", (1, 0)), True, False),
+        ]
+        assert len({(x.left.degree, x.right.degree) for x, _ in cases[3][1].terms()}) == 2
+        for lhs, rhs, equal, zero_test in cases:
+            assert lhs.terms() != rhs.terms()
+            n = _right_join(lhs, rhs)
+            assert (action(lhs, n) == action(rhs, n)) == equal
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                zero_tests.clear()
+                assert (a == b) == equal, (str(a), str(b))
+                if zero_test is not None:
+                    assert bool(zero_tests) == zero_test, (str(a), str(b))
 
 
 class TestRefinementTable:
@@ -1028,25 +1086,25 @@ class TestVerifiers:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_every_equality_checked_matches_the_path_action(self, split_one, split_two,
                                                             corrupt, monkeypatch):
-        # each pair a sweep compares must be equal exactly when the two sides
-        # act alike on the paths of the join of their right-path degrees
         result = dataclasses.replace(split_one, graph=split_two.graph) if corrupt else split_one
-        compared = []
-        expect_equal = VerificationReport.expect_equal
+        _check_equalities_against_action(SplitEmbedding(result), corrupt, monkeypatch)
 
-        def checked(report, label, lhs, rhs):
-            n = _right_join(lhs, rhs)
-            compared.append((label_text(label), lhs == rhs, action(lhs, n) == action(rhs, n)))
-            expect_equal(report, label, lhs, rhs)
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_every_rank_three_equality_checked_matches_the_path_action(self, corrupt, monkeypatch):
+        emb = (_mutant_embedding if corrupt else SplitEmbedding)(_rank_three_split())
+        compared, zero_tests = _check_equalities_against_action(emb, corrupt, monkeypatch)
+        if not corrupt:
+            # every corner equality is decided by term maps, refined or not
+            assert sum(name == "corner" for name, *_ in compared) == 1518
+            assert zero_tests["corner"] == 0
 
-        monkeypatch.setattr(VerificationReport, "expect_equal", checked)
-        shared = SplitEmbedding(result)
-        reports = _all_sweeps(lambda: shared, max_len=2)
-        assert [label for label, equal, acts_alike in compared if equal != acts_alike] == []
-        unequal = sum(not equal for _, equal, _ in compared)
-        assert unequal == sum(len(r.failures) for r in reports)
-        assert (unequal > 0) == corrupt
-        assert len(compared) > 1000
+    def test_a_dropped_rainbow_term_fails_corner_and_diagonal(self, split_one):
+        # the expected side of each failure prints unrefined, as the check built it
+        emb = _mutant_embedding(split_one)
+        reports = {r.name: r for r in _all_sweeps(lambda: emb, max_len=2)}
+        assert [name for name, r in reports.items() if not r.ok] == ["kp-family", "diagonal", "corner"]
+        assert reports["diagonal"].failures == DROPPED_TERM_FAILURES[:1]
+        assert reports["corner"].failures == DROPPED_TERM_FAILURES[1:]
 
 
 class TestPathTable:
@@ -1099,6 +1157,75 @@ CORRUPTED_FAILURES = [
     "carry t[b] to copy 2: t[b.2·α.3]t*[α.2]  !=  t[b.2]",
     "carry t*[b] to copy 2: t[α.2]t*[b.2·α.3]  !=  t*[b.2]",
 ]
+
+
+# The diagonal and corner failure lines at depth 2 of the first example's
+# split with t[m.1·f.1·h.2]t*[f.1·h.2] dropped from the image of m.
+DROPPED_TERM_FAILURES = [
+    "diag m: t[m.1·m.1·i.1]t*[m.1·m.1·i.1] + t[m.1·m.1·n.1]t*[m.1·m.1·n.1] + t[m.1·c.1·α.3]t*[m.1·c.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·m.1·ℓ.1]  !=  t[m.1]t*[m.1]",
+    "corner t[z.1]t*[m.1]: t*[m.1]  !=  t[m.1·i.1]t*[m.1·m.1·i.1] + t[m.1·n.1]t*[m.1·m.1·n.1] + t[c.1·α.3]t*[m.1·c.1·α.3] + t[m.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+    "corner t[m.1]t*[z.1]: t[m.1]  !=  t[m.1·m.1·i.1]t*[m.1·i.1] + t[m.1·m.1·n.1]t*[m.1·n.1] + t[m.1·c.1·α.3]t*[c.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·ℓ.1]",
+    "corner t[m.1]t*[m.1]: t[m.1]t*[m.1]  !=  t[m.1·m.1·i.1]t*[m.1·m.1·i.1] + t[m.1·m.1·n.1]t*[m.1·m.1·n.1] + t[m.1·c.1·α.3]t*[m.1·c.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+    "corner t[m.1]t*[n.1]: t[m.1]t*[n.1]  !=  t[m.1·m.1·i.1]t*[m.1·n.1·i.1] + t[m.1·m.1·n.1]t*[m.1·n.1·n.1] + t[m.1·c.1·α.3]t*[m.1·i.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·n.1·ℓ.1]",
+    "corner t[m.1]t*[m.1·m.1]: t[m.1]t*[m.1·m.1]  !=  t[m.1·m.1·i.1]t*[m.1·m.1·m.1·i.1] + t[m.1·m.1·n.1]t*[m.1·m.1·m.1·n.1] + t[m.1·c.1·α.3]t*[m.1·m.1·c.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·m.1·m.1·ℓ.1]",
+    "corner t[m.1]t*[m.1·n.1]: t[m.1]t*[m.1·n.1]  !=  t[m.1·m.1·i.1]t*[m.1·m.1·n.1·i.1] + t[m.1·m.1·n.1]t*[m.1·m.1·n.1·n.1] + t[m.1·c.1·α.3]t*[m.1·m.1·i.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·m.1·n.1·ℓ.1]",
+    "corner t[m.1]t*[n.1·n.1]: t[m.1]t*[n.1·n.1]  !=  t[m.1·m.1·i.1]t*[m.1·n.1·n.1·i.1] + t[m.1·m.1·n.1]t*[m.1·n.1·n.1·n.1] + t[m.1·c.1·α.3]t*[m.1·n.1·i.1·α.3] + t[m.1·m.1·ℓ.1]t*[m.1·n.1·n.1·ℓ.1]",
+    "corner t[n.1]t*[m.1]: t[n.1]t*[m.1]  !=  t[m.1·n.1·i.1]t*[m.1·m.1·i.1] + t[m.1·n.1·n.1]t*[m.1·m.1·n.1] + t[m.1·i.1·α.3]t*[m.1·c.1·α.3] + t[m.1·n.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+    "corner t[m.1·m.1]t*[m.1]: t[m.1·m.1]t*[m.1]  !=  t[m.1·m.1·m.1·i.1]t*[m.1·m.1·i.1] + t[m.1·m.1·m.1·n.1]t*[m.1·m.1·n.1] + t[m.1·m.1·c.1·α.3]t*[m.1·c.1·α.3] + t[m.1·m.1·m.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+    "corner t[m.1·n.1]t*[m.1]: t[m.1·n.1]t*[m.1]  !=  t[m.1·m.1·n.1·i.1]t*[m.1·m.1·i.1] + t[m.1·m.1·n.1·n.1]t*[m.1·m.1·n.1] + t[m.1·m.1·i.1·α.3]t*[m.1·c.1·α.3] + t[m.1·m.1·n.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+    "corner t[n.1·n.1]t*[m.1]: t[n.1·n.1]t*[m.1]  !=  t[m.1·n.1·n.1·i.1]t*[m.1·m.1·i.1] + t[m.1·n.1·n.1·n.1]t*[m.1·m.1·n.1] + t[m.1·n.1·i.1·α.3]t*[m.1·c.1·α.3] + t[m.1·n.1·n.1·ℓ.1]t*[m.1·m.1·ℓ.1]",
+]
+
+
+def _check_equalities_against_action(shared, corrupt, monkeypatch):
+    """Run the six sweeps at depth 2 on ``shared`` and check every pair they compare.
+
+    Each pair must be equal exactly when the two sides act alike on the paths
+    of the join of their right-path degrees, by ``==``, by ``==`` the other way
+    round and by the zero test of the difference.  Returns the compared
+    ``(sweep, label, agree, acts_alike)`` rows and the zero tests each sweep's
+    own equalities ran.
+    """
+    compared, zero_tests, factored, sweep = [], collections.Counter(), {}, [None]
+    expect_equal, is_zero = VerificationReport.expect_equal, KPElement.is_zero
+
+    def counting(element):
+        zero_tests[sweep[0]] += 1
+        return is_zero(element)
+
+    def checked(report, label, lhs, rhs):
+        n = _right_join(lhs, rhs)
+        acts_alike = action(lhs, n, factored) == action(rhs, n, factored)
+        answers = {lhs == rhs, rhs == lhs, (lhs - rhs).is_zero(), acts_alike}
+        compared.append((report.name, label_text(label), len(answers) == 1, acts_alike))
+        sweep[0] = report.name
+        expect_equal(report, label, lhs, rhs)
+        sweep[0] = None
+
+    monkeypatch.setattr(KPElement, "is_zero", counting)
+    monkeypatch.setattr(VerificationReport, "expect_equal", checked)
+    reports = _all_sweeps(lambda: shared, max_len=2)
+    assert [label for _, label, agree, _ in compared if not agree] == []
+    unequal = sum(not acts_alike for *_, acts_alike in compared)
+    assert unequal == sum(len(r.failures) for r in reports)
+    assert (unequal > 0) == corrupt
+    assert len(compared) > 1000
+    return compared, zero_tests
+
+
+def _mutant_embedding(result):
+    """An embedding whose cached image of the first edge with two or more
+    rainbow terms lacks the first of them."""
+    emb = SplitEmbedding(result)
+    lam = result.original
+    for e in lam.edges:
+        x = lam.make_path((e.name,))
+        image = emb.path_image(x)
+        if len(image) > 1:
+            first, _ = image.terms()[0]
+            emb._path_cache[x] = image - emb.algebra.term(first.left, first.right)
+            return emb
+    raise AssertionError("no edge image has two terms")
 
 
 def _sweeps(max_len: int = 3) -> list:

@@ -3,7 +3,7 @@
 Standard library only; run it from any directory::
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload kp-rank3 \\
-        --seed 7 --pairs 10 [--seconds 30]
+        --seed 7 --pairs 10 [--seconds 30] [--json BENCH.json]
 
 Each pair runs ``python3 benchmarks/run.py --workload W --seed S --seconds T``
 once in each checkout, the parent first in even pairs (counting from 0) and
@@ -15,7 +15,13 @@ quartiles (inclusive method), the pairs the change won out of all pairs
 run (ties count for neither side), the parent's quartile distance, and
 whether the gain rule holds: the change wins at least nine tenths of the
 pairs run and its median is better than the parent's by more than the
-parent's quartile distance.
+parent's quartile distance.  A metric is flagged ``worse`` when the change's
+median is worse than the parent's by more than that distance.
+
+``--json PATH`` appends one record to the JSON list in ``PATH`` (a new file
+starts the list): the workload, seed and seconds, every run's result line
+as ``pairs[i][side]`` (null for a run that gave none) and the summary.  Two
+invocations, say a claim and a held-out seed, fill one file.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ def summarize(pairs: list[dict[str, dict | None]], end_to_end: list[dict]) -> di
         row["parent_quartile_distance"] = row["parent"]["q3"] - row["parent"]["q1"]
         gain = sign * (row["parent"]["median"] - row["change"]["median"])
         row["rule_met"] = 10 * wins >= 9 * len(pairs) and gain > row["parent_quartile_distance"]
+        row["worse"] = -gain > row["parent_quartile_distance"]
         metrics[key] = row
     return {"pairs": len(pairs), "accepted": len(accepted), "refused": refused, "metrics": metrics}
 
@@ -101,11 +108,12 @@ def report(summary: dict) -> str:
     lines = [f"{summary['accepted']} of {summary['pairs']} pairs accepted"
              + (f"; refused (from 0): {summary['refused']}" if summary["refused"] else "")]
     lines.append(f"{'metric':<34} {'parent q1/median/q3':>34} {'change q1/median/q3':>34} "
-                 f"{'wins':>6} {'parent IQR':>11}  rule")
+                 f"{'wins':>6} {'parent IQR':>11}  {'rule':<7}  worse")
     for key, row in summary["metrics"].items():
         sides = ["/".join(f"{row[side][q]:.4g}" for q in ("q1", "median", "q3")) for side in SIDES]
         lines.append(f"{key:<34} {sides[0]:>34} {sides[1]:>34} {row['wins']:>3}/{row['pairs']:<2} "
-                     f"{row['parent_quartile_distance']:>11.4g}  {'met' if row['rule_met'] else 'not met'}")
+                     f"{row['parent_quartile_distance']:>11.4g}  {'met' if row['rule_met'] else 'not met':<7}  "
+                     f"{'WORSE' if row['worse'] else '-'}")
     return "\n".join(lines)
 
 
@@ -117,9 +125,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--json", type=Path, help="append the runs and summary to this JSON list")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    try:
+        records = json.loads(args.json.read_text()) if args.json and args.json.exists() else []
+    except ValueError:
+        records = None
+    if not isinstance(records, list):
+        parser.error(f"--json {args.json} holds no JSON list")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in checkouts.items():
         if not (checkout / "benchmarks" / "run.py").is_file():
@@ -128,6 +143,10 @@ def main(argv=None) -> int:
     pairs = run_pairs(checkouts, args.workload, args.seed, args.pairs, args.seconds)
     summary = summarize(pairs, end_to_end)
     print(report(summary))
+    if args.json:
+        records.append({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                        "pairs": pairs, "summary": summary})
+        args.json.write_text(json.dumps(records, indent=1) + "\n")
     return 0 if summary["accepted"] == summary["pairs"] else 1
 
 
