@@ -20,9 +20,13 @@ A split request lives in its own partition file, read only by
 Partition blocks list edge ids inside braces without spaces; block order
 is meaningful.  Serialization is canonical:
 declarations are sorted, so ``parse(serialize(x)) == x`` and equal
-documents serialize byte-for-byte equally.  No other module writes the
-syntax, and :func:`check_split` accepts a split's files only when their
-canonical text is :func:`split_texts`, what ``kgraphs split`` writes.
+documents serialize byte-for-byte equally.  Two line generators are the
+one writer of the syntax: :func:`document_lines` for a ``.kg`` document
+and :func:`sidecar_lines` for a ``.parents`` sidecar.  :func:`serialize`
+and :func:`sidecar_text` join their lines, ``kgraphs split`` writes them
+as they come, so neither file is held whole, and :func:`check_split`
+accepts a split's files only when their lines are :func:`split_lines`,
+what ``kgraphs split`` writes.  No other module writes the syntax.
 """
 
 from __future__ import annotations
@@ -239,15 +243,19 @@ def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
     return SplitSpec(color, base, {v: blocks for v, (blocks, _) in sorted(partitions.items())})
 
 
+def document_lines(doc: GraphDocument) -> Iterator[str]:
+    """The canonical ``.kg`` text of ``doc``, one line at a time, each with its newline."""
+    yield f"kgraph {doc.version} k={doc.k} colors={','.join(doc.colors)}\n"
+    for v in doc.skeleton.vertices:
+        yield f"vertex {v}\n"
+    for e in doc.skeleton.edges:
+        yield f"edge {e.name} : {doc.color_name(e.color)} {e.source} -> {e.range}\n"
+    for (a, b), (c, d) in doc.squares.pairs:
+        yield f"square {a} {b} = {c} {d}\n"
+
+
 def serialize(doc: GraphDocument) -> str:
-    lines = [f"kgraph {doc.version} k={doc.k} colors={','.join(doc.colors)}"]
-    lines.extend(f"vertex {v}" for v in doc.skeleton.vertices)
-    lines.extend(
-        f"edge {e.name} : {doc.color_name(e.color)} {e.source} -> {e.range}"
-        for e in doc.skeleton.edges
-    )
-    lines.extend(f"square {a} {b} = {c} {d}" for (a, b), (c, d) in doc.squares.pairs)
-    return "\n".join(lines) + "\n"
+    return "".join(document_lines(doc))
 
 
 def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1") -> GraphDocument:
@@ -257,22 +265,32 @@ def document_for_graph(graph: KGraph, colors: Iterable[str], version: str = "1")
     return GraphDocument(version, colors, graph.skeleton, graph.squares)
 
 
+def sidecar_lines(color: str, base: str, parent: Mapping[str, str]) -> Iterator[str]:
+    """Parent-map sidecar: split header plus one ``parent`` line per item, in id order."""
+    yield f"split color={color} base={base}\n"
+    for child in sorted(parent):
+        yield f"parent {child} = {parent[child]}\n"
+
+
 def sidecar_text(color: str, base: str, parent: Mapping[str, str]) -> str:
-    """Parent-map sidecar: split header plus one ``parent`` line per item."""
-    return f"split color={color} base={base}\n" + "".join(
-        f"parent {child} = {origin}\n" for child, origin in sorted(parent.items()))
+    return "".join(sidecar_lines(color, base, parent))
 
 
-def split_texts(doc: GraphDocument, result: SplitResult) -> tuple[str, str]:
-    """The ``.kg`` and ``.parents`` texts ``kgraphs split`` writes for a split of ``doc``."""
-    return (serialize(document_for_graph(result.graph, doc.colors, doc.version)),
-            sidecar_text(doc.color_name(result.color), result.base, result.parent))
+def split_lines(doc: GraphDocument, result: SplitResult) -> tuple[Iterator[str], Iterator[str]]:
+    """The lines of the ``.kg`` and ``.parents`` files ``kgraphs split`` writes for a split of ``doc``."""
+    return (document_lines(document_for_graph(result.graph, doc.colors, doc.version)),
+            sidecar_lines(doc.color_name(result.color), result.base, result.parent))
+
+
+def split_texts(doc: GraphDocument, result: SplitResult) -> tuple[str, ...]:
+    """The two texts of :func:`split_lines`."""
+    return tuple(map("".join, split_lines(doc, result)))
 
 
 def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,
                 sidecar: tuple[str, str, Mapping[str, str]]) -> None:
     """Refuse parsed split files, ``sidecar`` as :func:`parse_sidecar` returns it, unless
-    their canonical text is :func:`split_texts` of the replay ``result``.
+    their canonical lines are :func:`split_lines` of the replay ``result``.
 
     :class:`SplitError` names the first replay line the files lack, else
     the first files line the replay lacks.  No line repeats on either side
@@ -282,15 +300,15 @@ def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,
     equal canonical texts.  An accepted ``.kg`` file is the replay's, which
     passed ``build_kgraph``, so it needs no validation.
     """
-    replay = "".join(split_texts(doc, result)).splitlines()
-    files = (serialize(split) + sidecar_text(*sidecar)).splitlines()
+    replay = [line for lines in split_lines(doc, result) for line in lines]
+    files = [*document_lines(split), *sidecar_lines(*sidecar)]
     present, expected = set(files), set(replay)
     for line in replay:
         if line not in present:
-            raise SplitError(f"{line} is in the split of the input but not in the files")
+            raise SplitError(f"{line[:-1]} is in the split of the input but not in the files")
     for line in files:
         if line not in expected:
-            raise SplitError(f"{line} is in the files but not in the split of the input")
+            raise SplitError(f"{line[:-1]} is in the files but not in the split of the input")
 
 
 def parse_sidecar(text: str) -> tuple[str, str, dict[str, str]]:

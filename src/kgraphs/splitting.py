@@ -232,12 +232,25 @@ class SplitResult:
 
 
 def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
-    """Perform the split move and return the validated result.
+    """Perform the split move: lift, then re-validate, and return the result.
 
     :func:`validate_spec` checks every precondition first, in its order.
+    The lift's scratch tables are freed before the output is re-validated,
+    so the peak holds the two graphs and the re-validation, nothing more.
     """
-    counts = validate_spec(graph, spec)
-    color = spec.color
+    skeleton, squares, parent = _lift(graph, spec, validate_spec(graph, spec))
+    try:
+        split_graph = build_kgraph(skeleton, squares)
+    except (KGraphInvalid, StructureError) as exc:  # pragma: no cover - defensive
+        raise SplitError(f"internal error: split output failed validation: {exc}") from exc
+    # source-free because the input is: each copy v.i receives the copy e.i
+    # of every edge e into v
+    return SplitResult(graph, split_graph, spec.color, spec.base, parent)
+
+
+def _lift(graph: KGraph, spec: SplitSpec,
+          counts: Mapping[str, int]) -> tuple[Skeleton, SquareSet, dict[str, str]]:
+    """The split's skeleton, its lifted squares and ``parent``, for the copy counts ``counts``."""
     swap = graph.squares.swap_map
     # 1-based index of the block holding each split-color edge (edge ids are unique)
     block = {name: j for blocks in spec.partitions.values()
@@ -245,8 +258,6 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
     # the copy names of every vertex and edge, formatted once: the split's
     # edges, ``parent`` and the lifted squares all hold these strings
     copies = {v: tuple(_copy_name(v, i) for i in range(1, counts[v] + 1)) for v in graph.vertices}
-    parent = {name: v for v, names in copies.items() for name in names}
-    vertex_copies = list(parent)
 
     # every copy name is new and every endpoint a vertex copy, so no declaration check can fail
     edges: dict[str, Edge] = {}
@@ -255,7 +266,7 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         name, ranges = e.name, copies[e.range]
         names = copies[name] = tuple(_copy_name(name, i) for i in range(1, len(ranges) + 1))
         # js[i - 1] = j - 1 where source(e^i) = source(e)^j
-        if e.color == color:
+        if e.color == spec.color:
             js = (block[name] - 1,) * len(ranges)
         elif (blocks := spec.partitions.get(e.range)) is None:
             js = (0,) * len(ranges)  # no outgoing split-color edge at the range
@@ -272,24 +283,15 @@ def outsplit(graph: KGraph, spec: SplitSpec) -> SplitResult:
         sources = copies[e.source]
         for copy, j, r in zip(names, js, ranges):
             edges[copy] = Edge(copy, e.color, sources[j], r)
-            parent[copy] = name
 
-    skeleton = Skeleton.declared(graph.k, vertex_copies, edges)
-
-    pairs = []
-    for (a, b), (g, h) in graph.squares.pairs:
-        # each inner edge lifts to its copy whose range is the outer copy's source
-        bs, hs = copies[b], copies[h]
-        for a_p, j, g_p, l in zip(copies[a], source_index[a], copies[g], source_index[g]):
-            pairs.append(((a_p, bs[j]), (g_p, hs[l])))
-
-    try:
-        split_graph = build_kgraph(skeleton, SquareSet.create(skeleton, pairs))
-    except (KGraphInvalid, StructureError) as exc:  # pragma: no cover - defensive
-        raise SplitError(f"internal error: split output failed validation: {exc}") from exc
-    # source-free because the input is: each copy v.i receives the copy e.i
-    # of every edge e into v
-    return SplitResult(graph, split_graph, color, spec.base, parent)
+    skeleton = Skeleton.declared(graph.k, (name for v in graph.vertices for name in copies[v]), edges)
+    parent = {name: item for item, names in copies.items() for name in names}
+    # each inner edge lifts to its copy whose range is the outer copy's source;
+    # the pairs stream into the square set, so no list of them is ever held
+    lifted = (((a_p, copies[b][j]), (g_p, copies[h][l]))
+              for (a, b), (g, h) in graph.squares.pairs
+              for a_p, j, g_p, l in zip(copies[a], source_index[a], copies[g], source_index[g]))
+    return skeleton, SquareSet.create(skeleton, lifted), parent
 
 
 def reconstruct_split(original: KGraph, skeleton: Skeleton, color: int, base: str) -> SplitResult:

@@ -39,8 +39,9 @@ from kgraphs import (
     verify_swap_identities,
     verify_universal_family,
 )
-from kgraphs.fileformat import (check_split, document_for_graph, parse, parse_sidecar, serialize,
-                                split_texts)
+from kgraphs.cli import main
+from kgraphs.fileformat import (check_split, document_for_graph, document_lines, parse, parse_sidecar,
+                                serialize, split_texts)
 
 from conftest import BLUE, RED, product_graph, random_one_skeleton
 from test_skeleton import _reference_report
@@ -112,6 +113,22 @@ def test_census_splits_round_trip_through_their_files(m, n):
                                     sidecar[1])
         check_split(doc, rebuilt, split, sidecar)
         assert rebuilt == result
+
+
+def test_census_split_files_are_the_split_texts(tmp_path):
+    """On a seeded sample of the ``(2, 3)`` census, ``kgraphs split`` writes, line
+    by line, exactly the texts of :func:`split_texts`."""
+    graphs = list(single_vertex_graphs(2, 3))
+    for n in random.Random(5).sample(range(len(graphs)), 8):
+        graph = build_kgraph(*graphs[n])
+        doc = document_for_graph(graph, ("blue", "red"))
+        assert serialize(doc) == "".join(document_lines(doc))
+        source, target = tmp_path / f"g{n}.kg", tmp_path / f"s{n}.kg"
+        source.write_text(serialize(doc), encoding="utf-8")
+        assert main(["split", str(source), "--color", "blue", "--base", "v", "-o", str(target)]) == 0
+        split_text, parents_text = split_texts(doc, outsplit(graph, default_spec(graph, BLUE, "v")))
+        assert target.read_bytes() == split_text.encode("utf-8")
+        assert (tmp_path / f"s{n}.kg.parents").read_bytes() == parents_text.encode("utf-8")
 
 
 def test_paired_census_graphs_verify():

@@ -138,6 +138,16 @@ class TestSquareStructure:
         with pytest.raises(StructureError, match="unknown edge 'zz'"):
             SquareSet.create(lambda_skeleton(), [pair])
 
+    def test_create_takes_a_one_shot_generator(self):
+        # outsplit streams its lifted pairs; a repeat and a reversed pair are dropped alike
+        sk = lambda_skeleton()
+        (side1, side2), *_ = SQUARES_ONE
+        pairs = [*SQUARES_ONE, SQUARES_ONE[3], (side2, side1)]
+        stream = (pair for pair in pairs)
+        assert SquareSet.create(sk, stream) == SquareSet.create(sk, pairs)
+        assert SquareSet.create(sk, pairs) == SquareSet.create(sk, SQUARES_ONE)
+        assert next(stream, None) is None
+
     def test_partner_tables_of_raw_pairs(self):
         # built directly, so nothing is deduplicated or put in canonical order
         a, b, c, d, x = ("a1", "b1"), ("a2", "b2"), ("a3", "b3"), ("a4", "b4"), ("x", "y")
