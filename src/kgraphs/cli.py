@@ -20,7 +20,9 @@ vertices, 9,108 squares), ``tools/command_peaks.py`` reads a traced peak of
 10.3 MB for ``split``, 13.6 MB before the files and the lifted squares
 streamed, against 5.3 and 6.3 MB for ``validate`` of its input and output.
 A write that fails once its file is open removes the file, and ``split``
-then removes the other one too, so neither split file is left.
+then removes the other one too, so neither split file is left.  One rule,
+``_discard``, says what a failed write removes: a regular file, never a
+device or a pipe, so an output symlinked to the null device survives.
 
 The argument parser is built on the first ``main`` call and reused by
 every later call in the process, since parsing leaves no state in it;
@@ -82,9 +84,16 @@ def _read(path: str, parse: Callable[[str], T]) -> T:
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _discard(file: FilePath) -> None:
+    """Remove a file a failed write leaves, if it is a regular file: never a
+    device or a pipe, nor a symlink to one."""
+    if file.is_file():
+        file.unlink()
+
+
 def _write(path: FilePath | str, lines: Iterable[str]) -> None:
     """Write ``lines`` to the file as they come; an error names the file and,
-    once the file is open, removes it, so no part-written file is left."""
+    once the file is open, discards it, so no part-written file is left."""
     file = _file(path)
     out = None
     try:
@@ -92,8 +101,8 @@ def _write(path: FilePath | str, lines: Iterable[str]) -> None:
         with out:
             out.writelines(lines)
     except OSError as exc:
-        if out is not None and file.is_file():  # never a device or a pipe
-            file.unlink()
+        if out is not None:
+            _discard(file)
         raise UsageError(f"{path}: {exc.strerror or exc}") from exc
 
 
@@ -158,7 +167,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     try:
         _write(sidecar, parents)
     except UsageError:
-        out_path.unlink()  # no split document without its sidecar
+        _discard(out_path)  # no split document without its sidecar
         raise
     print(f"wrote {out_path} ({len(result.graph.vertices)} vertices, "
           f"{len(result.graph.edges)} edges, {len(result.graph.squares.pairs)} squares)")
@@ -197,7 +206,7 @@ def _cmd_kp_verify(args: argparse.Namespace) -> int:
     emb = kp.SplitEmbedding(result)
     reports = [
         kp.verify_universal_family(emb.algebra),
-        kp.verify_family(emb, max_paths=args.max_len),
+        kp.verify_family(emb, max_len=args.max_len),
         kp.verify_swap_identities(emb),
         kp.verify_diagonal(emb, max_len=args.max_len),
         kp.verify_corner(emb, max_len=min(args.max_len, 2)),

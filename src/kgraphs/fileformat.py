@@ -190,8 +190,10 @@ def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
 
     The file holds one ``split color=<color> base=<vertex>`` line and any
     number of ``partition <vertex> : {<e>,...} ...`` lines; no other reader
-    accepts either keyword.  Each partition must cover its vertex's outgoing
-    split-color edges, so ``block_problem`` is reported at its line.
+    accepts either keyword.  A block lists edge ids, none empty: ``{a,}`` is
+    refused at its empty id, and ``{}`` or ``{,}`` as an empty block.  Each
+    partition must cover its vertex's outgoing split-color edges, so
+    ``block_problem`` is reported at its line.
     """
     skeleton = doc.skeleton
     vertices = frozenset(skeleton.vertices)
@@ -226,10 +228,11 @@ def parse_partition_file(text: str, doc: GraphDocument) -> SplitSpec:
                     raise ParseError(lineno, _column(raw, i), "empty partition block")
                 skip = 1
                 for n in names:
-                    if n and n not in edges:
-                        raise ParseError(lineno, _column(raw, i) + skip, f"unknown edge {n!r}")
+                    if n not in edges:
+                        problem = f"unknown edge {n!r}" if n else "empty edge id"
+                        raise ParseError(lineno, _column(raw, i) + skip, problem)
                     skip += len(n) + 1
-                blocks.append(tuple(sorted(n for n in names if n)))
+                blocks.append(tuple(sorted(names)))
             partitions[v] = (tuple(blocks), lineno)
         else:
             raise ParseError(lineno, _column(raw, 0), f"unknown declaration {tokens[0]!r}")
@@ -280,11 +283,6 @@ def split_lines(doc: GraphDocument, result: SplitResult) -> tuple[Iterator[str],
     """The lines of the ``.kg`` and ``.parents`` files ``kgraphs split`` writes for a split of ``doc``."""
     return (document_lines(document_for_graph(result.graph, doc.colors, doc.version)),
             sidecar_lines(doc.color_name(result.color), result.base, result.parent))
-
-
-def split_texts(doc: GraphDocument, result: SplitResult) -> tuple[str, ...]:
-    """The two texts of :func:`split_lines`."""
-    return tuple(map("".join, split_lines(doc, result)))
 
 
 def check_split(doc: GraphDocument, result: SplitResult, split: GraphDocument,

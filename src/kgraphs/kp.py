@@ -60,15 +60,17 @@ outsplit: the induced family over the split graph (vertex generators map
 to first-copy idempotents, path generators to sums over rainbow
 extensions), its defining relations, the swap identities that move between
 copies, preservation of the diagonal, the corner determined by first
-copies, the grading, and the saturation of the first-copy vertex set.  The
-family is built for any split; only the swap identities need pairing.  One
-:class:`SplitEmbedding` serves all sweeps of a verification run: its
-algebra context, path images and rainbow lifts (id pairs ``(f^j, f¹)``
-per vertex and copy ``j``, lifted once) depend only on the immutable split,
-so sharing them changes no answer and builds each table once per run.
-A sweep runs thousands of checks, and each names itself by a template and
-its parts, which are formatted only when the check fails: a passing sweep
-writes out no path and no degree.
+copies, and the grading.  No ``kp-verify`` sweep calls :func:`saturation`:
+that the first-copy vertex set saturates to the whole split is checked by
+``kgraphs saturate`` and the tests, and ROADMAP item 1 would add it to a
+certificate.  The family is built for any split; only the swap identities
+need pairing.  One :class:`SplitEmbedding` serves all sweeps of a
+verification run: its algebra context, path images and rainbow lifts (id
+pairs ``(f^j, f¹)`` per vertex and copy ``j``, lifted once) depend only on
+the immutable split, so sharing them changes no answer and builds each
+table once per run.  A sweep runs thousands of checks, and each names
+itself by a template and its parts, which are formatted only when the check
+fails: a passing sweep writes out no path and no degree.
 """
 
 from __future__ import annotations
@@ -600,11 +602,11 @@ def verify_universal_family(alg: KumjianPask) -> VerificationReport:
     return rep
 
 
-def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport:
+def verify_family(emb: SplitEmbedding, max_len: int = 3) -> VerificationReport:
     """The induced family satisfies the defining relations over the split.
 
     Products and pairings run over all paths with total length up to
-    ``max_paths``; the fullness relation runs over basis degrees, the
+    ``max_len``; the fullness relation runs over basis degrees, the
     all-ones degree, and every degree within the bound.  Each kind of check
     joins a group of left operands against a group of right operands
     (:meth:`KumjianPask.products`), and the checks run in the order of a
@@ -613,7 +615,7 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
     lam, alg = emb.result.original, emb.algebra
     rep = VerificationReport("kp-family")
     images_q = {v: emb.vertex_image(v) for v in lam.vertices}
-    paths = _paths_up_to(lam, max_paths)
+    paths = _paths_up_to(lam, max_len)
     images_s = {p: emb.path_image(p) for p in paths}
     images_g = {p: emb.ghost_image(p) for p in paths}
     zero = alg.zero()
@@ -648,14 +650,14 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
         partners = {}
         for v, lams in _grouped(block, lambda p: p.source).items():
             mus = by_range.get(v, [])
-            mus = mus[:bisect_right(mus, max_paths - length, key=lambda mu: len(mu.edges))]
+            mus = mus[:bisect_right(mus, max_len - length, key=lambda mu: len(mu.edges))]
             forward = alg.products([images_s[p] for p in lams], [images_s[mu] for mu in mus])
             backward = list(alg.products([images_g[mu] for mu in mus], [images_g[p] for p in lams]))
             for i, (lam_path, row) in enumerate(zip(lams, forward)):
                 partners[lam_path] = zip(mus, row, _column(backward, i))
         for lam_path in block:
             for mu, product, adjoint_product in partners[lam_path]:
-                # the composite is at most max_paths long, so one of ``paths``
+                # the composite is at most max_len long, so one of ``paths``
                 composite = lam.normal_form(lam.compose(lam_path, mu))
                 rep.expect_equal(("composition s[{}]s[{}]", lam_path, mu), product, images_s[composite])
                 rep.expect_equal(("composition s*[{}]s*[{}]", mu, lam_path), adjoint_product,
@@ -668,9 +670,9 @@ def verify_family(emb: SplitEmbedding, max_paths: int = 3) -> VerificationReport
                 expected = images_q[a.source] if a == b else zero
                 rep.expect_equal(("ghost pairing s*[{}]s[{}]", a, b), product, expected)
 
-    for v, n in itertools.product(lam.vertices, _kp4_degrees(lam.k, max_paths)):
+    for v, n in itertools.product(lam.vertices, _kp4_degrees(lam.k, max_len)):
         # the sweep's own images within the bound; ``emb`` only for degrees beyond it
-        s, g = ((images_s.__getitem__, images_g.__getitem__) if sum(n) <= max_paths
+        s, g = ((images_s.__getitem__, images_g.__getitem__) if sum(n) <= max_len
                 else (emb.path_image, emb.ghost_image))
         total = alg.sum(s(p) * g(p) for p in lam.paths_with_range(v, n))
         rep.expect_equal(("fullness {}@{}", v, n), total, images_q[v])

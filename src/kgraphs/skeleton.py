@@ -385,15 +385,16 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
     missing from the swap map is reported, as ambiguous with its sorted
     partners if it has several and otherwise as unmatched, and a matched side
     whose colors ascend in traversal order starts the hexagon checks on the
-    ascending 3-paths ``(a, b, c)``.  A 3-path that needs a missing or
-    ambiguous swap gets no hexagon check; the completeness report already
-    names that swap.
+    ascending 3-paths ``(a, b, c)``.  :func:`_hexagon_failure` is the one
+    route comparison, for this pass and the re-check below.  A 3-path that
+    needs a missing or ambiguous swap gets no hexagon check; the completeness
+    report already names that swap.
 
-    If the pass finds anything, only 3-paths near it are re-checked, with
-    the full route comparison; this is exact.  Let ``A`` swap the outer pair
-    of edges and ``B`` the inner pair, and number the alternating orbit of a
-    3-path ``x`` as ``x_t``: ``x_1 = Ax``, ``x_2 = BAx``, ``x_-1 = Bx``, and so
-    on.  Route 1 is ``ABA`` and route 2 is ``BAB``, so ``x`` fails iff
+    If the pass finds anything, only 3-paths near it are re-checked, and the
+    re-check's witnesses are the report; this is exact.  Let ``A`` swap the
+    outer pair of edges and ``B`` the inner pair, and number the alternating
+    orbit of a 3-path ``x`` as ``x_t``: ``x_1 = Ax``, ``x_2 = BAx``,
+    ``x_-1 = Bx``, and so on.  Route 1 is ``ABA`` and route 2 is ``BAB``, so ``x`` fails iff
     ``x_3 != x_-3``.  Suppose ``x_-5 .. x_5`` are good: both moves are defined
     and involutive there.  Applying one move to both sides shows that
     ``x_t+3 = x_t-3`` holds for one ``t`` in ``[-3, 3]`` iff it holds for all,
@@ -420,9 +421,7 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
                 continue
             for mid in out.get((inner.range, c2), ()):
                 b = mid.name
-                try:
-                    k, m = swap[b, c]
-                except KeyError:
+                if (b, c) not in swap:
                     if partners := several.get((b, c)):
                         report.ambiguous.append(((b, c), tuple(sorted(set(partners)))))
                     else:
@@ -432,17 +431,8 @@ def validate(skeleton: Skeleton, squares: SquareSet) -> ValidationReport:
                     continue
                 for c3 in range(c2 + 1, rank + 1):
                     for outer in out.get((mid.range, c3), ()):
-                        a = outer.name
-                        try:
-                            d, e = swap[a, b]
-                            f, g = swap[e, c]
-                            h, j = swap[d, f]
-                            n, p = swap[a, k]
-                            r, q = swap[p, m]
-                        except KeyError:
-                            continue
-                        if h != n or j != r or g != q:
-                            failing.append((a, b, c))
+                        if _hexagon_failure(swap, outer.name, b, c):
+                            failing.append((outer.name, b, c))
     bad = set(report.unmatched)
     for side, partners in report.ambiguous:
         bad.add(side)

@@ -320,6 +320,12 @@ def _parse_copy_index(name: str) -> int:
     return int(suffix)
 
 
+def _siblings(graph: KGraph, e: Edge, color: int) -> set[str]:
+    """The siblings of the edge ``e``, as :func:`sibling_set` defines them."""
+    swap = graph.squares.swap_map
+    return {swap[x.name, e.name][1] for x in graph.skeleton.edges_from(e.range, color)}
+
+
 def sibling_set(graph: KGraph, edge: str, color: int) -> tuple[str, ...]:
     """All ``color``-edges appearing opposite ``edge`` in some square.
 
@@ -330,8 +336,7 @@ def sibling_set(graph: KGraph, edge: str, color: int) -> tuple[str, ...]:
     e = graph.edge(edge)
     if e.color == color:
         raise SplitError(f"edge {edge!r} already has color {color}")
-    swap = graph.squares.swap_map
-    return tuple(sorted({swap[x.name, edge][1] for x in graph.skeleton.edges_from(e.range, color)}))
+    return tuple(sorted(_siblings(graph, e, color)))
 
 
 class PairingReport(NamedTuple):
@@ -348,29 +353,17 @@ class PairingReport(NamedTuple):
 def pairing_report(graph: KGraph, color: int) -> PairingReport:
     """Whether every non-``color`` edge has at most one sibling.
 
-    One pass over the squares finds them: a side whose outer edge has
-    ``color`` names a sibling of its inner edge, its partner's inner edge,
-    and an edge is crowded once two of its sides name different siblings.
-    The witness is the first crowded edge in edge order, with its sorted
-    :func:`sibling_set`.  Edges whose range has no outgoing ``color``-edge
-    have an empty sibling set and never obstruct pairing.
+    The edges are scanned in edge order, each with the sibling rule of
+    :func:`sibling_set`, and the witness is the first edge with two or more
+    siblings, with its sorted sibling set.  Edges whose range has no
+    outgoing ``color``-edge have an empty sibling set and never obstruct
+    pairing.
     """
     if not 1 <= color <= graph.k:
         raise SplitError(f"color {color} out of range 1..{graph.k}")
-    ours = {e.name for e in graph.edges if e.color == color}
-    first: dict[str, str] = {}  # each edge's first sibling found
-    crowded: set[str] = set()
-    for (a, b), (g, h) in graph.squares.pairs:
-        # the sides swap colors, so at most one outer edge has ``color``
-        if a in ours:
-            if first.setdefault(b, h) != h:
-                crowded.add(b)
-        elif g in ours:
-            if first.setdefault(h, b) != b:
-                crowded.add(h)
     for e in graph.edges:
-        if e.name in crowded:
-            return PairingReport(False, (e.name, sibling_set(graph, e.name, color)))
+        if e.color != color and len(siblings := _siblings(graph, e, color)) > 1:
+            return PairingReport(False, (e.name, tuple(sorted(siblings))))
     return PairingReport(True, None)
 
 

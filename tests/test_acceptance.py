@@ -128,7 +128,7 @@ def test_criterion_5_swap_identities(split_one):
 
 def test_criterion_6_family_relations(split_one):
     with budget("6 (induced family relations)", 60.0):
-        report = verify_family(SplitEmbedding(split_one), max_paths=3)
+        report = verify_family(SplitEmbedding(split_one), max_len=3)
         assert report.ok, report.failures[:3]
 
 

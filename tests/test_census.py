@@ -30,7 +30,6 @@ from kgraphs import (
     outsplit,
     pairing_report,
     reconstruct_split,
-    sibling_set,
     validate,
     verify_corner,
     verify_diagonal,
@@ -41,7 +40,7 @@ from kgraphs import (
 )
 from kgraphs.cli import main
 from kgraphs.fileformat import (check_split, document_for_graph, document_lines, parse, parse_sidecar,
-                                serialize, split_texts)
+                                serialize, split_lines)
 
 from conftest import BLUE, RED, product_graph, random_one_skeleton
 from test_skeleton import _reference_report
@@ -107,7 +106,7 @@ def test_census_splits_round_trip_through_their_files(m, n):
         graph = build_kgraph(skeleton, squares)
         result = outsplit(graph, default_spec(graph, BLUE, "v"))
         doc = parse(serialize(document_for_graph(graph, ("blue", "red"))))
-        split_text, parents_text = split_texts(doc, result)
+        split_text, parents_text = map("".join, split_lines(doc, result))
         split, sidecar = parse(split_text), parse_sidecar(parents_text)
         rebuilt = reconstruct_split(doc.build(), split.skeleton, doc.color_index(sidecar[0]),
                                     sidecar[1])
@@ -117,7 +116,7 @@ def test_census_splits_round_trip_through_their_files(m, n):
 
 def test_census_split_files_are_the_split_texts(tmp_path):
     """On a seeded sample of the ``(2, 3)`` census, ``kgraphs split`` writes, line
-    by line, exactly the texts of :func:`split_texts`."""
+    by line, exactly the lines of :func:`split_lines`."""
     graphs = list(single_vertex_graphs(2, 3))
     for n in random.Random(5).sample(range(len(graphs)), 8):
         graph = build_kgraph(*graphs[n])
@@ -126,7 +125,8 @@ def test_census_split_files_are_the_split_texts(tmp_path):
         source, target = tmp_path / f"g{n}.kg", tmp_path / f"s{n}.kg"
         source.write_text(serialize(doc), encoding="utf-8")
         assert main(["split", str(source), "--color", "blue", "--base", "v", "-o", str(target)]) == 0
-        split_text, parents_text = split_texts(doc, outsplit(graph, default_spec(graph, BLUE, "v")))
+        result = outsplit(graph, default_spec(graph, BLUE, "v"))
+        split_text, parents_text = map("".join, split_lines(doc, result))
         assert target.read_bytes() == split_text.encode("utf-8")
         assert (tmp_path / f"s{n}.kg.parents").read_bytes() == parents_text.encode("utf-8")
 
@@ -143,7 +143,7 @@ def test_paired_census_graphs_verify():
         emb = SplitEmbedding(result)
         reports = [
             verify_universal_family(emb.algebra),
-            verify_family(emb, max_paths=2),
+            verify_family(emb, max_len=2),
             verify_swap_identities(emb),
             verify_diagonal(emb, max_len=2),
             verify_corner(emb, max_len=2),
@@ -154,15 +154,28 @@ def test_paired_census_graphs_verify():
 
 
 def _reference_pairing(graph, color: int):
-    """``pairing_report``'s flag and witness, from ``sibling_set`` edge by edge."""
+    """``pairing_report``'s flag and witness, from one pass over the raw square pairs.
+
+    A side whose outer edge has ``color`` names a sibling of its inner edge:
+    its partner's inner edge.  No swap map and no ``sibling_set`` is read.
+    """
+    ours = {e.name for e in graph.edges if e.color == color}
+    siblings = {e.name: set() for e in graph.edges}
+    for (a, b), (g, h) in graph.squares.pairs:
+        # the sides swap colors, so at most one outer edge has ``color``
+        if a in ours:
+            siblings[b].add(h)
+        elif g in ours:
+            siblings[h].add(b)
     for e in graph.edges:
-        if e.color != color and len(sibs := sibling_set(graph, e.name, color)) > 1:
-            return False, (e.name, sibs)
+        if len(siblings[e.name]) > 1:
+            return False, (e.name, tuple(sorted(siblings[e.name])))
     return True, None
 
 
 def test_pairing_report_matches_sibling_sets(lambda_one, lambda_two):
-    """The one-pass ``pairing_report`` agrees with the per-edge reference in every color."""
+    """``pairing_report``, which reads each edge's siblings through the swap map,
+    agrees in every color with a reference built from the raw square pairs."""
     rng = random.Random(21)
     product = product_graph([random_one_skeleton(rng, tag) for tag in "fgh"])
     graphs = [lambda_one, lambda_two, product]

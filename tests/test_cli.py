@@ -303,6 +303,31 @@ class TestSplit:
         assert err.count("\n") == 1 and err.startswith(f"{target}.parents: ")
         assert not target.exists()
 
+    def test_unwritable_sidecar_keeps_a_symlinked_output(self, capsys, workdir):
+        # the document went to the null device through a symlink: the failed
+        # sidecar write removes no regular file, so the user's symlink stays
+        target = workdir / "out.kg"
+        target.symlink_to(os.devnull)
+        (workdir / "out.kg.parents").mkdir()
+        code, out, err = run(capsys, "split", str(workdir / "lambda1.kg"), "--partition-file",
+                             str(workdir / "paper.part"), "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith(f"{target}.parents: ")
+        assert target.is_symlink()
+
+    @pytest.mark.parametrize("block, fixed, line, column", [
+        ("{α,}", "{α}", 2, 18), ("{,k}", "{k}", 3, 16), ("{n,,}", "{n}", 4, 18)],
+        ids=["last", "first", "middle"])
+    def test_empty_edge_id_in_a_block_is_refused(self, capsys, workdir, block, fixed, line, column):
+        part = workdir / "paper.part"
+        part.write_text(part.read_text(encoding="utf-8").replace(fixed, block), encoding="utf-8")
+        target = workdir / "out.kg"
+        code, out, err = run(capsys, "split", str(workdir / "lambda1.kg"), "--partition-file",
+                             str(part), "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"{part}: line {line}, column {column}: empty edge id\n"
+        assert not target.exists()
+
     def test_peak_is_near_that_of_validating_the_output(self, capsys, tmp_path):
         # split must hold the input and its split and re-validate the split, and
         # nothing more: no list of lifted squares, no whole text of either file.

@@ -17,7 +17,7 @@ from kgraphs.fileformat import (
     parse_sidecar,
     serialize,
     sidecar_text,
-    split_texts,
+    split_lines,
 )
 
 from conftest import DATA, paper_spec, product_graph, random_one_skeleton
@@ -235,6 +235,9 @@ class TestParse:
             ("partition", "split color=blue base=p\npartition p : {a}\npartition p : {a}\n",
              3, 11, "duplicate partition for 'p'"),
             ("partition", "split color=blue base=p\npartition p : {a} {,}\n", 2, 19, "empty partition block"),
+            ("partition", "split color=blue base=p\npartition p : {a,}\n", 2, 18, "empty edge id"),
+            ("partition", "split color=blue base=p\npartition p : {,a}\n", 2, 16, "empty edge id"),
+            ("partition", "split color=blue base=p\npartition p : {a,,}\n", 2, 18, "empty edge id"),
             ("document", MINIMAL + "split color=blue base=p\n", 6, 1, "unknown declaration 'split'"),
             ("document", MINIMAL + "# blocks\n  partition p : {a}\n", 7, 3, "unknown declaration 'partition'"),
         ],
@@ -245,6 +248,7 @@ class TestParse:
              "malformed-block", "indented-keyword", "malformed-header", "vertex-arity",
              "duplicate-split", "malformed-split", "malformed-partition",
              "partition-unknown-vertex", "duplicate-partition", "empty-block",
+             "empty-id-last", "empty-id-first", "empty-id-middle",
              "split-in-document", "partition-in-document"],
     )
     def test_error_columns_point_at_the_token(self, reader, text, line, column, message):
@@ -384,7 +388,7 @@ def test_fragment_error_positions(lambda_one_doc, reader, text, line, column, me
 class TestSidecar:
     def test_round_trip(self, lambda_one, lambda_one_doc):
         result = outsplit(lambda_one, paper_spec())
-        text = split_texts(lambda_one_doc, result)[1]
+        text = "".join(split_lines(lambda_one_doc, result)[1])
         assert text == sidecar_text("blue", "v", result.parent)
         color, base, parents = parse_sidecar(text)
         assert color == "blue" and base == "v"

@@ -305,7 +305,7 @@ class TestRendering:
                             lambda _, label, *__: labels.append(label_text(label)))
         emb = SplitEmbedding(split_one)
         verify_universal_family(emb.algebra)
-        verify_family(emb, max_paths=1)
+        verify_family(emb, max_len=1)
         verify_grading(emb, max_len=1)
         assert {
             "sum tt* over v.1@(1,0)",
@@ -472,7 +472,7 @@ class TestRefinementTable:
         assert (len(alg.paths), len(graph._nf_cache)) == (interned, normal_forms)
 
     def test_extend_stores_no_vertex(self):
-        # the six kp-verify sweeps at --max-len 2, verify_family(max_paths=2) among them
+        # the six kp-verify sweeps at --max-len 2, verify_family(max_len=2) among them
         emb = SplitEmbedding(_rank_three_split())
         alg, graph = emb.algebra, emb.algebra.graph
         assert all(report.ok for report in _all_sweeps(lambda: emb, max_len=2))
@@ -809,7 +809,7 @@ class TestInducedFamily:
         emb = SplitEmbedding(split_two)
         reports = [
             verify_universal_family(emb.algebra),
-            verify_family(emb, max_paths=3),
+            verify_family(emb, max_len=3),
             verify_swap_identities(emb),
             verify_diagonal(emb, max_len=3),
             verify_corner(emb, max_len=2),
@@ -864,7 +864,7 @@ class TestInducedFamily:
 
 class TestVerifiers:
     def test_family_passes(self, split_one):
-        report = verify_family(SplitEmbedding(split_one), max_paths=3)
+        report = verify_family(SplitEmbedding(split_one), max_len=3)
         assert report.ok, report.failures[:3]
 
     def test_swap_identities_pass_with_specific_instances(self, split_one):
@@ -933,7 +933,7 @@ class TestVerifiers:
         emb = SplitEmbedding(result)
         assert verify_swap_identities(emb).ok
         assert verify_diagonal(emb, max_len=2).ok
-        assert verify_family(emb, max_paths=2).ok
+        assert verify_family(emb, max_len=2).ok
         assert verify_grading(emb, max_len=2).ok
         seeds = [result.copy_of(v, 1) for v in graph.vertices]
         assert saturation(result.graph, seeds) == set(result.graph.vertices)
@@ -954,7 +954,7 @@ class TestVerifiers:
         result = outsplit(graph, shuffled_spec(graph, 1, base, rng))
         assert verify_swap_identities(SplitEmbedding(result)).ok
         assert verify_diagonal(SplitEmbedding(result), max_len=2).ok
-        assert verify_family(SplitEmbedding(result), max_paths=2).ok
+        assert verify_family(SplitEmbedding(result), max_len=2).ok
 
     def test_composition_checks_keep_the_scan_order(self, split_one, monkeypatch):
         # the partners μ of each λ come from a by-range index; the checks
@@ -967,7 +967,7 @@ class TestVerifiers:
             expect_equal(self, label, lhs, rhs)
 
         monkeypatch.setattr(VerificationReport, "expect_equal", recording)
-        verify_family(SplitEmbedding(split_one), max_paths=3)
+        verify_family(SplitEmbedding(split_one), max_len=3)
         lam = split_one.original
         paths = [p for total in range(1, 4) for d in degrees_with_total(lam.k, total)
                  for v in lam.vertices for p in lam.paths_with_range(v, d)]
@@ -984,7 +984,7 @@ class TestVerifiers:
         # graft the second example's split graph onto the first example's
         # bookkeeping: the identities must break, with a visible witness
         corrupted = dataclasses.replace(split_one, graph=split_two.graph)
-        report = verify_family(SplitEmbedding(corrupted), max_paths=2)
+        report = verify_family(SplitEmbedding(corrupted), max_len=2)
         assert not report.ok
         assert report.failures
         assert "!=" in report.failures[0]
@@ -1232,7 +1232,7 @@ def _sweeps(max_len: int = 3) -> list:
     """The six sweeps in ``kp-verify`` order and bounds, as functions of an embedding."""
     return [
         lambda emb: verify_universal_family(emb.algebra),
-        lambda emb: verify_family(emb, max_paths=max_len),
+        lambda emb: verify_family(emb, max_len=max_len),
         verify_swap_identities,
         lambda emb: verify_diagonal(emb, max_len=max_len),
         lambda emb: verify_corner(emb, max_len=min(max_len, 2)),

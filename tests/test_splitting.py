@@ -268,8 +268,8 @@ class TestSplitPreconditions:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("color", [0, 4])
     def test_color_out_of_range(self, k, color):
-        # at rank 3 the color is checked before the sink check, whose
-        # degree_sinks would raise a bare ValueError
+        # at rank 3 the color is checked before the sink check, so the error
+        # is validate_spec's SplitError, not degree_sinks's UsageError
         graph = diagonal_double(["u0", "u1"], [("a", "u0", "u0"), ("b", "u0", "u0"),
                                                ("c", "u0", "u1"), ("d", "u1", "u0")], k)
         spec = default_spec(graph, 1, "u0")

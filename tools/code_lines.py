@@ -1,6 +1,7 @@
 """Print the code lines of ``src/kgraphs``: lines that hold a token, leaving
-out docstrings, comments and blank lines.  Standard library only; run it as
-``python3 tools/code_lines.py`` from any directory."""
+out docstrings, comments and blank lines.  One ``<module>: <count>`` line per
+module comes first, and the last line is the total alone.  Standard library
+only; run it as ``python3 tools/code_lines.py`` from any directory."""
 
 import ast
 import io
@@ -23,5 +24,11 @@ def code_lines(text: str) -> int:
     return len(lines - docstrings)
 
 
+def report(src: Path) -> list[str]:
+    """The printed lines for the modules of ``src``, in file-name order."""
+    counts = {p.name: code_lines(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    return [f"{name}: {count}" for name, count in counts.items()] + [str(sum(counts.values()))]
+
+
 if __name__ == "__main__":
-    print(sum(code_lines(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))))
+    print("\n".join(report(SRC)))
